@@ -9,11 +9,12 @@ two-query base plan at n=5 (build_appendix_a).
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 from typing import Callable, Mapping
 
-from .errors import DegenerateCase, InconsistentSpec, NoChain
+from .errors import InconsistentSpec, NoChain
 from .gadgets import (
     extract_leading_index,
     extract_trailing_index,
@@ -83,6 +84,26 @@ def precomputed_state(n: int, gamma: float) -> Callable[[tuple[int, ...]], Label
     return make
 
 
+# Default builds, keyed by (builder name, positional args). Plans are
+# immutable and shared: build_unb(8, 2) is build_unb(8, 2).
+_PLANS: dict[tuple[str, tuple], Plan] = {}
+
+
+def _memoized(build: Callable[..., Plan]) -> Callable[..., Plan]:
+    """Memoize a builder's default builds in `_PLANS`. A call that passes
+    any keyword argument (the override knobs) builds afresh."""
+    @functools.wraps(build)
+    def cached(*args, **overrides):
+        if overrides:
+            return build(*args, **overrides)
+        key = (build.__name__, args)
+        plan = _PLANS.get(key)
+        if plan is None:
+            plan = _PLANS[key] = build(*args)
+        return plan
+    return cached
+
+
 def _split_binding(gadget, i: int, j: int) -> Binding:
     """Bind the 3-label rotation space onto pair (i,j) and its tagged arms."""
     p = pair(i, j)
@@ -98,16 +119,13 @@ def _rest_renumber(n: int, i: int, j: int) -> dict[int, int]:
 # Pair-elimination subroutine on the precomputed state
 # ---------------------------------------------------------------------------
 
-_UNBR_CACHE: dict[tuple[int, int], Plan] = {}
-
-_UNBR_BASE_QUERIES = {1: 0, 2: 0, 3: 2}
-
 
 def unbr_claimed_queries(n: int, d: int) -> int:
     k0, _, base_t = CHAIN_BASES[d]
     return (n - (d + 2 * k0)) // 2 + base_t
 
 
+@_memoized
 def build_unbr(n: int, d: int, *, constants: StepConstants | None = None, validate: bool = True) -> Plan:
     """Subroutine plan consuming the precomputed state and removing one pair.
 
@@ -121,17 +139,9 @@ def build_unbr(n: int, d: int, *, constants: StepConstants | None = None, valida
     n0 = d + 2 * k0
     if n < n0 or (n - n0) % 2 != 0:
         raise NoChain(f"(n={n}, d={d}) is not on the chain n = {n0}, {n0 + 2}, ...")
-    default_build = constants is None and validate
-    if default_build and (n, d) in _UNBR_CACHE:
-        return _UNBR_CACHE[(n, d)]
-
     if n == n0:
-        plan = _build_unbr_base(d)
-    else:
-        plan = _build_unbr_step(n, d, constants=constants, validate=validate)
-    if default_build:
-        _UNBR_CACHE[(n, d)] = plan
-    return plan
+        return _build_unbr_base(d)
+    return _build_unbr_step(n, d, constants=constants, validate=validate)
 
 
 def _build_unbr_base(d: int) -> Plan:
@@ -249,8 +259,6 @@ APPENDIX_A_PRINTED: dict[int, float] = {
 # satisfies every displayed identity makes c4 and c8 negative.
 APPENDIX_A_SIGNS: dict[int, float] = {4: -1.0, 8: -1.0}
 
-_APPENDIX_CACHE: list[Plan] = []
-
 
 def appendix_a_constants() -> dict[int, float]:
     """The eighteen base-plan constants with consistent signs."""
@@ -295,6 +303,7 @@ def appendix_a_angles(c: Mapping[int, float] | None = None) -> dict[str, float]:
     }
 
 
+@_memoized
 def build_appendix_a(
     *,
     angle_overrides: Mapping[str, float] | None = None,
@@ -304,10 +313,6 @@ def build_appendix_a(
 
     The overrides exist for sensitivity experiments; default builds are cached.
     """
-    default_build = angle_overrides is None and gamma_override is None
-    if default_build and _APPENDIX_CACHE:
-        return _APPENDIX_CACHE[0]
-
     C = appendix_a_constants()
     angles = appendix_a_angles()
     if angle_overrides:
@@ -374,28 +379,24 @@ def build_appendix_a(
     node = GadgetStep(inverses, node)
     node = GadgetStep(rotation_pass(angles["split1"], False), node)
 
-    plan = Plan(
+    return Plan(
         family="unbr", n=5, params=(("n", 5), ("d", 3)),
         root=node, claimed_queries=2,
         truth=weight_truth(5, frozenset({1, 4})),
         contract=precomputed_state(5, gamma), contract_gamma=gamma,
     )
-    if default_build:
-        _APPENDIX_CACHE.append(plan)
-    return plan
 
 
 # ---------------------------------------------------------------------------
 # Main routine: uniform start, one query, split, measure, recurse
 # ---------------------------------------------------------------------------
 
-_UNB_CACHE: dict[tuple[int, int], Plan] = {}
-
 
 def unb_claimed_queries(n: int, d: int) -> int:
     return (n + d) // 2 - (0 if d == 1 else 1)
 
 
+@_memoized
 def build_unb(n: int, d: int, *, gamma_override: float | None = None) -> Plan:
     """Full plan deciding whether the weight is (n-d)/2 or (n+d)/2."""
     if d not in CHAIN_BASES:
@@ -403,10 +404,6 @@ def build_unb(n: int, d: int, *, gamma_override: float | None = None) -> Plan:
                       f"use build_general_unbalance for larger gaps")
     if n < d or (n - d) % 2 != 0:
         raise ValueError(f"need n >= d with n = d (mod 2), got n={n}, d={d}")
-    default_build = gamma_override is None
-    if default_build and (n, d) in _UNB_CACHE:
-        return _UNB_CACHE[(n, d)]
-
     k, l = (n - d) // 2, (n + d) // 2
     truth = weight_truth(n, frozenset({k, l}))
     claimed = unb_claimed_queries(n, d)
@@ -420,7 +417,7 @@ def build_unb(n: int, d: int, *, gamma_override: float | None = None) -> Plan:
         gamma = chain_gamma_at(d, n) if gamma_override is None else gamma_override
         sub_pair = build_unb(n - 2, d)
         sub_rest = build_unbr(n, d)
-        if default_build and claimed != 1 + max(sub_pair.claimed_queries, sub_rest.claimed_queries):
+        if gamma_override is None and claimed != 1 + max(sub_pair.claimed_queries, sub_rest.claimed_queries):
             raise InconsistentSpec(f"query count recursion broke at n={n}, d={d}")
         pairs = list(combinations(range(1, n + 1), 2))
         beta = math.asin(math.sqrt(gamma))
@@ -448,8 +445,6 @@ def build_unb(n: int, d: int, *, gamma_override: float | None = None) -> Plan:
             family="unb", n=n, params=(("n", n), ("d", d)),
             root=root, claimed_queries=claimed, truth=truth,
         )
-    if default_build:
-        _UNB_CACHE[(n, d)] = plan
     return plan
 
 
@@ -457,17 +452,12 @@ def build_unb(n: int, d: int, *, gamma_override: float | None = None) -> Plan:
 # EQUALITY and single-weight EXACT
 # ---------------------------------------------------------------------------
 
-_EQUALITY_CACHE: dict[int, Plan] = {}
-_EXACT_CACHE: dict[tuple[int, int], Plan] = {}
-_BALANCED_CACHE: dict[int, Plan] = {}
 
-
+@_memoized
 def build_equality(n: int) -> Plan:
     """Plan for EQUALITY_n (all bits agree), n-1 queries by pairwise parity."""
     if n < 1:
         raise ValueError(f"EQUALITY needs n >= 1, got {n}")
-    if n in _EQUALITY_CACHE:
-        return _EQUALITY_CACHE[n]
     truth = weight_truth(n, frozenset({0, n}))
     if n == 1:
         plan = Plan(family="equality", n=1, params=(("n", 1),),
@@ -488,16 +478,14 @@ def build_equality(n: int) -> Plan:
                  GadgetStep(((identity_binding(u_gadget(2)), False),), measure)))
         plan = Plan(family="equality", n=n, params=(("n", n),),
                     root=root, claimed_queries=n - 1, truth=truth)
-    _EQUALITY_CACHE[n] = plan
     return plan
 
 
+@_memoized
 def _build_balanced_exact(m: int) -> Plan:
     """Plan for the balanced case: weight == m/2 on m variables, m/2 queries."""
     if m % 2 != 0 or m < 0:
         raise ValueError(f"balanced instance needs even m >= 0, got {m}")
-    if m in _BALANCED_CACHE:
-        return _BALANCED_CACHE[m]
     truth = weight_truth(m, frozenset({m // 2}))
     if m == 0:
         plan = Plan(family="exact", n=0, params=(("n", 0), ("k", 0)),
@@ -518,27 +506,23 @@ def _build_balanced_exact(m: int) -> Plan:
                  GadgetStep(((identity_binding(u_gadget(m)), False),), measure)))
         plan = Plan(family="exact", n=m, params=(("n", m), ("k", m // 2)),
                     root=root, claimed_queries=m // 2, truth=truth)
-    _BALANCED_CACHE[m] = plan
     return plan
 
 
+@_memoized
 def build_exact_k(n: int, k: int) -> Plan:
     """Plan for EXACT_k^n: pad to the balanced case, then eliminate pairs."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if (n, k) in _EXACT_CACHE:
-        return _EXACT_CACHE[(n, k)]
     target = 2 * max(k, n - k)
     pad_bit = 1 if k <= n - k else 0
     sub = _build_balanced_exact(target)
     wires = identity_wires(n) + tuple(const(pad_bit) for _ in range(target - n))
-    plan = Plan(
+    return Plan(
         family="exact", n=n, params=(("n", n), ("k", k)),
         root=Call(sub, wires), claimed_queries=max(k, n - k),
         truth=weight_truth(n, frozenset({k})),
     )
-    _EXACT_CACHE[(n, k)] = plan
-    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -615,15 +599,11 @@ def _uw_test_step(
     return _ancilla_test_step(n, math.sqrt(u * w) / n, apps, pair_child, s0_child, s1_child)
 
 
-_GENERAL_CACHE: dict[tuple[int, int], Plan] = {}
-
-
+@_memoized
 def build_general_unbalance(n: int, k: int) -> Plan:
     """Plan for EXACT_{k,n-k}^n via the one-ancilla sign test, n-k+1 queries."""
     if k < 0 or 2 * k >= n:
         raise ValueError(f"need 0 <= k < n/2, got k={k}, n={n}")
-    if (n, k) in _GENERAL_CACHE:
-        return _GENERAL_CACHE[(n, k)]
     truth = weight_truth(n, frozenset({k, n - k}))
     if k == 0:
         # EXACT_{0,n}^n is EQUALITY; delegate and keep its tighter bound.
@@ -647,13 +627,10 @@ def build_general_unbalance(n: int, k: int) -> Plan:
             family="general", n=n, params=(("n", n), ("k", k)),
             root=root, claimed_queries=n - k + 1, truth=truth,
         )
-    _GENERAL_CACHE[(n, k)] = plan
     return plan
 
 
-_UW_CACHE: dict[tuple[int, int, int], Plan] = {}
-
-
+@_memoized
 def build_uw_step(n: int, u: int, w: int) -> Plan:
     """Plan deciding weight (n-u)/2 or (n+w)/2 by iterating the u/w test."""
     if not (isinstance(u, int) and isinstance(w, int)):
@@ -664,8 +641,6 @@ def build_uw_step(n: int, u: int, w: int) -> Plan:
         raise ValueError(f"need u, w <= n, got u={u}, w={w}, n={n}")
     if (n - u) % 2 != 0 or (n - w) % 2 != 0:
         raise ValueError(f"need u = w = n (mod 2), got n={n}, u={u}, w={w}")
-    if (n, u, w) in _UW_CACHE:
-        return _UW_CACHE[(n, u, w)]
     k, l = (n - u) // 2, (n + w) // 2
     truth = weight_truth(n, frozenset({k, l}))
 
@@ -697,12 +672,10 @@ def build_uw_step(n: int, u: int, w: int) -> Plan:
         assert isinstance(node, Call)
         return node.plan.claimed_queries
     claimed = 1 + max(_claim(pair_node(1, 2)), test_high.claimed_queries, test_low.claimed_queries)
-    plan = Plan(
+    return Plan(
         family="uw", n=n, params=(("n", n), ("u", u), ("w", w)),
         root=root, claimed_queries=claimed, truth=truth,
     )
-    _UW_CACHE[(n, u, w)] = plan
-    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ class RunConfig:
     appendix_a: bool = False
     tol: float = DEFAULT_TOL
     branch_tol: float = DEFAULT_BRANCH_TOL
-    parallel: int | None = None
     format: str = "json"
     out: str | None = None
     verbose: bool = False
@@ -127,10 +126,7 @@ def _params_cell(params: dict) -> str:
 
 def cmd_verify(config: RunConfig) -> int:
     plan = build_family(config)
-    report = verify_exactness(
-        plan, limit=20, tol=config.tol, branch_tol=config.branch_tol,
-        parallel=config.parallel,
-    )
+    report = verify_exactness(plan, limit=20, tol=config.tol, branch_tol=config.branch_tol)
     payload = report.as_dict(verbose=config.verbose)
     payload["tool_version"] = __version__
     if config.format == "json":
@@ -280,7 +276,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="exhaustively verify a plan")
     add_common(p_verify, with_family=True)
-    p_verify.add_argument("--parallel", type=int, default=None)
 
     p_gamma = sub.add_parser("gamma", help="print a coefficient chain table")
     p_gamma.add_argument("--d", type=int, required=True)
@@ -331,7 +326,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         appendix_a=getattr(args, "appendix_a", False),
         tol=tol,
         branch_tol=branch if branch is not None else DEFAULT_BRANCH_TOL,
-        parallel=getattr(args, "parallel", None),
         format=getattr(args, "format", "json"),
         out=getattr(args, "out", None),
         verbose=getattr(args, "verbose", False),

@@ -77,34 +77,24 @@ def hadamard_gadget() -> IsometryGadget:
 
 @dataclass(frozen=True)
 class OracleSpec:
-    """Phase oracle for a fixed input: entry i holds (-1)^{x_i}, 1-based.
-
-    `padded` marks indices whose values were fixed by padding rather than by
-    the original input; queries on them still count as queries.
-    """
+    """Phase oracle for a fixed input: entry i holds (-1)^{x_i}, 1-based."""
 
     xhat: tuple[int, ...]
-    padded: frozenset[int] = frozenset()
 
     def __post_init__(self):
         if any(v not in (-1, 1) for v in self.xhat):
             raise ValueError(f"xhat entries must be +-1, got {self.xhat!r}")
-        if any(not 1 <= i <= len(self.xhat) for i in self.padded):
-            raise ValueError(f"padded indices {sorted(self.padded)!r} outside 1..{len(self.xhat)}")
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int], padded: Iterable[int] = ()) -> OracleSpec:
+    def from_bits(cls, bits: Iterable[int]) -> OracleSpec:
         bits = tuple(bits)
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"bits must be 0/1, got {bits!r}")
-        return cls(tuple(1 - 2 * b for b in bits), frozenset(padded))
+        return cls(tuple(1 - 2 * b for b in bits))
 
     @property
     def n(self) -> int:
         return len(self.xhat)
-
-    def weight(self) -> int:
-        return sum(1 for v in self.xhat if v == -1)
 
 
 def oracle_apply(

@@ -9,7 +9,7 @@ supply as a function of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 from .state_core import Binding, Label, LabeledState, MeasurementPartition

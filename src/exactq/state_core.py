@@ -135,9 +135,6 @@ class LabeledState:
         """Relabel support; labels absent from the mapping pass through."""
         return LabeledState((mapping.get(l, l), a) for l, a in self._amps.items())
 
-    def restricted(self, keep: Callable[[Label], bool]) -> LabeledState:
-        return LabeledState((l, a) for l, a in self._amps.items() if keep(l))
-
     def almost_equal(self, other: LabeledState, atol: float = 1e-9) -> bool:
         for label in self.support() | other.support():
             if abs(self.amplitude(label) - other.amplitude(label)) > atol:
@@ -164,17 +161,18 @@ class LabeledState:
 
 
 def least_squares_match(state: LabeledState, reference: LabeledState) -> tuple[complex, float]:
-    """Best scalar c with state ~ c * reference, and the residual norm."""
+    """Best scalar c with state ~ c * reference, and the residual norm.
+
+    The residual is the norm of the stored state - c * reference, so
+    differences at or below STORE_TOL count as zero.
+    """
     ref_sq = reference.squared_norm()
     if ref_sq == 0.0:
         return 0j, math.sqrt(state.squared_norm())
-    overlap = sum(reference.amplitude(l).conjugate() * a for l, a in state.items())
+    overlap = sum(a.conjugate() * state.amplitude(l) for l, a in reference.items())
     c = overlap / ref_sq
-    resid_sq = 0.0
-    for label in state.support() | reference.support():
-        diff = state.amplitude(label) - c * reference.amplitude(label)
-        resid_sq += diff.real * diff.real + diff.imag * diff.imag
-    return c, math.sqrt(max(resid_sq, 0.0))
+    mismatch = LabeledState(list(state.items()) + [(l, -c * a) for l, a in reference.items()])
+    return c, math.sqrt(mismatch.squared_norm())
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,6 @@ pair) per query until the answer is forced or a single candidate remains.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,10 +53,6 @@ def _avec_truth(avec: tuple[str, ...]) -> Callable[[tuple[int, ...]], int]:
 
 def _star(avec: tuple[str, ...], w: int) -> tuple[str, ...]:
     return avec[:w] + ("*",) + avec[w + 1:]
-
-
-def _max_claim(node: PlanNode) -> int:
-    return node.plan.claimed_queries if isinstance(node, Call) else 0
 
 
 def _leaf_plan(avec: tuple[str, ...], root: PlanNode, claimed: int, strategy: str) -> Plan:
@@ -193,14 +188,10 @@ def build_sym(spec: SymSpec) -> Plan:
         inner = _build_outward(avec, len(avec) + 6 * g + 16, {})
         wires = identity_wires(n)
 
-    root = Call(inner, wires)
-
-    def truth(bits: tuple[int, ...]) -> int:
-        return 1 if avec[sum(bits)] == "1" else 0
-
     return Plan(
         family="sym", n=n,
         params=(("a", spec.a), ("g", g), ("strategy", spec.strategy)),
-        root=root, claimed_queries=sym_claimed_queries(SymSpec(spec.a, g, spec.strategy)),
-        truth=truth,
+        root=Call(inner, wires),
+        claimed_queries=sym_claimed_queries(SymSpec(spec.a, g, spec.strategy)),
+        truth=_avec_truth(avec),
     )

@@ -11,9 +11,8 @@ crashes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -31,12 +30,19 @@ from .plans import (
     QueryStep,
     Wire,
 )
-from .state_core import LabeledState, ZERO_LABEL, apply_bindings, measure
+from .state_core import (
+    LabeledState,
+    ZERO_LABEL,
+    apply_bindings,
+    least_squares_match,
+    measure,
+)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_BRANCH_TOL = 1e-9
 
 _SCRATCH = LabeledState({ZERO_LABEL: 1.0})
+_EMPTY = LabeledState(())
 
 
 @dataclass(frozen=True)
@@ -161,30 +167,17 @@ class _Executor:
             return _VACUOUS
         if isinstance(node, Output):
             return _Summary(queries, ((node.bit, weight, weight),), 0.0)
-        if isinstance(node, PrepareState):
-            prepared = node.state.scaled(math.sqrt(weight))
-            return self._walk(node.child, prepared, bits, oracle, queries)
-        if isinstance(node, GadgetStep):
-            state = apply_bindings(state, node.applications)
-            return self._walk(node.child, state, bits, oracle, queries)
-        if isinstance(node, QueryStep):
-            state = oracle_apply(state, oracle, node.extractor)
-            return self._walk(node.child, state, bits, oracle, queries + 1)
-        if isinstance(node, MeasureStep):
-            parts = measure(state, node.partition)
-            empty = LabeledState(())
-            results = []
-            for outcome_id, rewrite, child in node.children:
-                branch = parts.get(outcome_id, empty)
-                if rewrite is not None:
-                    branch = branch.rewritten(rewrite)
-                results.append(self._walk(child, branch, bits, oracle, queries))
-            max_q = max((r.max_queries for r in results if r.mass), default=0)
-            residual = max((r.residual for r in results), default=0.0)
-            return _Summary(max_q, _merge_masses(r.mass for r in results), residual)
         if isinstance(node, Call):
             return self._call(node, state, weight, bits, queries)
-        raise TypeError(f"unknown plan node {node!r}")
+        branches = _step(node, state, weight, oracle)
+        if len(branches) == 1:
+            _, child, branch, spent = branches[0]
+            return self._walk(child, branch, bits, oracle, queries + spent)
+        results = [self._walk(child, branch, bits, oracle, queries + spent)
+                   for _, child, branch, spent in branches]
+        max_q = max((r.max_queries for r in results if r.mass), default=0)
+        residual = max((r.residual for r in results), default=0.0)
+        return _Summary(max_q, _merge_masses(r.mass for r in results), residual)
 
     def _call(self, node: Call, state: LabeledState, weight: float,
               bits: tuple[int, ...], queries: int) -> _Summary:
@@ -201,11 +194,7 @@ class _Executor:
         kappa = sub.contract(oracle_sub.xhat)
         k_norm_sq = kappa.squared_norm()
         if k_norm_sq > self.branch_tol:
-            overlap = sum(a.conjugate() * state.amplitude(l) for l, a in kappa.items())
-            coeff = overlap / k_norm_sq
-            mismatch = LabeledState(
-                list(state.items()) + [(l, -coeff * a) for l, a in kappa.items()])
-            residual = math.sqrt(mismatch.squared_norm())
+            coeff, residual = least_squares_match(state, kappa)
             if residual <= self.tol * max(1.0, math.sqrt(weight)):
                 inner = self.run_plan(sub, bits_sub)
                 factor = abs(coeff) ** 2 * k_norm_sq
@@ -242,29 +231,6 @@ class _Executor:
             return RunTree("pruned", outcome, weight, queries, None, False, ())
         if isinstance(node, Output):
             return RunTree("output", outcome, weight, queries, node.bit, True, ())
-        if isinstance(node, PrepareState):
-            child = self._trace_walk(node.child, node.state.scaled(math.sqrt(weight)),
-                                     bits, oracle, queries, None)
-            return RunTree("prepare", outcome, weight, queries, None, True, (child,))
-        if isinstance(node, GadgetStep):
-            state = apply_bindings(state, node.applications)
-            child = self._trace_walk(node.child, state, bits, oracle, queries, None)
-            return RunTree("gadget", outcome, weight, queries, None, True, (child,))
-        if isinstance(node, QueryStep):
-            state = oracle_apply(state, oracle, node.extractor)
-            child = self._trace_walk(node.child, state, bits, oracle, queries + 1, None)
-            return RunTree("query", outcome, weight, queries, None, True, (child,))
-        if isinstance(node, MeasureStep):
-            parts = measure(state, node.partition)
-            empty = LabeledState(())
-            kids = []
-            for outcome_id, rewrite, child_node in node.children:
-                branch = parts.get(outcome_id, empty)
-                if rewrite is not None:
-                    branch = branch.rewritten(rewrite)
-                kids.append(self._trace_walk(child_node, branch, bits, oracle,
-                                             queries, outcome_id))
-            return RunTree("measure", outcome, weight, queries, None, True, tuple(kids))
         if isinstance(node, Call):
             sub = node.plan
             bits_sub = _resolve_bits(bits, node.wires)
@@ -278,7 +244,41 @@ class _Executor:
             except PartitionGap:
                 child = RunTree("gap", None, weight, queries, -1, True, ())
             return RunTree("call", outcome, weight, queries, None, True, (child,))
-        raise TypeError(f"unknown plan node {node!r}")
+        kids = tuple([self._trace_walk(child, branch, bits, oracle, queries + spent, oid)
+                      for oid, child, branch, spent in _step(node, state, weight, oracle)])
+        return RunTree(_TRACE_KIND[type(node)], outcome, weight, queries, None, True, kids)
+
+
+def _step(node: PlanNode, state: LabeledState, weight: float,
+          oracle: OracleSpec) -> Sequence[tuple[object, PlanNode, LabeledState, int]]:
+    """Branches of one inner plan node, as (outcome id or None, child node,
+    branch state, queries spent) tuples.
+
+    This is the only place the step semantics live: every walker folds over
+    it. `weight` is the squared norm of `state`, which a PrepareState
+    carries over to its prepared state. The helpers are looked up as module
+    globals at call time, so they can be wrapped from outside.
+    """
+    if isinstance(node, GadgetStep):
+        return ((None, node.child, apply_bindings(state, node.applications), 0),)
+    if isinstance(node, QueryStep):
+        return ((None, node.child, oracle_apply(state, oracle, node.extractor), 1),)
+    if isinstance(node, MeasureStep):
+        parts = measure(state, node.partition)
+        branches = []
+        for outcome_id, rewrite, child in node.children:
+            branch = parts.get(outcome_id, _EMPTY)
+            if rewrite is not None:
+                branch = branch.rewritten(rewrite)
+            branches.append((outcome_id, child, branch, 0))
+        return branches
+    if isinstance(node, PrepareState):
+        return ((None, node.child, node.state.scaled(math.sqrt(weight)), 0),)
+    raise TypeError(f"unknown plan node {node!r}")
+
+
+_TRACE_KIND = {PrepareState: "prepare", GadgetStep: "gadget", QueryStep: "query",
+               MeasureStep: "measure"}
 
 
 def run_on_input(
@@ -297,8 +297,10 @@ def run_on_input(
 
 
 def tree_leaves(tree: RunTree) -> list[RunTree]:
-    """All reachable output leaves of a run tree."""
-    if tree.kind == "output":
+    """All leaves of a run tree that carry an output: reachable Output
+    leaves, and "gap" leaves (output -1) where a branch left a callee's
+    measurement algebra."""
+    if tree.output is not None:
         return [tree]
     out: list[RunTree] = []
     for child in tree.children:
@@ -313,7 +315,6 @@ def verify_exactness(
     limit: int = 20,
     tol: float = DEFAULT_TOL,
     branch_tol: float = DEFAULT_BRANCH_TOL,
-    parallel: int | None = None,
 ) -> VerificationReport:
     """Run the plan on all 2^n inputs and certify outputs and query counts.
 
@@ -321,28 +322,26 @@ def verify_exactness(
     for the heaviest branch whose output disagrees with the truth function.
     Output -1 marks a branch whose state left a subroutine's measurement
     algebra, which only corrupted plans produce.
+
+    An input whose entry contract vanishes cannot reach the plan and is
+    skipped. Every other input must keep its norm: the plan is exact only
+    if no wrong output carries weight above `tol` and `max_norm_residual`
+    is at most `tol`.
     """
     if plan.n > limit:
         raise ValueError(f"n={plan.n} exceeds the enumeration limit {limit}")
     truth_fn = truth if truth is not None else plan.truth
     executor = _Executor(tol=tol, branch_tol=branch_tol)
     inputs = list(product((0, 1), repeat=plan.n))
-
-    def run_one(bits: tuple[int, ...]) -> _Summary:
-        return executor.run_plan(plan, bits)
-
-    if parallel and parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            summaries = list(pool.map(run_one, inputs))
-    else:
-        summaries = [run_one(bits) for bits in inputs]
-
     worst = 0
     max_residual = 0.0
     counterexamples = []
-    for bits, summary in zip(inputs, summaries):
-        if not summary.mass:
+    for bits in inputs:
+        oracle = OracleSpec.from_bits(bits)
+        entry = executor.entry_state(plan, oracle)
+        if entry is None:
             continue
+        summary = executor._walk(plan.root, entry, bits, oracle, 0)
         worst = max(worst, summary.max_queries)
         total = sum(t for _, t, _ in summary.mass)
         max_residual = max(max_residual, abs(total - 1.0), summary.residual)
@@ -354,7 +353,7 @@ def verify_exactness(
         family=plan.family,
         params=plan.params,
         n=plan.n,
-        exact=not counterexamples,
+        exact=not counterexamples and max_residual <= tol,
         worst_case_queries=worst,
         claimed_bound=plan.claimed_queries,
         max_norm_residual=max_residual,
@@ -557,28 +556,9 @@ def _exit_states(node: PlanNode, state: LabeledState, oracle: OracleSpec,
     if isinstance(node, (Output, Call)):
         yield path, queries, state
         return
-    if isinstance(node, PrepareState):
-        prepared = node.state.scaled(math.sqrt(state.squared_norm()))
-        yield from _exit_states(node.child, prepared, oracle, path, queries)
-        return
-    if isinstance(node, GadgetStep):
-        state = apply_bindings(state, node.applications)
-        yield from _exit_states(node.child, state, oracle, path, queries)
-        return
-    if isinstance(node, QueryStep):
-        state = oracle_apply(state, oracle, node.extractor)
-        yield from _exit_states(node.child, state, oracle, path, queries + 1)
-        return
-    if isinstance(node, MeasureStep):
-        parts = measure(state, node.partition)
-        empty = LabeledState(())
-        for outcome_id, rewrite, child in node.children:
-            branch = parts.get(outcome_id, empty)
-            if rewrite is not None:
-                branch = branch.rewritten(rewrite)
-            yield from _exit_states(child, branch, oracle, path + (outcome_id,), queries)
-        return
-    raise TypeError(f"unknown plan node {node!r}")
+    for oid, child, branch, spent in _step(node, state, state.squared_norm(), oracle):
+        yield from _exit_states(child, branch, oracle,
+                                path if oid is None else path + (oid,), queries + spent)
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,11 @@ class TestUnb:
         assert not report.exact
         assert report.counterexamples
 
+    def test_default_builds_are_shared(self):
+        assert build_unb(8, 2) is build_unb(8, 2)
+        assert build_unbr(7, 1) is build_unbr(7, 1)
+        assert build_unb(5, 1, gamma_override=0.05) is not build_unb(5, 1)
+
 
 class TestGeneralUnbalance:
     @pytest.mark.parametrize("n,k,queries", [(4, 1, 4), (6, 2, 5)])

@@ -60,12 +60,6 @@ class TestVerifyCommand:
         assert rows[0][0] == "family"
         assert rows[1][0] == "equality"
 
-    def test_parallel_output_byte_identical(self, capsys):
-        _, seq = run(capsys, "verify", "--family", "unb", "--d", "1", "--n", "5")
-        _, par = run(capsys, "verify", "--family", "unb", "--d", "1", "--n", "5",
-                     "--parallel", "4")
-        assert seq == par
-
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out = run(capsys, "verify", "--family", "equality", "--n", "2",

@@ -107,13 +107,10 @@ class TestOracle:
         o = OracleSpec.from_bits((0, 1, 1))
         assert o.xhat == (1, -1, -1)
         assert o.n == 3
-        assert o.weight() == 2
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             OracleSpec(xhat=(1, 0, -1))
-        with pytest.raises(ValueError):
-            OracleSpec(xhat=(1, -1), padded=frozenset({3}))
 
     def test_phase_flip_on_indexed_labels(self):
         o = OracleSpec.from_bits((1, 0))
@@ -124,7 +121,7 @@ class TestOracle:
         assert out.amplitude(S_LABEL) == pytest.approx(0.5)
 
     def test_padded_indices_still_cost_a_query(self):
-        o = OracleSpec.from_bits((1, 0, 1), padded={3})
+        o = OracleSpec.from_bits((1, 0, 1))
         s = LabeledState({idx(3): 1.0})
         out = oracle_apply(s, o, extract_trailing_index)
         assert out.amplitude(idx(3)) == pytest.approx(-1.0)

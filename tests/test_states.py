@@ -52,11 +52,6 @@ class TestLabeledState:
         merged = s.rewritten({idx(1): S_LABEL, idx(2): S_LABEL})
         assert merged.amplitude(S_LABEL) == pytest.approx(1.0)
 
-    def test_restricted(self):
-        s = LabeledState({idx(1): 0.5, pair(1, 2): 0.5})
-        kept = s.restricted(lambda l: l[0] == "I")
-        assert kept.support() == frozenset({idx(1)})
-
     def test_normalized_zero_state_raises(self):
         with pytest.raises(ValueError):
             LabeledState().normalized()

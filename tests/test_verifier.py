@@ -3,17 +3,29 @@
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import replace
 
 import pytest
 
 from exactq import (
+    LabeledState,
+    MeasureStep,
+    MeasurementPartition,
+    Output,
+    Plan,
+    PrepareState,
     build_equality,
     build_unb,
     build_unbr,
+    chain_gamma_at,
     run_on_input,
+    solve_step_constants,
     tree_leaves,
     verify_exactness,
 )
+from exactq.state_core import idx
+from exactq.verifier import _Executor
 
 
 def check_norm_conservation(tree, depth=1):
@@ -24,6 +36,22 @@ def check_norm_conservation(tree, depth=1):
     assert abs(total - tree.norm_sq) < 1e-9 * depth, (tree.kind, depth)
     for child in tree.children:
         check_norm_conservation(child, depth + 1)
+
+
+def mutated_unbr_5_1():
+    base = solve_step_constants(5, 1, chain_gamma_at(1, 3))
+    return build_unbr(5, 1, constants=replace(base, c1=base.c1 + 2e-3), validate=False)
+
+
+def lossy_plan(amps):
+    """Prepare amplitudes on |1>, |2>, |3>, then measure one outcome whose
+    rewrite merges |1> into |2>: the |1>-|2> part cancels and its norm is
+    lost."""
+    state = LabeledState({idx(i + 1): a for i, a in enumerate(amps)})
+    partition = MeasurementPartition(((("all",), lambda label: True),))
+    root = PrepareState(state, MeasureStep(partition, ((("all",), {idx(1): idx(2)}, Output(1)),)))
+    return Plan(family="lossy", n=1, params=(), root=root, claimed_queries=0,
+                truth=lambda bits: 1)
 
 
 class TestRunTree:
@@ -60,6 +88,30 @@ class TestRunTree:
         assert tree.norm_sq == pytest.approx(1.0)
         assert tree_leaves(tree)
 
+    @pytest.mark.parametrize("make_plan", [
+        lambda: build_unb(6, 2),
+        lambda: build_unbr(5, 1),
+        mutated_unbr_5_1,
+        lambda: build_unb(5, 1, gamma_override=0.05),
+    ], ids=["unb62", "unbr51", "unbr51-c1-mutated", "unb51-gamma-0.05"])
+    def test_leaves_match_summary(self, make_plan):
+        # The traced tree and the memoized summary must account for the same
+        # mass per output, "gap" leaves (output -1) included, and agree on
+        # the deepest query count.
+        plan = make_plan()
+        executor = _Executor()
+        for bits in itertools.product((0, 1), repeat=plan.n):
+            summary = executor.run_plan(plan, bits)
+            leaves = tree_leaves(run_on_input(plan, bits))
+            traced: dict[int, float] = {}
+            for leaf in leaves:
+                traced[leaf.output] = traced.get(leaf.output, 0.0) + leaf.norm_sq
+            expected = {output: total for output, total, _ in summary.mass}
+            for output in traced.keys() | expected.keys():
+                assert traced.get(output, 0.0) == pytest.approx(
+                    expected.get(output, 0.0), abs=1e-9), (bits, output)
+            assert max((leaf.queries for leaf in leaves), default=0) == summary.max_queries
+
 
 class TestVerifyExactness:
     def test_report_fields(self):
@@ -82,10 +134,6 @@ class TestVerifyExactness:
         with pytest.raises(ValueError):
             verify_exactness(build_unb(3, 1), limit=2)
 
-    def test_parallel_report_identical(self):
-        plan = build_unb(5, 1)
-        assert verify_exactness(plan, parallel=4) == verify_exactness(plan)
-
     def test_counterexamples_record_heaviest_branch(self):
         plan = build_unb(5, 1, gamma_override=0.05)
         report = verify_exactness(plan)
@@ -105,6 +153,19 @@ class TestVerifyExactness:
         verbose = report.as_dict(verbose=True)
         assert verbose["inputs_checked"] == 8
         assert verbose["counterexamples"] == []
+
+
+class TestLostNorm:
+    def test_plan_losing_all_norm_is_not_exact(self):
+        report = verify_exactness(lossy_plan((math.sqrt(0.5), -math.sqrt(0.5))))
+        assert report.max_norm_residual == pytest.approx(1.0)
+        assert not report.exact
+
+    def test_plan_losing_part_of_its_norm_is_not_exact(self):
+        report = verify_exactness(lossy_plan((0.6, -0.6, math.sqrt(0.28))))
+        assert report.max_norm_residual == pytest.approx(0.72)
+        assert report.counterexamples == ()
+        assert not report.exact
 
 
 class TestVacuousContracts:
