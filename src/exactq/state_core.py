@@ -9,8 +9,8 @@ dropped.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 

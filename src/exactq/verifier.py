@@ -1,11 +1,21 @@
-"""Exhaustive simulation of plans and polynomial-level certification.
+"""Exhaustive certification of plans and of their polynomials.
 
-The simulator runs a plan on every input, tracking unnormalized branch
-states. Subroutine calls are memoized per (plan, sub-input): a call on a
-state proportional to the callee's input contract reuses the callee's
-summary, scaled by the squared proportionality factor; anything else is run
-directly so that broken plans produce honest wrong outputs rather than
-crashes.
+`verify_exactness` and the acceptance polynomial of `extract_multilinear`
+run all inputs through a plan at once with the input-batched walker of
+`batch.py`. The per-input walkers here are the reference it is tested
+against, and they serve what looks at one input at a time:
+
+- `_step` holds the per-input semantics of PrepareState, GadgetStep,
+  QueryStep and MeasureStep on an unnormalized `LabeledState`;
+- `_Executor._walk` folds over it into a summary: mass per output, deepest
+  query count and worst call residual. A call on a state proportional to
+  the callee's input contract reuses the callee's memoized summary, scaled
+  by the squared proportionality factor; any other call runs the callee
+  directly, so that broken plans produce honest wrong outputs rather than
+  crashes;
+- `_Executor.trace` builds the full run tree of one input (`run_on_input`),
+  `_follow` reads one path of it (leaf polynomials), and `_exit_states`
+  feeds the degree audit.
 """
 
 from __future__ import annotations
@@ -254,10 +264,12 @@ def _step(node: PlanNode, state: LabeledState, weight: float,
     """Branches of one inner plan node, as (outcome id or None, child node,
     branch state, queries spent) tuples.
 
-    This is the only place the step semantics live: every walker folds over
-    it. `weight` is the squared norm of `state`, which a PrepareState
-    carries over to its prepared state. The helpers are looked up as module
-    globals at call time, so they can be wrapped from outside.
+    This is where the per-input step semantics live. Every walker in this
+    module folds over it, and the input-batched walker of `batch.py` must
+    match it column by column, which tests/test_batch.py checks. `weight` is
+    the squared norm of `state`, which a PrepareState carries over to its
+    prepared state. The helpers are looked up as module globals at call
+    time, so they can be wrapped from outside.
     """
     if isinstance(node, GadgetStep):
         return ((None, node.child, apply_bindings(state, node.applications), 0),)
@@ -308,6 +320,13 @@ def tree_leaves(tree: RunTree) -> list[RunTree]:
     return out
 
 
+def _summarize(plan: Plan, *, tol: float, branch_tol: float):
+    # The batched walker is imported at the first verification, not with the
+    # package: building plans does not need it.
+    from .batch import summarize
+    return summarize(plan, tol=tol, branch_tol=branch_tol)
+
+
 def verify_exactness(
     plan: Plan,
     truth: Callable[[tuple[int, ...]], int] | None = None,
@@ -331,22 +350,18 @@ def verify_exactness(
     if plan.n > limit:
         raise ValueError(f"n={plan.n} exceeds the enumeration limit {limit}")
     truth_fn = truth if truth is not None else plan.truth
-    executor = _Executor(tol=tol, branch_tol=branch_tol)
+    entered, sums = _summarize(plan, tol=tol, branch_tol=branch_tol)
     inputs = list(product((0, 1), repeat=plan.n))
-    worst = 0
-    max_residual = 0.0
+    checked = np.flatnonzero(entered)
+    worst = int(sums.maxq[checked].max(initial=0))
+    lost = np.abs(sums.total[:, checked].sum(axis=0) - 1.0)
+    max_residual = float(max(lost.max(initial=0.0), sums.resid[checked].max(initial=0.0)))
     counterexamples = []
-    for bits in inputs:
-        oracle = OracleSpec.from_bits(bits)
-        entry = executor.entry_state(plan, oracle)
-        if entry is None:
-            continue
-        summary = executor._walk(plan.root, entry, bits, oracle, 0)
-        worst = max(worst, summary.max_queries)
-        total = sum(t for _, t, _ in summary.mass)
-        max_residual = max(max_residual, abs(total - 1.0), summary.residual)
+    for position in checked:
+        bits = inputs[position]
         expected = truth_fn(bits)
-        for output, _, heaviest in summary.mass:
+        for row, output in enumerate((-1, 0, 1)):
+            heaviest = float(sums.heavy[row, position])
             if output != expected and heaviest > tol:
                 counterexamples.append((bits, output, heaviest))
     return VerificationReport(
@@ -421,15 +436,6 @@ class MultilinearPoly:
         return max((len(s) for s, c in self.coeffs if abs(c) > tol), default=0)
 
 
-def _acceptance_values(plan: Plan, *, tol: float, branch_tol: float) -> list[float]:
-    executor = _Executor(tol=tol, branch_tol=branch_tol)
-    values = []
-    for bits in product((0, 1), repeat=plan.n):
-        summary = executor.run_plan(plan, bits)
-        values.append(sum(t for o, t, _ in summary.mass if o == 1))
-    return values
-
-
 def extract_multilinear(
     plan: Plan,
     selector: str | tuple = "acceptance",
@@ -442,35 +448,66 @@ def extract_multilinear(
     if plan.n > 14:
         raise ValueError(f"n={plan.n} exceeds the extraction limit 14")
     if selector == "acceptance":
-        values = _acceptance_values(plan, tol=tol, branch_tol=branch_tol)
-        return MultilinearPoly.from_values(plan.n, values)
+        _, sums = _summarize(plan, tol=tol, branch_tol=branch_tol)
+        return MultilinearPoly.from_values(plan.n, sums.total[2])
     if isinstance(selector, tuple) and len(selector) == 2 and selector[0] == "leaf":
-        path = tuple(selector[1])
-        executor = _Executor(tol=tol, branch_tol=branch_tol)
-        values = []
-        for bits in product((0, 1), repeat=plan.n):
-            tree = executor.trace(plan, bits)
-            values.append(_leaf_weight(tree, path))
+        values = _leaf_values(plan, tuple(selector[1]), tol=tol, branch_tol=branch_tol)
         return MultilinearPoly.from_values(plan.n, values)
     raise ValueError(f"unknown selector {selector!r}")
 
 
-def _leaf_weight(tree: RunTree, path: tuple) -> float:
-    remaining = path
-    node = tree
-    while True:
-        if not remaining:
-            return node.norm_sq if node.reachable or node.kind == "pruned" else 0.0
-        advanced = False
-        for child in node.children:
-            if child.outcome == remaining[0]:
-                node, remaining, advanced = child, remaining[1:], True
-                break
-        if not advanced:
-            if len(node.children) == 1:
-                node = node.children[0]
-            else:
-                return 0.0
+def _leaf_values(plan: Plan, path: tuple, *, tol: float, branch_tol: float) -> list[float]:
+    """Per input, in lexicographic order, the weight of the run-tree node
+    that `path` leads to, walking each input along the path only."""
+    executor = _Executor(tol=tol, branch_tol=branch_tol)
+    values = []
+    for bits in product((0, 1), repeat=plan.n):
+        oracle = OracleSpec.from_bits(bits)
+        entry = executor.entry_state(plan, oracle)
+        values.append(0.0 if entry is None else
+                      _follow(plan.root, entry, bits, oracle, path, branch_tol))
+    return values
+
+
+def _follow(node: PlanNode, state: LabeledState, bits: tuple[int, ...], oracle: OracleSpec,
+            path: tuple | None, branch_tol: float) -> float:
+    """Weight of the node that `path` leads to in the run tree `trace` would
+    build from `node`, or 0.0 when the path leaves the tree.
+
+    Like `_trace_walk`, it steps every unpruned branch of the current plan, so
+    that a PartitionGap anywhere in it is raised, but it enters only the Call
+    the path goes through; `path` None marks a branch off the path. A path
+    element that names no child descends into a lone child without being used
+    up, as in the run tree.
+    """
+    weight = state.squared_norm()
+    if weight <= branch_tol or isinstance(node, Output):
+        return weight if path == () else 0.0
+    if isinstance(node, Call):
+        if not path:
+            return weight
+        sub = node.plan
+        bits_sub = _resolve_bits(bits, node.wires)
+        entry = _SCRATCH.scaled(math.sqrt(weight)) if sub.contract is None else state
+        rest = path[1:] if path[0] is None else path
+        try:
+            return _follow(sub.root, entry, bits_sub, OracleSpec.from_bits(bits_sub), rest, branch_tol)
+        except PartitionGap:
+            return weight if rest == () else 0.0
+    branches = _step(node, state, weight, oracle)
+    target, rest = None, None
+    if path:
+        target = next((k for k, (oid, _, _, _) in enumerate(branches) if oid == path[0]), None)
+        if target is not None:
+            rest = path[1:]
+        elif len(branches) == 1:
+            target, rest = 0, path
+    found = weight if path == () else 0.0
+    for k, (_, child, branch, _) in enumerate(branches):
+        value = _follow(child, branch, bits, oracle, rest if k == target else None, branch_tol)
+        if k == target:
+            found = value
+    return found
 
 
 @dataclass(frozen=True)

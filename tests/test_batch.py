@@ -1,0 +1,106 @@
+"""Differential tests: the input-batched summary against the per-input
+LabeledState executor, which is the reference."""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from exactq import (
+    appendix_a_angles,
+    build_appendix_a,
+    build_equality,
+    build_exact_kl,
+    build_unb,
+    build_unbr,
+    chain_gamma_at,
+    solve_step_constants,
+    verify_exactness,
+)
+from exactq.batch import summarize
+from exactq.gadgets import OracleSpec
+from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _Executor
+
+OUTPUTS = (-1, 0, 1)
+STEP_FIELDS = ("c1", "c2", "c8", "c9", "gamma")
+
+
+def reference_report(plan):
+    """(exact, worst-case queries, counterexample (input, output) list) of
+    the per-input executor, by the verdict rule of `verify_exactness`."""
+    executor = _Executor()
+    worst, residual, counterexamples = 0, 0.0, []
+    for bits in itertools.product((0, 1), repeat=plan.n):
+        if executor.entry_state(plan, OracleSpec.from_bits(bits)) is None:
+            continue
+        summary = executor.run_plan(plan, bits)
+        worst = max(worst, summary.max_queries)
+        total = sum(t for _, t, _ in summary.mass)
+        residual = max(residual, abs(total - 1.0), summary.residual)
+        counterexamples += [(bits, output) for output, _, heaviest in summary.mass
+                            if output != plan.truth(bits) and heaviest > DEFAULT_TOL]
+    exact = not counterexamples and residual <= DEFAULT_TOL
+    return exact, worst, counterexamples
+
+
+def assert_batch_matches_executor(plan):
+    entered, sums = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
+    executor = _Executor()
+    for index, bits in enumerate(itertools.product((0, 1), repeat=plan.n)):
+        summary = executor.run_plan(plan, bits)
+        masses = {output: (total, heaviest) for output, total, heaviest in summary.mass}
+        for row, output in enumerate(OUTPUTS):
+            total, heaviest = masses.get(output, (0.0, 0.0))
+            assert sums.total[row, index] == pytest.approx(total, abs=1e-12), (bits, output)
+            assert sums.heavy[row, index] == pytest.approx(heaviest, abs=1e-12), (bits, output)
+        assert sums.resid[index] == pytest.approx(summary.residual, abs=1e-12), bits
+        assert max(0, sums.maxq[index]) == summary.max_queries, bits
+        assert (sums.maxq[index] >= 0) == bool(summary.mass), bits
+        assert not sums.gap[index]
+    report = verify_exactness(plan)
+    exact, worst, counterexamples = reference_report(plan)
+    assert report.exact == exact
+    assert report.worst_case_queries == worst
+    assert [(bits, output) for bits, output, _ in report.counterexamples] == counterexamples
+
+
+def mutated_unbr(n, d, name, delta):
+    base = solve_step_constants(n, d, chain_gamma_at(d, n - 2))
+    return build_unbr(n, d, constants=replace(base, **{name: getattr(base, name) + delta}),
+                      validate=False)
+
+
+deltas = st.floats(1e-4, 1e-2).flatmap(lambda x: st.sampled_from((x, -x)))
+
+
+@pytest.mark.parametrize("make_plan", [
+    lambda: build_unb(6, 2),
+    lambda: build_unbr(5, 1),
+    lambda: build_equality(4),
+    lambda: build_exact_kl(8, 2, 6),
+], ids=["unb62", "unbr51", "equality4", "exactkl826"])
+def test_valid_plans_match(make_plan):
+    assert_batch_matches_executor(make_plan())
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from(((5, 1), (6, 2))), st.sampled_from(STEP_FIELDS), deltas)
+def test_mutated_step_constants_match(nd, name, delta):
+    # The leakage coefficient must stay nonnegative.
+    assert_batch_matches_executor(mutated_unbr(*nd, name, abs(delta) if name == "gamma" else delta))
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.floats(0.0, 0.5))
+def test_gamma_override_matches(gamma):
+    assert_batch_matches_executor(build_unb(5, 1, gamma_override=gamma))
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from(sorted(appendix_a_angles())), st.floats(1e-4, 1e-1), st.booleans())
+def test_appendix_a_angle_override_matches(name, delta, negative):
+    angle = appendix_a_angles()[name] + (-delta if negative else delta)
+    assert_batch_matches_executor(build_appendix_a(angle_overrides={name: angle}))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,56 @@ from exactq import (
     build_equality,
     build_unb,
     build_unbr,
+    chain_gamma_at,
     extract_multilinear,
     root_count_lower_bound,
+    run_on_input,
+    solve_step_constants,
     symmetrize_to_univariate,
 )
+from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _leaf_values
+
+
+def leaf_weight(tree, path):
+    """Reference: the weight of the node an outcome path leads to in a full
+    run tree. A path element that names no child descends into a lone child
+    without being used up; anything else off the tree weighs 0."""
+    remaining = path
+    node = tree
+    while True:
+        if not remaining:
+            return node.norm_sq if node.reachable or node.kind == "pruned" else 0.0
+        advanced = False
+        for child in node.children:
+            if child.outcome == remaining[0]:
+                node, remaining, advanced = child, remaining[1:], True
+                break
+        if not advanced:
+            if len(node.children) == 1:
+                node = node.children[0]
+            else:
+                return 0.0
+
+
+def output_leaf_paths(trees):
+    """Outcome paths of every leaf that carries an output, gap leaves
+    included, over a list of run trees."""
+    paths = set()
+
+    def visit(node, path):
+        if node.output is not None:
+            paths.add(path)
+        for child in node.children:
+            visit(child, path if child.outcome is None else path + (child.outcome,))
+
+    for tree in trees:
+        visit(tree, ())
+    return sorted(paths, key=repr)
+
+
+def mutated_unbr_5_1():
+    base = solve_step_constants(5, 1, chain_gamma_at(1, 3))
+    return build_unbr(5, 1, constants=replace(base, c1=base.c1 + 2e-3), validate=False)
 
 
 class TestMultilinearPoly:
@@ -75,6 +122,25 @@ class TestAcceptancePolynomials:
             xhat = [1 - 2 * b for b in bits]
             total = rest.evaluate(xhat) + sum(p.evaluate(xhat) for p in pair_leaves)
             assert total == pytest.approx(1.0, abs=1e-9)
+
+
+class TestLeafPolynomials:
+    @pytest.mark.parametrize("make_plan,stride", [
+        (lambda: build_unb(6, 2), 13),
+        (mutated_unbr_5_1, 1),
+    ], ids=["unb62", "unbr51-c1-mutated"])
+    def test_path_walk_equals_full_run_tree(self, make_plan, stride):
+        # The path-only walk must read exactly the weight the full run tree
+        # holds at the end of the path, on every input. unb(6,2) has 391
+        # output leaf paths; every 13th is checked to keep the test short.
+        plan = make_plan()
+        trees = [run_on_input(plan, bits) for bits in itertools.product((0, 1), repeat=plan.n)]
+        paths = output_leaf_paths(trees)[::stride]
+        for path in paths + [path[:-1] for path in paths if path]:
+            expected = [leaf_weight(tree, path) for tree in trees]
+            assert _leaf_values(plan, path, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL) == expected, path
+        poly = extract_multilinear(plan, ("leaf", paths[0]))
+        assert poly == MultilinearPoly.from_values(plan.n, [leaf_weight(tree, paths[0]) for tree in trees])
 
 
 class TestSymmetrization:

@@ -9,12 +9,16 @@ from dataclasses import replace
 import pytest
 
 from exactq import (
+    Call,
+    IndexOutOfRange,
     LabeledState,
     MeasureStep,
     MeasurementPartition,
     Output,
+    PartitionGap,
     Plan,
     PrepareState,
+    QueryStep,
     build_equality,
     build_unb,
     build_unbr,
@@ -24,8 +28,11 @@ from exactq import (
     tree_leaves,
     verify_exactness,
 )
-from exactq.state_core import idx
-from exactq.verifier import _Executor
+from exactq.batch import summarize
+from exactq.gadgets import extract_trailing_index
+from exactq.plans import var
+from exactq.state_core import S_LABEL, idx
+from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _Executor
 
 
 def check_norm_conservation(tree, depth=1):
@@ -52,6 +59,17 @@ def lossy_plan(amps):
     root = PrepareState(state, MeasureStep(partition, ((("all",), {idx(1): idx(2)}, Output(1)),)))
     return Plan(family="lossy", n=1, params=(), root=root, claimed_queries=0,
                 truth=lambda bits: 1)
+
+
+def s_only_measure():
+    """Measure a single outcome that holds |S> alone."""
+    partition = MeasurementPartition(((("s",), lambda label: label == S_LABEL),))
+    return MeasureStep(partition, ((("s",), None, Output(1)),))
+
+
+def small_plan(root, *, n=1, contract=None):
+    return Plan(family="small", n=n, params=(), root=root, claimed_queries=1,
+                truth=lambda bits: 1, contract=contract)
 
 
 class TestRunTree:
@@ -95,22 +113,26 @@ class TestRunTree:
         lambda: build_unb(5, 1, gamma_override=0.05),
     ], ids=["unb62", "unbr51", "unbr51-c1-mutated", "unb51-gamma-0.05"])
     def test_leaves_match_summary(self, make_plan):
-        # The traced tree and the memoized summary must account for the same
-        # mass per output, "gap" leaves (output -1) included, and agree on
-        # the deepest query count.
+        # The traced tree, the memoized summary and the input-batched
+        # summaries must account for the same mass per output, "gap" leaves
+        # (output -1) included, and agree on the deepest query count.
         plan = make_plan()
         executor = _Executor()
-        for bits in itertools.product((0, 1), repeat=plan.n):
+        _, sums = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
+        for index, bits in enumerate(itertools.product((0, 1), repeat=plan.n)):
             summary = executor.run_plan(plan, bits)
             leaves = tree_leaves(run_on_input(plan, bits))
             traced: dict[int, float] = {}
             for leaf in leaves:
                 traced[leaf.output] = traced.get(leaf.output, 0.0) + leaf.norm_sq
             expected = {output: total for output, total, _ in summary.mass}
-            for output in traced.keys() | expected.keys():
+            batched = {output: sums.total[output + 1, index] for output in (-1, 0, 1)}
+            for output in traced.keys() | expected.keys() | batched.keys():
                 assert traced.get(output, 0.0) == pytest.approx(
                     expected.get(output, 0.0), abs=1e-9), (bits, output)
-            assert max((leaf.queries for leaf in leaves), default=0) == summary.max_queries
+                assert traced.get(output, 0.0) == pytest.approx(batched[output], abs=1e-9), (bits, output)
+            deepest = max((leaf.queries for leaf in leaves), default=0)
+            assert deepest == summary.max_queries == max(0, sums.maxq[index])
 
 
 class TestVerifyExactness:
@@ -166,6 +188,30 @@ class TestLostNorm:
         assert report.max_norm_residual == pytest.approx(0.72)
         assert report.counterexamples == ()
         assert not report.exact
+
+
+class TestErrorSemantics:
+    def test_top_level_measurement_missing_a_label_raises(self):
+        state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
+        with pytest.raises(PartitionGap):
+            verify_exactness(small_plan(PrepareState(state, s_only_measure())))
+
+    def test_mismatched_call_leaving_the_callee_partition_reports_minus_one(self):
+        # The call's state is not proportional to the callee's contract |S>,
+        # so the callee runs on it directly, and its measurement has no
+        # outcome for |1>: the whole call's weight lands on output -1.
+        callee = small_plan(s_only_measure(), contract=lambda xhat: LabeledState({S_LABEL: 1.0}))
+        state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
+        report = verify_exactness(small_plan(PrepareState(state, Call(callee, (var(1),)))))
+        assert not report.exact
+        assert [(bits, output) for bits, output, _ in report.counterexamples] == [((0,), -1), ((1,), -1)]
+        assert [weight for _, _, weight in report.counterexamples] == pytest.approx([1.0, 1.0])
+        assert report.max_norm_residual == pytest.approx(0.8)
+
+    def test_query_index_out_of_range_raises(self):
+        root = PrepareState(LabeledState({idx(3): 1.0}), QueryStep(extract_trailing_index, Output(1)))
+        with pytest.raises(IndexOutOfRange):
+            verify_exactness(small_plan(root, n=2))
 
 
 class TestVacuousContracts:
