@@ -25,6 +25,8 @@ bindings that share a gadget. Their index maps, like those of queries and
 measurements, are compiled once per (node, row-label tuple) and kept on the
 node, so a plan compiles at its first walk, never while it is built.
 Sibling branches of a measurement that call one plan run as one call.
+The memos and the evaluated contract states belong to one `summarize` call
+and are freed when it returns; only index maps stay on the plan.
 """
 
 from __future__ import annotations
@@ -159,8 +161,9 @@ class _Walker:
     def __init__(self, tol: float, branch_tol: float):
         self.tol = tol
         self.branch_tol = branch_tol
-        # id(plan) -> (plan, its summaries by input)
+        # id(plan) -> (plan, its summaries by input), and (plan, its contract)
         self.memos: dict[int, tuple[Plan, _Memo]] = {}
+        self.contract_of: dict[int, tuple[Plan, _Contracts]] = {}
 
     def run(self, plan: Plan, inputs: np.ndarray) -> tuple[np.ndarray, _Sums]:
         """Walk `plan` from its entry state on a block of its inputs: the
@@ -169,7 +172,7 @@ class _Walker:
         if plan.contract is None:
             return np.ones(width, dtype=bool), self.walk(
                 plan.root, (ZERO_LABEL,), np.ones((1, width), dtype=_DTYPE), inputs, plan.n, 0)
-        rows, kappa, norm_sq = _contract_table(plan).columns(inputs)
+        rows, kappa, norm_sq = self.contracts(plan).columns(inputs)
         entered = norm_sq > self.branch_tol
         sums = _Sums.vacuous(width)
         if entered.any():
@@ -177,6 +180,12 @@ class _Walker:
             _zero_small(amps)
             sums.put(entered, self.walk(plan.root, rows, amps, inputs[entered], plan.n, 0))
         return entered, sums
+
+    def contracts(self, plan: Plan) -> _Contracts:
+        entry = self.contract_of.get(id(plan))
+        if entry is None:
+            entry = self.contract_of[id(plan)] = (plan, _Contracts(plan))
+        return entry[1]
 
     def memo(self, plan: Plan, inputs: np.ndarray) -> _Sums:
         """Summaries of `plan` run from its entry state, one per column,
@@ -212,7 +221,7 @@ class _Walker:
             if isinstance(node, MeasureStep):
                 return self.measure(node, rows, amps, inputs, n, queries)
             if isinstance(node, GadgetStep):
-                rows, amps = _gadget(node, rows, amps, weight)
+                rows, amps = _gadget(node, rows, amps)
             elif isinstance(node, QueryStep):
                 _query(node, rows, amps, inputs, n)
                 queries += 1
@@ -232,7 +241,12 @@ class _Walker:
         the gap discards those reads, as it discards every branch of the
         column.
         """
-        gap_rows, branches, groups = _measure_maps(node, rows)
+        gap_rows, clash, branches, groups = _measure_maps(node, rows)
+        # A label that matches two outcomes is an error of the plan, as in
+        # `measure`, once it carries amplitude.
+        for r, message in clash:
+            if amps[r].any():
+                raise ValueError(message)
         sums = _Sums.vacuous(len(inputs))
         if len(gap_rows):
             sums.gap = (amps[gap_rows] != 0).any(axis=0)
@@ -307,7 +321,7 @@ class _Walker:
             sums.heavy *= weight
             return sums
 
-        table = _contract_table(sub)
+        table = self.contracts(sub)
         _, kappa, k_norm_sq = table.columns(sub_inputs)
         coeff, residual = _least_squares(table, kappa, k_norm_sq, rows, amps)
         has_contract = k_norm_sq > self.branch_tol
@@ -434,27 +448,20 @@ def _prepare(node: PrepareState, weight: np.ndarray) -> tuple[tuple, np.ndarray]
     return rows, amps
 
 
-def _gadget(node: GadgetStep, rows: tuple, amps: np.ndarray,
-            weight: np.ndarray) -> tuple[tuple, np.ndarray]:
+def _gadget(node: GadgetStep, rows: tuple, amps: np.ndarray) -> tuple[tuple, np.ndarray]:
     """Apply a gadget step's bindings. Bindings on pairwise disjoint labels
     apply in one pass; otherwise one after another, as `apply_bindings`
-    does. `weight` is the columns' squared norm, which bounds every
-    amplitude."""
+    does."""
     cache = _cache(node)
     stages = cache.get("stages")
     if stages is None:
         apps = node.applications
         owned = [label for binding, _ in apps for label in binding.to_gadget]
         stages = cache["stages"] = (apps,) if len(owned) == len(set(owned)) else tuple((a,) for a in apps)
-    largest = float(weight.max())
     for k, apps in enumerate(stages):
         maps = cache.get((k, rows))
         if maps is None:
-            maps = cache[(k, rows)] = _Bindings(apps, rows, drop=True)
-        if largest > maps.weight_limit:
-            maps = cache.get((k, rows, "all"))
-            if maps is None:
-                maps = cache[(k, rows, "all")] = _Bindings(apps, rows, drop=False)
+            maps = cache[(k, rows)] = _Bindings(apps, rows)
         rows, amps = maps.apply(amps)
     return rows, amps
 
@@ -464,15 +471,15 @@ class _Bindings:
     one (source rows, matrix, output slice) group per gadget, direction and
     set of gadget labels present, each group's outputs in gadget order.
 
-    With `drop`, a gadget row whose entries over the present labels sum to at
-    most _NEGLIGIBLE in magnitude is left out: it stays at or below
-    STORE_TOL, and so is zeroed, in every column whose squared norm is at
-    most `weight_limit`.
+    A gadget row whose entries over the present labels sum to at most
+    _NEGLIGIBLE in magnitude is left out. No column's squared norm exceeds
+    1 (entry states are normalized and gadgets are unitary), so that row
+    would stay below STORE_TOL and be zeroed anyway.
     """
 
-    __slots__ = ("rows", "keep", "groups", "weight_limit")
+    __slots__ = ("rows", "keep", "groups")
 
-    def __init__(self, apps, rows: tuple, *, drop: bool):
+    def __init__(self, apps, rows: tuple):
         index = {label: r for r, label in enumerate(rows)}
         touched = {label for binding, _ in apps for label in binding.to_gadget}
         keep = [r for r, label in enumerate(rows) if label not in touched]
@@ -486,15 +493,10 @@ class _Bindings:
                 grouped.setdefault(key, []).append((binding, inverse, [r for _, r in src]))
         out_rows = [rows[r] for r in keep]
         self.groups = []
-        self.weight_limit = np.inf
         for (_, _, positions), members in grouped.items():
             gadget = members[0][0].gadget
             matrix = (gadget.matrix_h if members[0][1] else gadget.matrix)[:, list(positions)]
-            bound = np.abs(matrix).sum(axis=1)
-            live = bound > (_NEGLIGIBLE if drop else -1.0)
-            residue = bound[~live].max(initial=0.0)
-            if residue > 0.0:
-                self.weight_limit = min(self.weight_limit, (STORE_TOL / residue) ** 2)
+            live = np.abs(matrix).sum(axis=1) > _NEGLIGIBLE
             start = len(out_rows)
             for binding, _, _ in members:
                 out_rows.extend(compress(binding.global_order, live))
@@ -540,7 +542,8 @@ def _query(node: QueryStep, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n
 
 
 def _measure_maps(node: MeasureStep, rows: tuple):
-    """Rows that match no outcome; per child, its rows, its labels after the
+    """Rows that match no outcome; rows that match two, with the error
+    `classify` gives them; per child, its rows, its labels after the
     rewrite, and where each row lands when the rewrite merges labels; and
     the groups of children that call one plan without merging labels, keyed
     by their first member."""
@@ -550,12 +553,14 @@ def _measure_maps(node: MeasureStep, rows: tuple):
         return maps
     slot = {oid: k for k, (oid, _, _) in enumerate(node.children)}
     members: list[list[int]] = [[] for _ in node.children]
-    gap = []
+    gap, clash = [], []
     for r, label in enumerate(rows):
         try:
             members[slot[node.partition.classify(label)]].append(r)
         except PartitionGap:
             gap.append(r)
+        except ValueError as error:
+            clash.append((r, str(error)))
     branches = []
     for (_, rewrite, child), idx in zip(node.children, members):
         labels = [rows[r] for r in idx]
@@ -591,7 +596,7 @@ def _measure_maps(node: MeasureStep, rows: tuple):
         wired, scale, const = (np.array(w) for w in zip(*(_wiring(branches[k][0]) for k in ks)))
         groups[ks[0]] = (branches[ks[0]][0].plan, union, ks, sources, order, starts,
                          wired, scale, const)
-    maps = cache[rows] = (np.array(gap, dtype=np.intp), branches, groups)
+    maps = cache[rows] = (np.array(gap, dtype=np.intp), clash, branches, groups)
     return maps
 
 
@@ -626,20 +631,19 @@ def _sub_inputs(node: Call, inputs: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _ContractTable:
-    """A plan's contract states as columns over a growing label list,
-    evaluated once per input, on demand."""
+class _Contracts:
+    """A plan's contract states of the inputs reached so far, as columns in
+    the order the inputs were first reached, over the labels they use."""
 
     def __init__(self, plan: Plan):
         self.contract = plan.contract
         self.n = plan.n
-        count = 1 << plan.n
+        self.slot = np.full(1 << plan.n, -1, dtype=np.int32)
         self.labels: tuple = ()
         self.index: dict = {}
-        # Rows past len(self.labels) are spare capacity.
-        self.amps = np.zeros((4, count), dtype=_DTYPE)
-        self.norm_sq = np.zeros(count)
-        self.filled = np.zeros(count, dtype=bool)
+        self.amps = np.zeros((0, 16), dtype=_DTYPE)
+        self.norm_sq = np.zeros(16)
+        self.size = 0
         # state row tuple -> (contract rows in the state, their state rows,
         # contract rows outside it), for the current label list
         self.aligned: dict[tuple, tuple] = {}
@@ -647,21 +651,39 @@ class _ContractTable:
     def columns(self, inputs: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
         """The label list, and the contract states and their squared norms
         of `inputs` as columns over it."""
-        missing = _distinct(inputs[~self.filled[inputs]])
-        for i in missing:
-            state = self.contract(tuple(1 - 2 * b for b in _bits(int(i), self.n)))
+        missing = _distinct(inputs[self.slot[inputs] < 0])
+        if len(missing):
+            self._add(missing)
+        cols = self.slot[inputs]
+        return self.labels, self.amps[:, cols], self.norm_sq[cols]
+
+    def _add(self, missing: np.ndarray) -> None:
+        xhats = 1 - 2 * ((missing[:, None] >> np.arange(self.n - 1, -1, -1)) & 1)
+        states = [self.contract(tuple(xhat)) for xhat in xhats.tolist()]
+        at, cols, values = [], [], []
+        for c, state in enumerate(states, self.size):
             for label, a in state.items():
                 r = self.index.get(label)
                 if r is None:
                     r = self.index[label] = len(self.labels)
                     self.labels += (label,)
-                    self.aligned.clear()
-                    if r == len(self.amps):
-                        self.amps = np.vstack([self.amps, np.zeros_like(self.amps)])
-                self.amps[r, i] = a
-            self.norm_sq[i] = state.squared_norm()
-        self.filled[missing] = True
-        return self.labels, self.amps[:len(self.labels), inputs], self.norm_sq[inputs]
+                at.append(r)
+                cols.append(c)
+                values.append(a)
+        size = self.size + len(missing)
+        if len(self.labels) > len(self.amps) or size > len(self.norm_sq):
+            # One row per label, exactly; columns grow by doubling.
+            capacity = max(size, 2 * len(self.norm_sq)) if size > len(self.norm_sq) else len(self.norm_sq)
+            amps = np.zeros((len(self.labels), capacity), dtype=_DTYPE)
+            amps[:len(self.amps), :self.size] = self.amps[:, :self.size]
+            norm_sq = np.zeros(capacity)
+            norm_sq[:self.size] = self.norm_sq[:self.size]
+            self.amps, self.norm_sq = amps, norm_sq
+            self.aligned.clear()
+        self.amps[at, cols] = values
+        self.norm_sq[self.size:size] = [state.squared_norm() for state in states]
+        self.slot[missing] = np.arange(self.size, size)
+        self.size = size
 
     def align(self, rows: tuple) -> tuple:
         maps = self.aligned.get(rows)
@@ -676,15 +698,7 @@ class _ContractTable:
         return maps
 
 
-def _contract_table(plan: Plan) -> _ContractTable:
-    cache = _cache(plan)
-    table = cache.get("contract")
-    if table is None:
-        table = cache["contract"] = _ContractTable(plan)
-    return table
-
-
-def _least_squares(table: _ContractTable, kappa: np.ndarray, k_norm_sq: np.ndarray,
+def _least_squares(table: _Contracts, kappa: np.ndarray, k_norm_sq: np.ndarray,
                    rows: tuple, amps: np.ndarray):
     """Per column, the best c with state ~ c * kappa and the norm of the
     stored state - c * kappa, as `least_squares_match` computes them."""

@@ -242,21 +242,26 @@ class _Executor:
         if isinstance(node, Output):
             return RunTree("output", outcome, weight, queries, node.bit, True, ())
         if isinstance(node, Call):
-            sub = node.plan
-            bits_sub = _resolve_bits(bits, node.wires)
-            oracle_sub = OracleSpec.from_bits(bits_sub)
-            if sub.contract is None:
-                entry = _SCRATCH.scaled(math.sqrt(weight))
-            else:
-                entry = state
+            bits_sub, oracle_sub, entry = _enter(node, state, weight, bits)
             try:
-                child = self._trace_walk(sub.root, entry, bits_sub, oracle_sub, queries, None)
+                child = self._trace_walk(node.plan.root, entry, bits_sub, oracle_sub, queries, None)
             except PartitionGap:
                 child = RunTree("gap", None, weight, queries, -1, True, ())
             return RunTree("call", outcome, weight, queries, None, True, (child,))
         kids = tuple([self._trace_walk(child, branch, bits, oracle, queries + spent, oid)
                       for oid, child, branch, spent in _step(node, state, weight, oracle)])
         return RunTree(_TRACE_KIND[type(node)], outcome, weight, queries, None, True, kids)
+
+
+def _enter(node: Call, state: LabeledState, weight: float,
+           bits: tuple[int, ...]) -> tuple[tuple[int, ...], OracleSpec, LabeledState]:
+    """How a traced walk enters a Call's callee: the callee's input bits,
+    its oracle, and its entry state, which is the call's state, or the
+    scratch state |0> at the call's weight for a callee without a
+    contract."""
+    bits_sub = _resolve_bits(bits, node.wires)
+    entry = _SCRATCH.scaled(math.sqrt(weight)) if node.plan.contract is None else state
+    return bits_sub, OracleSpec.from_bits(bits_sub), entry
 
 
 def _step(node: PlanNode, state: LabeledState, weight: float,
@@ -486,12 +491,10 @@ def _follow(node: PlanNode, state: LabeledState, bits: tuple[int, ...], oracle: 
     if isinstance(node, Call):
         if not path:
             return weight
-        sub = node.plan
-        bits_sub = _resolve_bits(bits, node.wires)
-        entry = _SCRATCH.scaled(math.sqrt(weight)) if sub.contract is None else state
+        bits_sub, oracle_sub, entry = _enter(node, state, weight, bits)
         rest = path[1:] if path[0] is None else path
         try:
-            return _follow(sub.root, entry, bits_sub, OracleSpec.from_bits(bits_sub), rest, branch_tol)
+            return _follow(node.plan.root, entry, bits_sub, oracle_sub, rest, branch_tol)
         except PartitionGap:
             return weight if rest == () else 0.0
     branches = _step(node, state, weight, oracle)

@@ -213,6 +213,33 @@ class TestErrorSemantics:
         with pytest.raises(IndexOutOfRange):
             verify_exactness(small_plan(root, n=2))
 
+    @staticmethod
+    def overlap_plan(amps):
+        """Prepare amplitudes on |1>, |2>, |3>, merge |1> into |2>, then
+        measure outcomes that both hold |2>."""
+        state = LabeledState({idx(i + 1): a for i, a in enumerate(amps) if a})
+        overlap = MeasurementPartition(((("a",), lambda label: label in (idx(2), idx(3))),
+                                        (("b",), lambda label: label == idx(2))))
+        inner = MeasureStep(overlap, ((("a",), None, Output(1)), (("b",), None, Output(0))))
+        merge = MeasurementPartition(((("all",), lambda label: True),))
+        return small_plan(PrepareState(state, MeasureStep(merge, ((("all",), {idx(1): idx(2)}, inner),))))
+
+    def test_outcomes_overlapping_on_an_empty_label_are_harmless(self):
+        # The merged |2> cancels, so no branch state holds it, and its
+        # overlap is never looked at; the lost norm refutes the plan.
+        plan = self.overlap_plan((0.6, -0.6, math.sqrt(0.28)))
+        report = verify_exactness(plan)
+        assert not report.exact and report.counterexamples == ()
+        assert report.max_norm_residual == pytest.approx(0.72)
+        assert _Executor().run_plan(plan, (0,)).mass == ((1, pytest.approx(0.28), pytest.approx(0.28)),)
+
+    def test_outcomes_overlapping_on_a_populated_label_raise(self):
+        plan = self.overlap_plan((0.6, 0.0, 0.8))
+        with pytest.raises(ValueError, match="matches outcomes"):
+            verify_exactness(plan)
+        with pytest.raises(ValueError, match="matches outcomes"):
+            _Executor().run_plan(plan, (0,))
+
 
 class TestVacuousContracts:
     def test_zero_contract_inputs_are_skipped(self):
