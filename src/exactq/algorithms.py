@@ -69,16 +69,18 @@ def precomputed_state(n: int, gamma: float) -> Callable[[tuple[int, ...]], Label
     sum_{i<j} (xhat_i - xhat_j) |i,j>, unnormalized.
     """
     root_gamma = math.sqrt(gamma)
+    # (0-based positions, label) of every pair term, built once per contract
+    pairs = [(i - 1, j - 1, pair(i, j)) for i, j in combinations(range(1, n + 1), 2)] \
+        if root_gamma > 0.0 else []
 
     def make(xhat: tuple[int, ...]) -> LabeledState:
         if len(xhat) != n:
             raise ValueError(f"contract expects {n} entries, got {len(xhat)}")
         items: list = [(S_LABEL, float(sum(xhat)))]
-        if root_gamma > 0.0:
-            for i, j in combinations(range(1, n + 1), 2):
-                diff = xhat[i - 1] - xhat[j - 1]
-                if diff:
-                    items.append((pair(i, j), root_gamma * diff))
+        for i, j, label in pairs:
+            diff = xhat[i] - xhat[j]
+            if diff:
+                items.append((label, root_gamma * diff))
         return LabeledState(items)
 
     return make

@@ -27,6 +27,10 @@ node, so a plan compiles at its first walk, never while it is built.
 Sibling branches of a measurement that call one plan run as one call.
 The memos and the evaluated contract states belong to one `summarize` call
 and are freed when it returns; only index maps stay on the plan.
+
+`exit_amplitudes` takes the same steps for the degree audit, but stops at a
+plan's exits: it starts from the raw contract states, prunes nothing and
+never enters a callee.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from .state_core import STORE_TOL, ZERO_LABEL
 # Bytes a block of input columns may take (256 KiB): a walk of a plan takes
 # BLOCK_BYTES // (the plan's label count * 16 + _COLUMN_BYTES) columns at a
 # time. Blocks of a few hundred KiB keep peak memory within a few MiB of the
-# per-input simulator's; wider blocks run faster and take more.
+# per-input simulator's; wider blocks run faster and take more. A chunk of
+# the exit walk's value table takes at most as much.
 BLOCK_BYTES = 1 << 18
 # Bytes a column costs beyond its amplitudes: its summary, and the
 # temporaries that fold summaries together.
@@ -52,6 +57,9 @@ _DTYPE = np.complex128
 # A gadget row whose entries sum to at most this in magnitude is a rounding
 # residue of the unitary completion (they are near 1e-17 here).
 _NEGLIGIBLE = 1e-15
+# The largest column norm for which leaving such rows out is exact: the
+# entries they would produce stay at or below STORE_TOL (see _Bindings).
+_MAX_NORM = STORE_TOL / _NEGLIGIBLE
 
 
 class _Sums:
@@ -251,16 +259,6 @@ class _Walker:
         if len(gap_rows):
             sums.gap = (amps[gap_rows] != 0).any(axis=0)
 
-        def block(k: int, cols) -> np.ndarray:
-            _, members, labels, target = branches[k]
-            part = amps[members] if cols is None else amps[np.ix_(members, cols)]
-            if target is None:
-                return part
-            merged = np.zeros((len(labels), part.shape[1]), dtype=_DTYPE)
-            np.add.at(merged, target, part)
-            _zero_small(merged)
-            return merged
-
         done: dict[int, tuple] = {}
         for k, (child, members, labels, _) in enumerate(branches):
             if k in done:
@@ -275,7 +273,8 @@ class _Walker:
             block_inputs = inputs if cols is None else inputs[cols]
             group = groups.get(k)
             if group is None:
-                sums.merge(cols, self.walk(child, labels, block(k, cols), block_inputs, n, queries))
+                sums.merge(cols, self.walk(child, labels, _branch(branches[k], amps, cols),
+                                           block_inputs, n, queries))
                 continue
             # Sibling calls into one plan run as one call over all their
             # columns, member by member; each share merges in branch order.
@@ -357,6 +356,86 @@ class _Walker:
                 inner.gap[:] = False
             sums.put(cols, inner)
         return sums
+
+
+# ---------------------------------------------------------------------------
+# Exit amplitudes (the degree audit)
+# ---------------------------------------------------------------------------
+
+
+def exit_amplitudes(plan: Plan) -> tuple[list[tuple], dict[tuple, int], list[np.ndarray]]:
+    """Real parts of the amplitudes `plan` holds at its Output and Call
+    exits on all 2^n inputs, without descending into callees.
+
+    The walk starts from the raw, unnormalized contract state (|0> without a
+    contract), prunes nothing and descends every measurement child. Returns
+    the (outcome path, label) keys that are nonzero on some input, in the
+    order first reached; the queries spent on each path; and the table of
+    values, one row per key and one column per input. The table comes in
+    chunks of rows of at most BLOCK_BYTES each, so that it grows without
+    being copied. Raises PartitionGap or ValueError where a populated label
+    matches no or two measurement outcomes, and ValueError for a contract
+    column whose norm exceeds _MAX_NORM.
+    """
+    count = 1 << plan.n
+    chunk_rows = max(1, BLOCK_BYTES // (8 * count))
+    chunks: list[np.ndarray] = []
+    slot: dict[tuple, int] = {}
+    queries_of: dict[tuple, int] = {}
+    contracts = None if plan.contract is None else _Contracts(plan)
+    width = _block_width(plan)
+    for start in range(0, count, width):
+        inputs = np.arange(start, min(count, start + width))
+        if contracts is None:
+            rows, amps = (ZERO_LABEL,), np.ones((1, len(inputs)), dtype=_DTYPE)
+        else:
+            rows, amps, norm_sq = contracts.columns(inputs)
+            if norm_sq.max() > _MAX_NORM ** 2:
+                bits = _bits(int(inputs[np.argmax(norm_sq)]), plan.n)
+                raise ValueError(f"input {bits}: contract norm {np.sqrt(norm_sq.max()):.3g} "
+                                 f"exceeds {_MAX_NORM:.3g}")
+        for path, queries, labels, block in _exits(plan.root, rows, amps, inputs, plan.n, (), 0):
+            queries_of[path] = queries
+            for r in np.flatnonzero(block.any(axis=1)):
+                k = slot.setdefault((path, labels[r]), len(slot))
+                if k == len(chunks) * chunk_rows:
+                    chunks.append(np.zeros((chunk_rows, count)))
+                chunks[k // chunk_rows][k % chunk_rows, start:start + len(inputs)] = block[r].real
+    if chunks:
+        chunks[-1] = chunks[-1][:len(slot) - (len(chunks) - 1) * chunk_rows]
+    return list(slot), queries_of, chunks
+
+
+def _exits(node, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n: int,
+           path: tuple, queries: int):
+    """Yield (outcome path, queries, row labels, amplitudes) at every Output
+    or Call exit below `node`. The walk owns `amps`."""
+    while not isinstance(node, (Output, Call)):
+        if isinstance(node, MeasureStep):
+            gap_rows, clash, branches, _ = _measure_maps(node, rows)
+            for r, message in clash:
+                if amps[r].any():
+                    raise ValueError(message)
+            for r in gap_rows:
+                if amps[r].any():
+                    bits = _bits(int(inputs[np.flatnonzero(amps[r])[0]]), n)
+                    raise PartitionGap(f"input {bits}: label {rows[r]!r} matches no "
+                                       "measurement outcome")
+            for (oid, _, _), branch in zip(node.children, branches):
+                yield from _exits(branch[0], branch[2], _branch(branch, amps, None), inputs, n,
+                                  path + (oid,), queries)
+            return
+        if isinstance(node, GadgetStep):
+            rows, amps = _gadget(node, rows, amps)
+        elif isinstance(node, QueryStep):
+            _query(node, rows, amps, inputs, n)
+            queries += 1
+        elif isinstance(node, PrepareState):
+            rows, amps = _prepare(node, _weights(amps))
+        else:
+            raise TypeError(f"unknown plan node {node!r}")
+        node = node.child
+    yield path, queries, rows, amps
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +551,13 @@ class _Bindings:
     set of gadget labels present, each group's outputs in gadget order.
 
     A gadget row whose entries over the present labels sum to at most
-    _NEGLIGIBLE in magnitude is left out. No column's squared norm exceeds
-    1 (entry states are normalized and gadgets are unitary), so that row
-    would stay below STORE_TOL and be zeroed anyway.
+    _NEGLIGIBLE in magnitude is left out. The entry it would produce is at
+    most _NEGLIGIBLE times the column's norm, so it would be zeroed as at
+    most STORE_TOL anyway while that norm is at most _MAX_NORM (100).
+    Gadgets, queries and measurements do not raise a column's norm (a
+    rewrite that merges k labels can, by at most sqrt(k)). Summary walks
+    start from normalized states; the exit walk starts from raw contract
+    columns and checks their norms against _MAX_NORM.
     """
 
     __slots__ = ("rows", "keep", "groups")
@@ -598,6 +681,19 @@ def _measure_maps(node: MeasureStep, rows: tuple):
                          wired, scale, const)
     maps = cache[rows] = (np.array(gap, dtype=np.intp), clash, branches, groups)
     return maps
+
+
+def _branch(branch: tuple, amps: np.ndarray, cols) -> np.ndarray:
+    """A measurement child's rows of `amps`, on the columns `cols` (all when
+    None), with the labels its rewrite merges added together."""
+    _, members, labels, target = branch
+    part = amps[members] if cols is None else amps[np.ix_(members, cols)]
+    if target is None:
+        return part
+    merged = np.zeros((len(labels), part.shape[1]), dtype=_DTYPE)
+    np.add.at(merged, target, part)
+    _zero_small(merged)
+    return merged
 
 
 def _wiring(node: Call) -> tuple[np.ndarray, np.ndarray, int]:

@@ -1,9 +1,11 @@
 """Exhaustive certification of plans and of their polynomials.
 
-`verify_exactness` and the acceptance polynomial of `extract_multilinear`
-run all inputs through a plan at once with the input-batched walker of
-`batch.py`. The per-input walkers here are the reference it is tested
-against, and they serve what looks at one input at a time:
+`verify_exactness`, the acceptance polynomial of `extract_multilinear` and
+the degree audit `audit_leaf_degrees` run all inputs through a plan at once
+with the input-batched walkers of `batch.py`; `_fourier` inverts the
+resulting value tables. The per-input walkers here are the reference the
+batched ones are tested against, and they serve what looks at one input at
+a time:
 
 - `_step` holds the per-input semantics of PrepareState, GadgetStep,
   QueryStep and MeasureStep on an unnormalized `LabeledState`;
@@ -14,8 +16,7 @@ against, and they serve what looks at one input at a time:
   directly, so that broken plans produce honest wrong outputs rather than
   crashes;
 - `_Executor.trace` builds the full run tree of one input (`run_on_input`),
-  `_follow` reads one path of it (leaf polynomials), and `_exit_states`
-  feeds the degree audit.
+  and `_follow` reads one path of it (leaf polynomials).
 """
 
 from __future__ import annotations
@@ -387,6 +388,34 @@ def verify_exactness(
 # ---------------------------------------------------------------------------
 
 
+def _fourier(table: np.ndarray, n: int) -> np.ndarray:
+    """Fourier inversion of each row of a float (rows x 2^n) table, in place:
+    alpha_S = 2^-n sum_x A(x) prod_{i in S} xhat_i.
+
+    Columns are inputs in lexicographic bit order (first bit most
+    significant), and the coefficient of S lands in the column whose bits
+    mark the members of S.
+    """
+    rows = len(table)
+    for axis in range(n):
+        view = table.reshape(rows, 1 << axis, 2, 1 << (n - 1 - axis))
+        lo, hi = view[:, :, 0], view[:, :, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+    table /= 1 << n
+    return table
+
+
+def _popcounts(n: int) -> np.ndarray:
+    """Subset size of each column of a `_fourier` table."""
+    index = np.arange(1 << n)
+    counts = np.zeros_like(index)
+    for k in range(n):
+        counts += (index >> k) & 1
+    return counts
+
+
 @dataclass(frozen=True)
 class MultilinearPoly:
     """Sparse multilinear polynomial in the +-1 variables, indexed by subsets
@@ -404,20 +433,13 @@ class MultilinearPoly:
         """
         if len(values) != 1 << n:
             raise ValueError(f"need {1 << n} values, got {len(values)}")
-        arr = np.asarray(values, dtype=float).reshape([2] * n if n else [1])
-        for axis in range(n):
-            lo = np.take(arr, 0, axis=axis)
-            hi = np.take(arr, 1, axis=axis)
-            arr = np.stack([lo + hi, lo - hi], axis=axis)
-        arr = arr / (1 << n)
-        coeffs = []
-        for index in np.ndindex(*([2] * n)) if n else [()]:
-            c = float(arr[index]) if n else float(arr[0])
-            if abs(c) > tol:
-                subset = tuple(i + 1 for i, b in enumerate(index) if b)
-                coeffs.append((subset, c))
-        coeffs.sort(key=lambda item: (len(item[0]), item[0]))
-        return cls(n, tuple(coeffs))
+        coeffs = _fourier(np.array(values, dtype=float).reshape(1, 1 << n), n)[0]
+        found = np.flatnonzero(np.abs(coeffs) > tol)
+        subsets = [tuple(k + 1 for k in range(n) if index >> (n - 1 - k) & 1)
+                   for index in found.tolist()]
+        terms = sorted(zip(subsets, coeffs[found].tolist()),
+                       key=lambda item: (len(item[0]), item[0]))
+        return cls(n, tuple(terms))
 
     def coeff(self, subset: Iterable[int]) -> float:
         key = tuple(sorted(subset))
@@ -561,44 +583,27 @@ def audit_leaf_degrees(plan: Plan, *, coeff_tol: float = 1e-9) -> tuple[LeafDegr
     in xhat). Together with linearity of every step this bounds each composed
     leaf amplitude's degree by its full path query count.
     """
+    # The batched walker is imported at the first audit, as in _summarize.
+    from .batch import exit_amplitudes
     records: list[LeafDegreeRecord] = []
     for sub in _collect_plans(plan):
         if sub.n > 14:
             raise ValueError(f"subroutine n={sub.n} exceeds the extraction limit 14")
         entry_degree = 0 if sub.contract is None else 1
-        collected: dict[tuple[tuple, tuple], list[float]] = {}
-        queries_by_path: dict[tuple, int] = {}
-        n_inputs = 1 << sub.n
-        for position, bits in enumerate(product((0, 1), repeat=sub.n)):
-            oracle = OracleSpec.from_bits(bits)
-            entry = _SCRATCH if sub.contract is None else sub.contract(oracle.xhat)
-            for path, queries, state in _exit_states(sub.root, entry, oracle):
-                queries_by_path[path] = queries
-                for label, amp in state.items():
-                    slot = collected.setdefault((path, label), [0.0] * n_inputs)
-                    slot[position] = amp.real
-        for (path, label), values in sorted(collected.items()):
-            queries = queries_by_path[path]
-            poly = MultilinearPoly.from_values(sub.n, values, tol=coeff_tol)
+        keys, queries_of, tables = exit_amplitudes(sub)
+        sizes = _popcounts(sub.n)
+        degrees: list[int] = []
+        for table in tables:
+            support = np.abs(_fourier(table, sub.n)) > coeff_tol
+            degrees += np.where(support, sizes, 0).max(axis=1).tolist()
+        for (path, label), degree in sorted(zip(keys, degrees)):
+            queries = queries_of[path]
             records.append(LeafDegreeRecord(
                 family=sub.family, n=sub.n, path=path, label=label,
                 queries=queries, entry_degree=entry_degree,
-                degree=poly.degree(tol=coeff_tol),
-                bound=queries + entry_degree,
+                degree=degree, bound=queries + entry_degree,
             ))
     return tuple(records)
-
-
-def _exit_states(node: PlanNode, state: LabeledState, oracle: OracleSpec,
-                 path: tuple = (), queries: int = 0):
-    """Yield (outcome path, queries, branch state) at every Output or Call
-    exit of one plan, without descending into callees."""
-    if isinstance(node, (Output, Call)):
-        yield path, queries, state
-        return
-    for oid, child, branch, spent in _step(node, state, state.squared_norm(), oracle):
-        yield from _exit_states(child, branch, oracle,
-                                path if oid is None else path + (oid,), queries + spent)
 
 
 @dataclass(frozen=True)

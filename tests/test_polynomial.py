@@ -11,10 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactq import (
+    Call,
+    LabeledState,
     MultilinearPoly,
+    Output,
+    PartitionGap,
+    PrepareState,
+    SymSpec,
     ZeroWitnessMissing,
     audit_leaf_degrees,
+    build_appendix_a,
     build_equality,
+    build_exact_kl,
+    build_general_unbalance,
+    build_sym,
     build_unb,
     build_unbr,
     chain_gamma_at,
@@ -24,7 +34,20 @@ from exactq import (
     solve_step_constants,
     symmetrize_to_univariate,
 )
-from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _leaf_values
+from exactq.gadgets import OracleSpec
+from exactq.plans import var
+from exactq.state_core import S_LABEL, idx
+from exactq.verifier import (
+    DEFAULT_BRANCH_TOL,
+    DEFAULT_TOL,
+    LeafDegreeRecord,
+    _SCRATCH,
+    _collect_plans,
+    _leaf_values,
+    _step,
+)
+from test_batch import STEP_FIELDS, deltas, mutated_unbr
+from test_verifier import s_only_measure, small_plan
 
 
 def leaf_weight(tree, path):
@@ -62,6 +85,45 @@ def output_leaf_paths(trees):
     for tree in trees:
         visit(tree, ())
     return sorted(paths, key=repr)
+
+
+def exit_states(node, state, oracle, path=(), queries=0):
+    """Reference: yield (outcome path, queries, branch state) at every Output
+    or Call exit of one plan on one input, without descending into callees."""
+    if isinstance(node, (Output, Call)):
+        yield path, queries, state
+        return
+    for oid, child, branch, spent in _step(node, state, state.squared_norm(), oracle):
+        yield from exit_states(child, branch, oracle,
+                               path if oid is None else path + (oid,), queries + spent)
+
+
+def reference_audit(plan, coeff_tol=1e-9):
+    """Reference: the leaf degree audit run one input at a time on
+    LabeledStates, one Fourier inversion per (path, label)."""
+    records = []
+    for sub in _collect_plans(plan):
+        entry_degree = 0 if sub.contract is None else 1
+        collected = {}
+        queries_by_path = {}
+        n_inputs = 1 << sub.n
+        for position, bits in enumerate(itertools.product((0, 1), repeat=sub.n)):
+            oracle = OracleSpec.from_bits(bits)
+            entry = _SCRATCH if sub.contract is None else sub.contract(oracle.xhat)
+            for path, queries, state in exit_states(sub.root, entry, oracle):
+                queries_by_path[path] = queries
+                for label, amp in state.items():
+                    slot = collected.setdefault((path, label), [0.0] * n_inputs)
+                    slot[position] = amp.real
+        for (path, label), values in sorted(collected.items()):
+            queries = queries_by_path[path]
+            poly = MultilinearPoly.from_values(sub.n, values, tol=coeff_tol)
+            records.append(LeafDegreeRecord(
+                family=sub.family, n=sub.n, path=path, label=label,
+                queries=queries, entry_degree=entry_degree,
+                degree=poly.degree(tol=coeff_tol), bound=queries + entry_degree,
+            ))
+    return tuple(records)
 
 
 def mutated_unbr_5_1():
@@ -200,6 +262,54 @@ class TestLeafDegreeAudit:
         for r in audit_leaf_degrees(build_unb(3, 1)):
             assert r.bound == r.queries + r.entry_degree
             assert r.degree <= r.bound
+
+
+class TestBatchedDegreeAudit:
+    """The batched audit against the per-input reference, under ==."""
+
+    @pytest.mark.parametrize("make_plan", [
+        lambda: build_unb(3, 1),
+        lambda: build_unb(5, 1),
+        lambda: build_unb(6, 2),
+        lambda: build_unb(7, 3),
+        lambda: build_unbr(5, 1),
+        lambda: build_unbr(6, 2),
+        lambda: build_equality(4),
+        lambda: build_exact_kl(8, 2, 6),
+        lambda: build_sym(SymSpec("0011100")),
+        lambda: build_general_unbalance(6, 2),
+        build_appendix_a,
+    ], ids=["unb31", "unb51", "unb62", "unb73", "unbr51", "unbr62", "equality4",
+            "exactkl826", "sym0011100", "general62", "appendixA"])
+    def test_matches_per_input_audit(self, make_plan):
+        plan = make_plan()
+        assert audit_leaf_degrees(plan) == reference_audit(plan)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.sampled_from(((5, 1), (6, 2))), st.sampled_from(STEP_FIELDS), deltas)
+    def test_mutated_step_constants_match(self, nd, name, delta):
+        # The leakage coefficient must stay nonnegative.
+        plan = mutated_unbr(*nd, name, abs(delta) if name == "gamma" else delta)
+        assert audit_leaf_degrees(plan) == reference_audit(plan)
+
+    def test_measurement_missing_a_populated_label_raises(self):
+        state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
+        plan = small_plan(PrepareState(state, s_only_measure()))
+        with pytest.raises(PartitionGap):
+            audit_leaf_degrees(plan)
+        with pytest.raises(PartitionGap):
+            reference_audit(plan)
+
+    def test_contract_norm_above_the_residue_bound_raises(self):
+        # Gadget rows below 1e-15 are left out, which is exact only while a
+        # column's norm is at most STORE_TOL / 1e-15 = 100.
+        def plan_with_norm(norm):
+            callee = small_plan(s_only_measure(), contract=lambda xhat: LabeledState({S_LABEL: norm}))
+            return small_plan(PrepareState(LabeledState({S_LABEL: 1.0}), Call(callee, (var(1),))))
+
+        assert audit_leaf_degrees(plan_with_norm(50.0)) == reference_audit(plan_with_norm(50.0))
+        with pytest.raises(ValueError, match="contract norm"):
+            audit_leaf_degrees(plan_with_norm(1000.0))
 
 
 class TestRootCount:
