@@ -25,6 +25,7 @@ from .gadgets import (
 )
 from .plans import (
     Call,
+    Contract,
     GadgetStep,
     MeasureStep,
     Output,
@@ -62,28 +63,22 @@ def weight_truth(n: int, weights: frozenset[int]) -> Callable[[tuple[int, ...]],
     return truth
 
 
-def precomputed_state(n: int, gamma: float) -> Callable[[tuple[int, ...]], LabeledState]:
+def precomputed_state(n: int, gamma: float) -> Contract:
     """Input contract of the pair-elimination subroutine.
 
     Maps the +-1 encoding xhat to sum_i xhat_i |S> + sqrt(gamma)
-    sum_{i<j} (xhat_i - xhat_j) |i,j>, unnormalized.
+    sum_{i<j} (xhat_i - xhat_j) |i,j>, unnormalized. The pair labels follow
+    |S> in `combinations` order, and appear only when gamma > 0.
     """
     root_gamma = math.sqrt(gamma)
-    # (0-based positions, label) of every pair term, built once per contract
-    pairs = [(i - 1, j - 1, pair(i, j)) for i, j in combinations(range(1, n + 1), 2)] \
-        if root_gamma > 0.0 else []
-
-    def make(xhat: tuple[int, ...]) -> LabeledState:
-        if len(xhat) != n:
-            raise ValueError(f"contract expects {n} entries, got {len(xhat)}")
-        items: list = [(S_LABEL, float(sum(xhat)))]
-        for i, j, label in pairs:
-            diff = xhat[i] - xhat[j]
-            if diff:
-                items.append((label, root_gamma * diff))
-        return LabeledState(items)
-
-    return make
+    labels, coeffs = [S_LABEL], [(1.0,) * n]
+    if root_gamma > 0.0:
+        for i, j in combinations(range(1, n + 1), 2):
+            row = [0.0] * n
+            row[i - 1], row[j - 1] = root_gamma, -root_gamma
+            labels.append(pair(i, j))
+            coeffs.append(tuple(row))
+    return Contract(n, tuple(labels), (0.0,) * len(labels), tuple(coeffs))
 
 
 # Default builds, keyed by (builder name, positional args). Plans are

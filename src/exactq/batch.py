@@ -25,8 +25,13 @@ bindings that share a gadget. Their index maps, like those of queries and
 measurements, are compiled once per (node, row-label tuple) and kept on the
 node, so a plan compiles at its first walk, never while it is built.
 Sibling branches of a measurement that call one plan run as one call.
-The memos and the evaluated contract states belong to one `summarize` call
-and are freed when it returns; only index maps stay on the plan.
+
+An input contract is affine in the +-1 input, so the contract states of a
+block are one product of its matrix over (1, xhat), compiled at the first
+walk and kept on the contract, with the block's +-1 encodings; they are
+evaluated wherever a block needs them, and nothing is kept per input. The
+memos belong to one `summarize` call and are freed when it returns; only the
+compiled maps stay on the plan.
 
 `exit_amplitudes` takes the same steps for the degree audit, but stops at a
 plan's exits: it starts from the raw contract states, prunes nothing and
@@ -40,15 +45,15 @@ from itertools import compress
 import numpy as np
 
 from .errors import IndexOutOfRange, PartitionGap
-from .plans import Call, GadgetStep, MeasureStep, Output, Plan, PrepareState, QueryStep
+from .plans import Call, Contract, GadgetStep, MeasureStep, Output, Plan, PrepareState, QueryStep
 from .state_core import STORE_TOL, ZERO_LABEL
 
-# Bytes a block of input columns may take (256 KiB): a walk of a plan takes
+# Bytes a block of input columns may take (512 KiB): a walk of a plan takes
 # BLOCK_BYTES // (the plan's label count * 16 + _COLUMN_BYTES) columns at a
 # time. Blocks of a few hundred KiB keep peak memory within a few MiB of the
 # per-input simulator's; wider blocks run faster and take more. A chunk of
 # the exit walk's value table takes at most as much.
-BLOCK_BYTES = 1 << 18
+BLOCK_BYTES = 1 << 19
 # Bytes a column costs beyond its amplitudes: its summary, and the
 # temporaries that fold summaries together.
 _COLUMN_BYTES = 256
@@ -169,9 +174,8 @@ class _Walker:
     def __init__(self, tol: float, branch_tol: float):
         self.tol = tol
         self.branch_tol = branch_tol
-        # id(plan) -> (plan, its summaries by input), and (plan, its contract)
+        # id(plan) -> (plan, its summaries by input)
         self.memos: dict[int, tuple[Plan, _Memo]] = {}
-        self.contract_of: dict[int, tuple[Plan, _Contracts]] = {}
 
     def run(self, plan: Plan, inputs: np.ndarray) -> tuple[np.ndarray, _Sums]:
         """Walk `plan` from its entry state on a block of its inputs: the
@@ -180,20 +184,17 @@ class _Walker:
         if plan.contract is None:
             return np.ones(width, dtype=bool), self.walk(
                 plan.root, (ZERO_LABEL,), np.ones((1, width), dtype=_DTYPE), inputs, plan.n, 0)
-        rows, kappa, norm_sq = self.contracts(plan).columns(inputs)
+        kappa, norm_sq = contract_columns(plan.contract, inputs)
         entered = norm_sq > self.branch_tol
         sums = _Sums.vacuous(width)
         if entered.any():
-            amps = kappa[:, entered] / np.sqrt(norm_sq[entered])
+            # Times the reciprocal norm: bitwise what numpy's division of
+            # complex columns by the norm gives.
+            amps = (kappa[:, entered] * (1.0 / np.sqrt(norm_sq[entered]))).astype(_DTYPE)
             _zero_small(amps)
-            sums.put(entered, self.walk(plan.root, rows, amps, inputs[entered], plan.n, 0))
+            sums.put(entered, self.walk(plan.root, plan.contract.labels, amps, inputs[entered],
+                                        plan.n, 0))
         return entered, sums
-
-    def contracts(self, plan: Plan) -> _Contracts:
-        entry = self.contract_of.get(id(plan))
-        if entry is None:
-            entry = self.contract_of[id(plan)] = (plan, _Contracts(plan))
-        return entry[1]
 
     def memo(self, plan: Plan, inputs: np.ndarray) -> _Sums:
         """Summaries of `plan` run from its entry state, one per column,
@@ -320,9 +321,8 @@ class _Walker:
             sums.heavy *= weight
             return sums
 
-        table = self.contracts(sub)
-        _, kappa, k_norm_sq = table.columns(sub_inputs)
-        coeff, residual = _least_squares(table, kappa, k_norm_sq, rows, amps)
+        kappa, k_norm_sq = contract_columns(sub.contract, sub_inputs)
+        coeff, residual = _least_squares(sub.contract, kappa, k_norm_sq, rows, amps)
         has_contract = k_norm_sq > self.branch_tol
         residual = np.where(has_contract, residual, np.sqrt(weight))
         matched = has_contract & (residual <= self.tol * np.maximum(1.0, np.sqrt(weight)))
@@ -382,14 +382,15 @@ def exit_amplitudes(plan: Plan) -> tuple[list[tuple], dict[tuple, int], list[np.
     chunks: list[np.ndarray] = []
     slot: dict[tuple, int] = {}
     queries_of: dict[tuple, int] = {}
-    contracts = None if plan.contract is None else _Contracts(plan)
     width = _block_width(plan)
     for start in range(0, count, width):
         inputs = np.arange(start, min(count, start + width))
-        if contracts is None:
+        if plan.contract is None:
             rows, amps = (ZERO_LABEL,), np.ones((1, len(inputs)), dtype=_DTYPE)
         else:
-            rows, amps, norm_sq = contracts.columns(inputs)
+            rows = plan.contract.labels
+            kappa, norm_sq = contract_columns(plan.contract, inputs)
+            amps = kappa.astype(_DTYPE)
             if norm_sq.max() > _MAX_NORM ** 2:
                 bits = _bits(int(inputs[np.argmax(norm_sq)]), plan.n)
                 raise ValueError(f"input {bits}: contract norm {np.sqrt(norm_sq.max()):.3g} "
@@ -444,7 +445,7 @@ def _exits(node, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n: int,
 
 
 def _abs2(amps: np.ndarray) -> np.ndarray:
-    return amps.real ** 2 + amps.imag ** 2
+    return amps.real ** 2 + amps.imag ** 2 if amps.dtype == _DTYPE else amps ** 2
 
 
 def _weights(amps: np.ndarray) -> np.ndarray:
@@ -727,78 +728,47 @@ def _sub_inputs(node: Call, inputs: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _Contracts:
-    """A plan's contract states of the inputs reached so far, as columns in
-    the order the inputs were first reached, over the labels they use."""
-
-    def __init__(self, plan: Plan):
-        self.contract = plan.contract
-        self.n = plan.n
-        self.slot = np.full(1 << plan.n, -1, dtype=np.int32)
-        self.labels: tuple = ()
-        self.index: dict = {}
-        self.amps = np.zeros((0, 16), dtype=_DTYPE)
-        self.norm_sq = np.zeros(16)
-        self.size = 0
-        # state row tuple -> (contract rows in the state, their state rows,
-        # contract rows outside it), for the current label list
-        self.aligned: dict[tuple, tuple] = {}
-
-    def columns(self, inputs: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
-        """The label list, and the contract states and their squared norms
-        of `inputs` as columns over it."""
-        missing = _distinct(inputs[self.slot[inputs] < 0])
-        if len(missing):
-            self._add(missing)
-        cols = self.slot[inputs]
-        return self.labels, self.amps[:, cols], self.norm_sq[cols]
-
-    def _add(self, missing: np.ndarray) -> None:
-        xhats = 1 - 2 * ((missing[:, None] >> np.arange(self.n - 1, -1, -1)) & 1)
-        states = [self.contract(tuple(xhat)) for xhat in xhats.tolist()]
-        at, cols, values = [], [], []
-        for c, state in enumerate(states, self.size):
-            for label, a in state.items():
-                r = self.index.get(label)
-                if r is None:
-                    r = self.index[label] = len(self.labels)
-                    self.labels += (label,)
-                at.append(r)
-                cols.append(c)
-                values.append(a)
-        size = self.size + len(missing)
-        if len(self.labels) > len(self.amps) or size > len(self.norm_sq):
-            # One row per label, exactly; columns grow by doubling.
-            capacity = max(size, 2 * len(self.norm_sq)) if size > len(self.norm_sq) else len(self.norm_sq)
-            amps = np.zeros((len(self.labels), capacity), dtype=_DTYPE)
-            amps[:len(self.amps), :self.size] = self.amps[:, :self.size]
-            norm_sq = np.zeros(capacity)
-            norm_sq[:self.size] = self.norm_sq[:self.size]
-            self.amps, self.norm_sq = amps, norm_sq
-            self.aligned.clear()
-        self.amps[at, cols] = values
-        self.norm_sq[self.size:size] = [state.squared_norm() for state in states]
-        self.slot[missing] = np.arange(self.size, size)
-        self.size = size
-
-    def align(self, rows: tuple) -> tuple:
-        maps = self.aligned.get(rows)
-        if maps is None:
-            where = {label: r for r, label in enumerate(rows)}
-            inside = [k for k, label in enumerate(self.labels) if label in where]
-            maps = self.aligned[rows] = (
-                np.array(inside, dtype=np.intp),
-                np.array([where[self.labels[k]] for k in inside], dtype=np.intp),
-                np.array([k for k, label in enumerate(self.labels) if label not in where], dtype=np.intp),
-            )
-        return maps
+def contract_columns(contract: Contract, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The contract states of `inputs` as columns over `contract.labels`, and
+    their squared norms: the contract's matrix over (1, xhat) times the
+    inputs' +-1 encodings. The matrix is compiled at the first call and kept
+    on the contract; it is real when the contract is."""
+    cache = _cache(contract)
+    matrix = cache.get("matrix")
+    if matrix is None:
+        matrix = cache["matrix"] = np.array(
+            [(c,) + row for c, row in zip(contract.constants, contract.coeffs)]
+        ).reshape(len(contract.labels), contract.n + 1)
+    n = contract.n
+    xhat = np.ones((n + 1, len(inputs)))
+    xhat[1:] -= 2 * ((inputs[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1)
+    kappa = matrix @ xhat
+    _zero_small(kappa)
+    return kappa, _weights(kappa)
 
 
-def _least_squares(table: _Contracts, kappa: np.ndarray, k_norm_sq: np.ndarray,
+def _align(contract: Contract, rows: tuple) -> tuple:
+    """The contract's labels found in the state rows `rows`, the state rows
+    that hold them, and the contract's labels outside `rows`."""
+    cache = _cache(contract)
+    maps = cache.get(rows)
+    if maps is None:
+        where = {label: r for r, label in enumerate(rows)}
+        labels = contract.labels
+        inside = [k for k, label in enumerate(labels) if label in where]
+        maps = cache[rows] = (
+            np.array(inside, dtype=np.intp),
+            np.array([where[labels[k]] for k in inside], dtype=np.intp),
+            np.array([k for k, label in enumerate(labels) if label not in where], dtype=np.intp),
+        )
+    return maps
+
+
+def _least_squares(contract: Contract, kappa: np.ndarray, k_norm_sq: np.ndarray,
                    rows: tuple, amps: np.ndarray):
     """Per column, the best c with state ~ c * kappa and the norm of the
     stored state - c * kappa, as `least_squares_match` computes them."""
-    inside, at, outside = table.align(rows)
+    inside, at, outside = _align(contract, rows)
     overlap = (kappa[inside].conj() * amps[at]).sum(axis=0)
     coeff = overlap / np.where(k_norm_sq > 0.0, k_norm_sq, 1.0)
     mismatch = amps.copy()

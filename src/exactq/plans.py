@@ -10,6 +10,7 @@ supply as a function of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Mapping, Union
 
 from .state_core import Binding, Label, LabeledState, MeasurementPartition
@@ -109,6 +110,35 @@ class Call:
             raise ValueError(f"{self.plan.family}: live-variable wires must be injective, got {self.wires!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class Contract:
+    """An input contract: a state affine in the +-1 input encoding xhat.
+
+    Label k carries constants[k] + sum_i coeffs[k][i] * xhat_i. Calling the
+    contract on one input gives its (unnormalized) LabeledState; the batched
+    simulator evaluates it on blocks of inputs at once.
+    """
+
+    n: int
+    labels: tuple[Label, ...]
+    constants: tuple[complex, ...]
+    coeffs: tuple[tuple[complex, ...], ...]
+
+    def __post_init__(self):
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"contract labels must be distinct, got {self.labels!r}")
+        if len(self.constants) != len(self.labels) or len(self.coeffs) != len(self.labels):
+            raise ValueError("a contract takes one constant and one coefficient row per label")
+        if any(len(row) != self.n for row in self.coeffs):
+            raise ValueError(f"contract coefficient rows must have {self.n} entries")
+
+    def __call__(self, xhat: tuple[int, ...]) -> LabeledState:
+        if len(xhat) != self.n:
+            raise ValueError(f"contract expects {self.n} entries, got {len(xhat)}")
+        amps = (constant + sum(map(mul, row, xhat)) for constant, row in zip(self.constants, self.coeffs))
+        return LabeledState([(label, a) for label, a in zip(self.labels, amps) if a])
+
+
 PlanNode = Union[Output, PrepareState, GadgetStep, QueryStep, MeasureStep, Call]
 
 
@@ -118,8 +148,9 @@ class Plan:
 
     `truth` is the intended Boolean function (used as the default check).
     Plans with an input `contract` consume a caller-prepared state instead of
-    a PrepareState root; `contract` maps the +-1 input encoding to that state,
-    and `contract_gamma` records its leakage coefficient when meaningful.
+    a PrepareState root; `contract` gives that state as an affine map of the
+    +-1 input encoding, and `contract_gamma` records its leakage coefficient
+    when meaningful.
     """
 
     family: str
@@ -128,7 +159,7 @@ class Plan:
     root: PlanNode
     claimed_queries: int
     truth: Callable[[tuple[int, ...]], int]
-    contract: Callable[[tuple[int, ...]], LabeledState] | None = None
+    contract: Contract | None = None
     contract_gamma: float | None = None
 
     def params_dict(self) -> dict:

@@ -350,8 +350,8 @@ def verify_exactness(
 
     An input whose entry contract vanishes cannot reach the plan and is
     skipped. Every other input must keep its norm: the plan is exact only
-    if no wrong output carries weight above `tol` and `max_norm_residual`
-    is at most `tol`.
+    if no input's wrong outputs carry total weight above `tol`, spread over
+    branches or not, and `max_norm_residual` is at most `tol`.
     """
     if plan.n > limit:
         raise ValueError(f"n={plan.n} exceeds the enumeration limit {limit}")
@@ -362,19 +362,17 @@ def verify_exactness(
     worst = int(sums.maxq[checked].max(initial=0))
     lost = np.abs(sums.total[:, checked].sum(axis=0) - 1.0)
     max_residual = float(max(lost.max(initial=0.0), sums.resid[checked].max(initial=0.0)))
-    counterexamples = []
-    for position in checked:
-        bits = inputs[position]
-        expected = truth_fn(bits)
-        for row, output in enumerate((-1, 0, 1)):
-            heaviest = float(sums.heavy[row, position])
-            if output != expected and heaviest > tol:
-                counterexamples.append((bits, output, heaviest))
+    # wrong[r, c]: output r - 1 disagrees with the truth on checked input c
+    wrong = np.arange(-1, 2)[:, None] != np.array([truth_fn(inputs[p]) for p in checked], dtype=int)
+    wrong_mass = float(np.where(wrong, sums.total[:, checked], 0.0).sum(axis=0).max(initial=0.0))
+    heavy = np.where(wrong, sums.heavy[:, checked], 0.0)
+    counterexamples = [(inputs[checked[c]], r - 1, float(heavy[r, c]))
+                       for c, r in np.argwhere(heavy.T > tol).tolist()]
     return VerificationReport(
         family=plan.family,
         params=plan.params,
         n=plan.n,
-        exact=not counterexamples and max_residual <= tol,
+        exact=not counterexamples and wrong_mass <= tol and max_residual <= tol,
         worst_case_queries=worst,
         claimed_bound=plan.claimed_queries,
         max_norm_residual=max_residual,
@@ -619,14 +617,6 @@ class SymmetrizedPoly:
         return max((i for i, c in enumerate(self.coeffs) if abs(c) > tol), default=0)
 
 
-def _elementary_symmetric(xhat: Sequence[float], n: int) -> list[float]:
-    e = [1.0] + [0.0] * n
-    for v in xhat:
-        for j in range(n, 0, -1):
-            e[j] += v * e[j - 1]
-    return e
-
-
 def symmetrize_to_univariate(poly: MultilinearPoly, *, tol: float = 1e-9) -> SymmetrizedPoly:
     """Average coefficients over subset-size classes and restrict to the
     Hamming weight axis.
@@ -641,19 +631,29 @@ def symmetrize_to_univariate(poly: MultilinearPoly, *, tol: float = 1e-9) -> Sym
         class_sum[len(subset)] += c
     avg = [class_sum[m] / math.comb(n, m) for m in range(n + 1)]
 
-    per_weight: list[list[float]] = [[] for _ in range(n + 1)]
-    for bits in product((0, 1), repeat=n):
-        xhat = [1 - 2 * b for b in bits]
-        e = _elementary_symmetric(xhat, n)
-        value = sum(avg[m] * e[m] for m in range(n + 1))
-        per_weight[sum(bits)].append(value)
-    q_values = []
-    for s, values in enumerate(per_weight):
-        spread = max(values) - min(values)
+    # Row k holds bit k of every input, columns in lexicographic order.
+    bits = (np.arange(1 << n)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    # e[m]: the elementary symmetric polynomial of degree m at every input,
+    # by the recurrence over the variables in order.
+    e = np.zeros((n + 1, 1 << n))
+    e[0] = 1.0
+    for v in 1 - 2 * bits:
+        for j in range(n, 0, -1):
+            e[j] += v * e[j - 1]
+    values = np.zeros(1 << n)
+    for m in range(n + 1):
+        values += avg[m] * e[m]
+    weight = bits.sum(axis=0)
+    counts = np.bincount(weight, minlength=n + 1)
+    by_weight = values[np.argsort(weight, kind="stable")]
+    starts = np.cumsum(counts) - counts
+    spreads = np.maximum.reduceat(by_weight, starts) - np.minimum.reduceat(by_weight, starts)
+    for s, spread in enumerate(spreads.tolist()):
         if spread > tol:
             raise NotSymmetrizable(
                 f"symmetrized polynomial varies by {spread:.3e} on weight class s={s}")
-        q_values.append(sum(values) / len(values))
+    # bincount adds each class's values in input order.
+    q_values = (np.bincount(weight, weights=values, minlength=n + 1) / counts).tolist()
 
     vander = np.vander(np.arange(n + 1, dtype=float), n + 1, increasing=True)
     coeffs = np.linalg.solve(vander, np.asarray(q_values))

@@ -4,12 +4,19 @@ LabeledState executor, which is the reference."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactq import (
+    LabeledState,
+    MeasureStep,
+    MeasurementPartition,
+    Output,
+    Plan,
+    PrepareState,
     appendix_a_angles,
     build_appendix_a,
     build_equality,
@@ -22,17 +29,18 @@ from exactq import (
 )
 from exactq.batch import summarize
 from exactq.gadgets import OracleSpec
+from exactq.state_core import S_LABEL, idx
 from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _Executor
 
 OUTPUTS = (-1, 0, 1)
 STEP_FIELDS = ("c1", "c2", "c8", "c9", "gamma")
 
 
-def reference_report(plan):
+def reference_report(plan, *, tol=DEFAULT_TOL):
     """(exact, worst-case queries, counterexample (input, output) list) of
     the per-input executor, by the verdict rule of `verify_exactness`."""
-    executor = _Executor()
-    worst, residual, counterexamples = 0, 0.0, []
+    executor = _Executor(tol=tol)
+    worst, residual, wrong_mass, counterexamples = 0, 0.0, 0.0, []
     for bits in itertools.product((0, 1), repeat=plan.n):
         if executor.entry_state(plan, OracleSpec.from_bits(bits)) is None:
             continue
@@ -40,9 +48,11 @@ def reference_report(plan):
         worst = max(worst, summary.max_queries)
         total = sum(t for _, t, _ in summary.mass)
         residual = max(residual, abs(total - 1.0), summary.residual)
-        counterexamples += [(bits, output) for output, _, heaviest in summary.mass
-                            if output != plan.truth(bits) and heaviest > DEFAULT_TOL]
-    exact = not counterexamples and residual <= DEFAULT_TOL
+        wrong = [(output, t, heaviest) for output, t, heaviest in summary.mass
+                 if output != plan.truth(bits)]
+        wrong_mass = max(wrong_mass, sum(t for _, t, _ in wrong))
+        counterexamples += [(bits, output) for output, _, heaviest in wrong if heaviest > tol]
+    exact = not counterexamples and wrong_mass <= tol and residual <= tol
     return exact, worst, counterexamples
 
 
@@ -104,3 +114,23 @@ def test_gamma_override_matches(gamma):
 def test_appendix_a_angle_override_matches(name, delta, negative):
     angle = appendix_a_angles()[name] + (-delta if negative else delta)
     assert_batch_matches_executor(build_appendix_a(angle_overrides={name: angle}))
+
+
+def test_wrong_mass_spread_over_branches_is_not_exact():
+    # Two wrong branches of 0.8 tol each: neither exceeds tol, but together
+    # they carry 1.6 tol of wrong output, so the plan is not exact.
+    tol, mass = 1e-6, 0.8e-6
+    state = LabeledState({S_LABEL: math.sqrt(1.0 - 2 * mass), idx(1): math.sqrt(mass),
+                          idx(2): math.sqrt(mass)})
+    partition = MeasurementPartition(tuple(((label,), lambda l, label=label: l == label)
+                                           for label in (S_LABEL, idx(1), idx(2))))
+    root = MeasureStep(partition, (((S_LABEL,), None, Output(1)),
+                                   ((idx(1),), None, Output(0)),
+                                   ((idx(2),), None, Output(0))))
+    plan = Plan(family="spread", n=1, params=(), root=PrepareState(state, root),
+                claimed_queries=0, truth=lambda bits: 1)
+    report = verify_exactness(plan, tol=tol)
+    assert report.counterexamples == ()
+    assert report.max_norm_residual <= tol
+    assert not report.exact
+    assert reference_report(plan, tol=tol) == (False, 0, [])

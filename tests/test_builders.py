@@ -46,6 +46,8 @@ class TestTruthAndContract:
     def test_precomputed_state_checks_arity(self):
         with pytest.raises(ValueError):
             precomputed_state(3, 0.1)((1, 1))
+        with pytest.raises(ValueError):
+            precomputed_state(3, 0.1)((1, 1, 1, 1))
 
     def test_zero_gamma_has_no_pair_terms(self):
         s = precomputed_state(3, 0.0)((1, -1, 1))

@@ -5,9 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import exactq
 from exactq import __version__
 from exactq.cli import main
 
@@ -34,6 +39,15 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["exact"] is True
         assert payload["worst_case_queries"] <= 3
+
+    def test_module_entry_point_matches_in_process_main(self, capsys):
+        argv = ["verify", "--family", "unb", "--n", "6", "--d", "2"]
+        code, out = run(capsys, *argv)
+        src = str(Path(exactq.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-m", "exactq", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert (done.returncode, done.stdout) == (code, out)
 
     def test_invalid_gap_exits_2(self, capsys):
         assert main(["verify", "--family", "unb", "--d", "0", "--n", "4"]) == 2

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from exactq import (
     Call,
+    Contract,
     LabeledState,
     MultilinearPoly,
     Output,
@@ -304,7 +305,7 @@ class TestBatchedDegreeAudit:
         # Gadget rows below 1e-15 are left out, which is exact only while a
         # column's norm is at most STORE_TOL / 1e-15 = 100.
         def plan_with_norm(norm):
-            callee = small_plan(s_only_measure(), contract=lambda xhat: LabeledState({S_LABEL: norm}))
+            callee = small_plan(s_only_measure(), contract=Contract(1, (S_LABEL,), (norm,), ((0.0,),)))
             return small_plan(PrepareState(LabeledState({S_LABEL: 1.0}), Call(callee, (var(1),))))
 
         assert audit_leaf_degrees(plan_with_norm(50.0)) == reference_audit(plan_with_norm(50.0))

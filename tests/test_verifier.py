@@ -10,6 +10,7 @@ import pytest
 
 from exactq import (
     Call,
+    Contract,
     IndexOutOfRange,
     LabeledState,
     MeasureStep,
@@ -200,7 +201,7 @@ class TestErrorSemantics:
         # The call's state is not proportional to the callee's contract |S>,
         # so the callee runs on it directly, and its measurement has no
         # outcome for |1>: the whole call's weight lands on output -1.
-        callee = small_plan(s_only_measure(), contract=lambda xhat: LabeledState({S_LABEL: 1.0}))
+        callee = small_plan(s_only_measure(), contract=Contract(1, (S_LABEL,), (1.0,), ((0.0,),)))
         state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
         report = verify_exactness(small_plan(PrepareState(state, Call(callee, (var(1),)))))
         assert not report.exact
