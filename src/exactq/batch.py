@@ -1,7 +1,7 @@
 """Input-batched summary simulation: one plan walk for a block of inputs.
 
-The state of a block is a tuple of row labels and one amplitude matrix, rows
-by input columns. Each column follows the per-input semantics of
+The state of a block is a tuple of row labels and one float64 amplitude
+matrix, rows by input columns. Each column follows the per-input semantics of
 `verifier._step` and `verifier._Executor._walk`, which stay the reference:
 
 - every |a| <= STORE_TOL is zeroed after each step;
@@ -16,6 +16,11 @@ by input columns. Each column follows the per-input semantics of
   the callee's summary from a per-plan memo, filled on demand for the
   sub-inputs the calls reach, scaled by |c|^2 ||kappa||^2. Other columns walk
   the callee as one batch.
+
+Every amplitude the builders make is real, so the walk is real too: gadget
+matrices, prepared states and contract matrices compile to float64 (`_real`),
+and one with a nonzero imaginary part raises ValueError. There is no complex
+path; the per-input reference keeps complex amplitudes.
 
 Inputs are numbered by their bits read as a binary number, first bit most
 significant, which is the order of `itertools.product((0, 1), repeat=n)`.
@@ -49,16 +54,17 @@ from .plans import Call, Contract, GadgetStep, MeasureStep, Output, Plan, Prepar
 from .state_core import STORE_TOL, ZERO_LABEL
 
 # Bytes a block of input columns may take (512 KiB): a walk of a plan takes
-# BLOCK_BYTES // (the plan's label count * 16 + _COLUMN_BYTES) columns at a
-# time. Blocks of a few hundred KiB keep peak memory within a few MiB of the
-# per-input simulator's; wider blocks run faster and take more. A chunk of
+# BLOCK_BYTES // (the plan's label count * _DTYPE's item size (8) +
+# _COLUMN_BYTES) columns at a time. Blocks of a few hundred KiB keep peak
+# memory within a few MiB of the per-input simulator's; wider blocks run
+# faster and take more. A chunk of
 # the exit walk's value table takes at most as much.
 BLOCK_BYTES = 1 << 19
 # Bytes a column costs beyond its amplitudes: its summary, and the
 # temporaries that fold summaries together.
 _COLUMN_BYTES = 256
 
-_DTYPE = np.complex128
+_DTYPE = np.float64
 # A gadget row whose entries sum to at most this in magnitude is a rounding
 # residue of the unitary completion (they are near 1e-17 here).
 _NEGLIGIBLE = 1e-15
@@ -188,9 +194,8 @@ class _Walker:
         entered = norm_sq > self.branch_tol
         sums = _Sums.vacuous(width)
         if entered.any():
-            # Times the reciprocal norm: bitwise what numpy's division of
-            # complex columns by the norm gives.
-            amps = (kappa[:, entered] * (1.0 / np.sqrt(norm_sq[entered]))).astype(_DTYPE)
+            # Times the reciprocal norm, as `LabeledState.normalized` does.
+            amps = kappa[:, entered] * (1.0 / np.sqrt(norm_sq[entered]))
             _zero_small(amps)
             sums.put(entered, self.walk(plan.root, plan.contract.labels, amps, inputs[entered],
                                         plan.n, 0))
@@ -283,7 +288,7 @@ class _Walker:
             width = len(block_inputs)
             padded = np.zeros((len(rows) + 1, width), dtype=_DTYPE)
             padded[:-1] = amps if cols is None else amps[:, cols]
-            weight = np.add.reduceat(_abs2(padded)[order], starts, axis=0).ravel()
+            weight = np.add.reduceat(np.square(padded)[order], starts, axis=0).ravel()
             if sub.contract is None:
                 padded = None
             live = weight > self.branch_tol
@@ -364,8 +369,8 @@ class _Walker:
 
 
 def exit_amplitudes(plan: Plan) -> tuple[list[tuple], dict[tuple, int], list[np.ndarray]]:
-    """Real parts of the amplitudes `plan` holds at its Output and Call
-    exits on all 2^n inputs, without descending into callees.
+    """The amplitudes `plan` holds at its Output and Call exits on all 2^n
+    inputs, without descending into callees.
 
     The walk starts from the raw, unnormalized contract state (|0> without a
     contract), prunes nothing and descends every measurement child. Returns
@@ -389,8 +394,7 @@ def exit_amplitudes(plan: Plan) -> tuple[list[tuple], dict[tuple, int], list[np.
             rows, amps = (ZERO_LABEL,), np.ones((1, len(inputs)), dtype=_DTYPE)
         else:
             rows = plan.contract.labels
-            kappa, norm_sq = contract_columns(plan.contract, inputs)
-            amps = kappa.astype(_DTYPE)
+            amps, norm_sq = contract_columns(plan.contract, inputs)
             if norm_sq.max() > _MAX_NORM ** 2:
                 bits = _bits(int(inputs[np.argmax(norm_sq)]), plan.n)
                 raise ValueError(f"input {bits}: contract norm {np.sqrt(norm_sq.max()):.3g} "
@@ -401,7 +405,7 @@ def exit_amplitudes(plan: Plan) -> tuple[list[tuple], dict[tuple, int], list[np.
                 k = slot.setdefault((path, labels[r]), len(slot))
                 if k == len(chunks) * chunk_rows:
                     chunks.append(np.zeros((chunk_rows, count)))
-                chunks[k // chunk_rows][k % chunk_rows, start:start + len(inputs)] = block[r].real
+                chunks[k // chunk_rows][k % chunk_rows, start:start + len(inputs)] = block[r]
     if chunks:
         chunks[-1] = chunks[-1][:len(slot) - (len(chunks) - 1) * chunk_rows]
     return list(slot), queries_of, chunks
@@ -444,19 +448,25 @@ def _exits(node, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n: int,
 # ---------------------------------------------------------------------------
 
 
-def _abs2(amps: np.ndarray) -> np.ndarray:
-    return amps.real ** 2 + amps.imag ** 2 if amps.dtype == _DTYPE else amps ** 2
-
-
 def _weights(amps: np.ndarray) -> np.ndarray:
-    return _abs2(amps).sum(axis=0)
+    """Squared column norms, without a squared temporary."""
+    return np.einsum("ij,ij->j", amps, amps)
 
 
-def _zero_small(amps: np.ndarray) -> np.ndarray:
-    """Zero every |a| <= STORE_TOL in place; return the mask of the rest."""
-    keep = np.abs(amps) > STORE_TOL
-    np.multiply(amps, keep, out=amps)
-    return keep
+def _zero_small(amps: np.ndarray) -> None:
+    """Zero every |a| <= STORE_TOL in place."""
+    np.multiply(amps, np.abs(amps) > STORE_TOL, out=amps)
+
+
+def _real(values, what: str) -> np.ndarray:
+    """`values` as a float64 array, for a walk in real arithmetic. Raises
+    ValueError naming `what` on any nonzero imaginary part."""
+    array = np.asarray(values)
+    if np.iscomplexobj(array):
+        if array.imag.any():
+            raise ValueError(f"{what} has a complex amplitude; the batched walker is real")
+        array = array.real
+    return array.astype(_DTYPE)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -521,7 +531,7 @@ def _prepare(node: PrepareState, weight: np.ndarray) -> tuple[tuple, np.ndarray]
     if prepared is None:
         items = node.state.items()
         prepared = cache["state"] = (tuple(l for l, _ in items),
-                                     np.array([a for _, a in items], dtype=_DTYPE))
+                                     _real([a for _, a in items], "PrepareState state"))
     rows, vec = prepared
     amps = np.multiply.outer(vec, np.sqrt(weight))
     _zero_small(amps)
@@ -579,7 +589,8 @@ class _Bindings:
         self.groups = []
         for (_, _, positions), members in grouped.items():
             gadget = members[0][0].gadget
-            matrix = (gadget.matrix_h if members[0][1] else gadget.matrix)[:, list(positions)]
+            matrix = _real(gadget.matrix_h if members[0][1] else gadget.matrix,
+                           f"gadget {gadget.name!r}")[:, list(positions)]
             live = np.abs(matrix).sum(axis=1) > _NEGLIGIBLE
             start = len(out_rows)
             for binding, _, _ in members:
@@ -732,13 +743,13 @@ def contract_columns(contract: Contract, inputs: np.ndarray) -> tuple[np.ndarray
     """The contract states of `inputs` as columns over `contract.labels`, and
     their squared norms: the contract's matrix over (1, xhat) times the
     inputs' +-1 encodings. The matrix is compiled at the first call and kept
-    on the contract; it is real when the contract is."""
+    on the contract; a complex contract raises ValueError."""
     cache = _cache(contract)
     matrix = cache.get("matrix")
     if matrix is None:
-        matrix = cache["matrix"] = np.array(
-            [(c,) + row for c, row in zip(contract.constants, contract.coeffs)]
-        ).reshape(len(contract.labels), contract.n + 1)
+        entries = [(c,) + row for c, row in zip(contract.constants, contract.coeffs)]
+        matrix = _real(entries, f"input contract of a {contract.n}-variable plan")
+        matrix = cache["matrix"] = matrix.reshape(len(contract.labels), contract.n + 1)
     n = contract.n
     xhat = np.ones((n + 1, len(inputs)))
     xhat[1:] -= 2 * ((inputs[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1)
@@ -769,7 +780,7 @@ def _least_squares(contract: Contract, kappa: np.ndarray, k_norm_sq: np.ndarray,
     """Per column, the best c with state ~ c * kappa and the norm of the
     stored state - c * kappa, as `least_squares_match` computes them."""
     inside, at, outside = _align(contract, rows)
-    overlap = (kappa[inside].conj() * amps[at]).sum(axis=0)
+    overlap = (kappa[inside] * amps[at]).sum(axis=0)
     coeff = overlap / np.where(k_norm_sq > 0.0, k_norm_sq, 1.0)
     mismatch = amps.copy()
     mismatch[at] -= coeff * kappa[inside]

@@ -172,7 +172,7 @@ def cmd_poly(config: RunConfig) -> int:
     if plan.n > 14:
         raise ValueError(f"polynomial extraction needs n <= 14, got {plan.n}")
     poly = extract_multilinear(plan, tol=config.tol, branch_tol=config.branch_tol)
-    sym_poly = symmetrize_to_univariate(poly, tol=max(config.tol, 1e-9))
+    sym_poly = symmetrize_to_univariate(poly)
     records = audit_leaf_degrees(plan)
     audit_ok = all(r.ok for r in records)
     if config.format == "json":

@@ -48,7 +48,11 @@ class InconsistentSpec(ExactQError):
 
 
 class NotSymmetrizable(ExactQError):
-    """A polynomial expected to be symmetric is not, beyond tolerance."""
+    """A polynomial expected to be symmetric is not, beyond tolerance.
+
+    Kept for callers that catch it; `symmetrize_to_univariate` no longer
+    raises it, as its class-averaged polynomial is symmetric by construction.
+    """
 
 
 class ZeroWitnessMissing(ExactQError):

@@ -7,16 +7,20 @@ import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactq import (
+    Contract,
+    GadgetStep,
     LabeledState,
     MeasureStep,
     MeasurementPartition,
     Output,
     Plan,
     PrepareState,
+    QueryStep,
     appendix_a_angles,
     build_appendix_a,
     build_equality,
@@ -24,13 +28,16 @@ from exactq import (
     build_unb,
     build_unbr,
     chain_gamma_at,
+    identity_binding,
+    isometry_from_columns,
     solve_step_constants,
     verify_exactness,
 )
-from exactq.batch import summarize
+from exactq.batch import _Bindings, exit_amplitudes, summarize
 from exactq.gadgets import OracleSpec
 from exactq.state_core import S_LABEL, idx
-from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _Executor
+from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _collect_plans, _Executor
+from test_verifier import s_only_measure, small_plan
 
 OUTPUTS = (-1, 0, 1)
 STEP_FIELDS = ("c1", "c2", "c8", "c9", "gamma")
@@ -134,3 +141,75 @@ def test_wrong_mass_spread_over_branches_is_not_exact():
     assert report.max_norm_residual <= tol
     assert not report.exact
     assert reference_report(plan, tol=tol) == (False, 0, [])
+
+
+def complex_gadget_plan():
+    phase = isometry_from_columns("phase", {S_LABEL: {S_LABEL: 1j}})
+    return small_plan(PrepareState(LabeledState({S_LABEL: 1.0}),
+                                   GadgetStep(((identity_binding(phase), False),), s_only_measure())))
+
+
+def complex_contract_plan():
+    return small_plan(s_only_measure(), contract=Contract(1, (S_LABEL,), (1j,), ((0.0,),)))
+
+
+def complex_prepare_plan():
+    return small_plan(PrepareState(LabeledState({S_LABEL: 1j}), s_only_measure()))
+
+
+@pytest.mark.parametrize("make_plan", [complex_gadget_plan, complex_contract_plan, complex_prepare_plan],
+                         ids=["gadget", "contract", "prepare"])
+def test_complex_amplitudes_are_refused(make_plan):
+    # The batched walker is real; the complex reference runs the plan, and
+    # it is exact there.
+    assert reference_report(make_plan()) == (True, 0, [])
+    with pytest.raises(ValueError, match="complex amplitude"):
+        verify_exactness(make_plan())
+    with pytest.raises(ValueError, match="complex amplitude"):
+        exit_amplitudes(make_plan())
+
+
+def cached_arrays(plan):
+    """Every array compiled on the `_batch_cache` of the plan, of its
+    subroutines and of their nodes and contracts, by the kind of object it
+    is kept on."""
+    found: dict[str, list] = {}
+
+    def collect(kind, value):
+        if isinstance(value, np.ndarray):
+            found.setdefault(kind, []).append(value)
+        elif isinstance(value, _Bindings):
+            collect(kind, (value.keep, value.groups))
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                collect(kind, item)
+        elif isinstance(value, dict):
+            for item in value.values():
+                collect(kind, item)
+
+    for sub in _collect_plans(plan):
+        stack = [sub, sub.root] + ([sub.contract] if sub.contract else [])
+        while stack:
+            obj = stack.pop()
+            collect(type(obj).__name__, vars(obj).get("_batch_cache", {}))
+            if isinstance(obj, MeasureStep):
+                stack += [child for _, _, child in obj.children]
+            elif isinstance(obj, (GadgetStep, PrepareState, QueryStep)):
+                stack.append(obj.child)
+    return found
+
+
+def test_compiled_amplitudes_are_float64():
+    found: dict[str, list] = {}
+    for plan in (build_unb(6, 2), build_equality(4), build_appendix_a()):
+        assert verify_exactness(plan).exact
+        for kind, arrays in cached_arrays(plan).items():
+            found.setdefault(kind, []).extend(arrays)
+    # Gadget group matrices, prepared vectors and contract matrices, beside
+    # the integer index maps.
+    assert {"GadgetStep", "PrepareState", "Contract"} <= set(found)
+    for kind, arrays in found.items():
+        for array in arrays:
+            assert array.dtype == np.float64 or array.dtype.kind in "biu", (kind, array.dtype)
+    for kind in ("GadgetStep", "PrepareState", "Contract"):
+        assert any(array.dtype == np.float64 for array in found[kind]), kind
