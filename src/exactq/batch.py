@@ -2,7 +2,8 @@
 
 The state of a block is a tuple of row labels and one float64 amplitude
 matrix, rows by input columns. Each column follows the per-input semantics of
-`verifier._step` and `verifier._Executor._walk`, which stay the reference:
+`verifier._step` and of the summary executor in tests/reference.py, which
+stay the reference:
 
 - every |a| <= STORE_TOL is zeroed after each step;
 - a column is pruned at node entry when its weight is <= branch_tol;
@@ -41,6 +42,12 @@ compiled maps stay on the plan.
 `exit_amplitudes` takes the same steps for the degree audit, but stops at a
 plan's exits: it starts from the raw contract states, prunes nothing and
 never enters a callee.
+
+`leaf_values` takes them for a leaf polynomial: per input, the weight at the
+end of one outcome path of the run tree, as the reference leaf walk of
+tests/reference.py reads it. It steps every child of the current plan that
+has rows, so that a gap anywhere in it surfaces, but enters only the Call on
+the path, and it keeps no memo.
 """
 
 from __future__ import annotations
@@ -184,21 +191,13 @@ class _Walker:
         self.memos: dict[int, tuple[Plan, _Memo]] = {}
 
     def run(self, plan: Plan, inputs: np.ndarray) -> tuple[np.ndarray, _Sums]:
-        """Walk `plan` from its entry state on a block of its inputs: the
-        normalized contract, or the scratch state |0> without one."""
-        width = len(inputs)
-        if plan.contract is None:
-            return np.ones(width, dtype=bool), self.walk(
-                plan.root, (ZERO_LABEL,), np.ones((1, width), dtype=_DTYPE), inputs, plan.n, 0)
-        kappa, norm_sq = contract_columns(plan.contract, inputs)
-        entered = norm_sq > self.branch_tol
-        sums = _Sums.vacuous(width)
+        """Walk `plan` from its entry state on a block of its inputs."""
+        entered, rows, amps = _entry(plan, inputs, self.branch_tol)
+        if entered.all():
+            return entered, self.walk(plan.root, rows, amps, inputs, plan.n, 0)
+        sums = _Sums.vacuous(len(inputs))
         if entered.any():
-            # Times the reciprocal norm, as `LabeledState.normalized` does.
-            amps = kappa[:, entered] * (1.0 / np.sqrt(norm_sq[entered]))
-            _zero_small(amps)
-            sums.put(entered, self.walk(plan.root, plan.contract.labels, amps, inputs[entered],
-                                        plan.n, 0))
+            sums.put(entered, self.walk(plan.root, rows, amps, inputs[entered], plan.n, 0))
         return entered, sums
 
     def memo(self, plan: Plan, inputs: np.ndarray) -> _Sums:
@@ -234,15 +233,8 @@ class _Walker:
                 return self.enter(node.plan, rows, amps, weight, _sub_inputs(node, inputs, n), queries)
             if isinstance(node, MeasureStep):
                 return self.measure(node, rows, amps, inputs, n, queries)
-            if isinstance(node, GadgetStep):
-                rows, amps = _gadget(node, rows, amps)
-            elif isinstance(node, QueryStep):
-                _query(node, rows, amps, inputs, n)
-                queries += 1
-            elif isinstance(node, PrepareState):
-                rows, amps = _prepare(node, weight)
-            else:
-                raise TypeError(f"unknown plan node {node!r}")
+            rows, amps = _advance(node, rows, amps, inputs, n, weight)
+            queries += isinstance(node, QueryStep)
             node = node.child
 
     def measure(self, node: MeasureStep, rows: tuple, amps: np.ndarray,
@@ -363,6 +355,145 @@ class _Walker:
         return sums
 
 
+def _entry(plan: Plan, inputs: np.ndarray, branch_tol: float) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """Which of `inputs` enter `plan` (those whose contract state does not
+    vanish), and the entry states of those that do, as rows and columns: the
+    normalized contract, or the scratch state |0> without one."""
+    if plan.contract is None:
+        width = len(inputs)
+        return np.ones(width, dtype=bool), (ZERO_LABEL,), np.ones((1, width), dtype=_DTYPE)
+    kappa, norm_sq = contract_columns(plan.contract, inputs)
+    entered = norm_sq > branch_tol
+    # Times the reciprocal norm, as `LabeledState.normalized` does.
+    amps = kappa[:, entered] * (1.0 / np.sqrt(norm_sq[entered]))
+    _zero_small(amps)
+    return entered, plan.contract.labels, amps
+
+
+# ---------------------------------------------------------------------------
+# Leaf values (leaf polynomials)
+# ---------------------------------------------------------------------------
+
+
+def leaf_values(plan: Plan, path: tuple, *, branch_tol: float) -> np.ndarray:
+    """Per input, in lexicographic order, the weight of the run-tree node
+    that the outcome path `path` leads to, or 0.0 where the path leaves the
+    tree or the input does not enter the plan.
+
+    As in the run tree, a path element that names no child of a measurement
+    with one child descends into it without being used up, and None is used
+    up by a step with one child or by a Call. Raises PartitionGap where a
+    populated label matches no measurement outcome outside the callees the
+    path enters; inside one, the gap gives the call's weight if the path ends
+    at the callee's root, else 0.0.
+    """
+    count = 1 << plan.n
+    values = np.zeros(count)
+    width = _block_width(plan)
+    for start in range(0, count, width):
+        inputs = np.arange(start, min(count, start + width))
+        entered, rows, amps = _entry(plan, inputs, branch_tol)
+        inputs = inputs[entered]
+        if not len(inputs):
+            continue
+        found, gap = _leaf(plan.root, rows, amps, inputs, plan.n, path, branch_tol)
+        if gap.any():
+            bits = _bits(int(inputs[np.argmax(gap)]), plan.n)
+            raise PartitionGap(f"input {bits}: a branch state has a label that matches "
+                               "no measurement outcome")
+        values[inputs] = found
+    return values
+
+
+def _leaf(node, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n: int,
+          path: tuple | None, branch_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the weight of the node `path` leads to from `node` (0.0
+    off the tree), and whether the column gapped in this plan.
+
+    Every child that has rows is stepped, so that a gap anywhere in the plan
+    surfaces, but only a Call on the path is entered. `path` None marks
+    columns off the path: only their gaps count. The walk owns `amps`.
+    """
+    while True:
+        weight = _weights(amps)
+        live = weight > branch_tol
+        if not live.all():
+            found = weight if path == () else np.zeros(len(weight))
+            gap = np.zeros(len(weight), dtype=bool)
+            if live.any():
+                found[live], gap[live] = _leaf(node, rows, amps[:, live], inputs[live], n,
+                                               path, branch_tol)
+            return found, gap
+        if isinstance(node, Output):
+            return weight if not path else np.zeros(len(weight)), np.zeros(len(weight), dtype=bool)
+        if isinstance(node, Call):
+            if path:
+                weight = _leaf_call(node, rows, amps, weight, _sub_inputs(node, inputs, n),
+                                    path[1:] if path[0] is None else path, branch_tol)
+            return weight, np.zeros(len(weight), dtype=bool)
+        if path == ():
+            # The path ends here; the rest of the plan is walked for its gaps.
+            return weight, _leaf(node, rows, amps, inputs, n, None, branch_tol)[1]
+        if isinstance(node, MeasureStep):
+            return _leaf_measure(node, rows, amps, inputs, n, path, branch_tol)
+        rows, amps = _advance(node, rows, amps, inputs, n, weight)
+        if path and path[0] is None:
+            path = path[1:]
+        node = node.child
+
+
+def _leaf_measure(node: MeasureStep, rows: tuple, amps: np.ndarray, inputs: np.ndarray,
+                  n: int, path: tuple | None, branch_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_leaf` at a measurement: the child `path[0]` names (a lone child when
+    none does) is on the path, the others are walked with path None, and a
+    column that gaps is skipped in later children."""
+    gap_rows, clash, branches, _ = _measure_maps(node, rows)
+    for r, message in clash:
+        if amps[r].any():
+            raise ValueError(message)
+    gap = (amps[gap_rows] != 0).any(axis=0) if len(gap_rows) else np.zeros(len(inputs), dtype=bool)
+    target, rest = None, None
+    if path:
+        target = next((k for k, (oid, _, _) in enumerate(node.children) if oid == path[0]), None)
+        if target is not None:
+            rest = path[1:]
+        elif len(branches) == 1:
+            target, rest = 0, path
+    found = np.zeros(len(inputs))
+    for k, branch in enumerate(branches):
+        if not len(branch[1]):
+            continue
+        cols = np.flatnonzero(~gap) if gap.any() else None
+        if cols is not None and not len(cols):
+            break
+        value, child_gap = _leaf(branch[0], branch[2], _branch(branch, amps, cols),
+                                 inputs if cols is None else inputs[cols], n,
+                                 rest if k == target else None, branch_tol)
+        at = slice(None) if cols is None else cols
+        if k == target:
+            found[at] = value
+        gap[at] |= child_gap
+    return found, gap
+
+
+def _leaf_call(node: Call, rows: tuple, amps: np.ndarray, weight: np.ndarray,
+               sub_inputs: np.ndarray, rest: tuple, branch_tol: float) -> np.ndarray:
+    """`_leaf` through a Call on the path: the callee runs from the call's
+    state, or from |0> at the call's weight when it has no contract, a block
+    of its width at a time. A column that gaps in the callee gives the call's
+    weight if the path ends at the callee's root, else 0.0."""
+    sub = node.plan
+    if sub.contract is None:
+        rows, amps = (ZERO_LABEL,), np.sqrt(weight)[None, :]
+    found = np.zeros(len(weight))
+    width = _block_width(sub)
+    for start in range(0, len(weight), width):
+        cols = slice(start, start + width)
+        value, gap = _leaf(sub.root, rows, amps[:, cols], sub_inputs[cols], sub.n, rest, branch_tol)
+        found[cols] = np.where(gap, weight[cols] if rest == () else 0.0, value)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # Exit amplitudes (the degree audit)
 # ---------------------------------------------------------------------------
@@ -430,15 +561,8 @@ def _exits(node, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n: int,
                 yield from _exits(branch[0], branch[2], _branch(branch, amps, None), inputs, n,
                                   path + (oid,), queries)
             return
-        if isinstance(node, GadgetStep):
-            rows, amps = _gadget(node, rows, amps)
-        elif isinstance(node, QueryStep):
-            _query(node, rows, amps, inputs, n)
-            queries += 1
-        elif isinstance(node, PrepareState):
-            rows, amps = _prepare(node, _weights(amps))
-        else:
-            raise TypeError(f"unknown plan node {node!r}")
+        rows, amps = _advance(node, rows, amps, inputs, n, None)
+        queries += isinstance(node, QueryStep)
         node = node.child
     yield path, queries, rows, amps
 
@@ -523,6 +647,21 @@ def _columns(rows: int) -> int:
 # ---------------------------------------------------------------------------
 # Steps
 # ---------------------------------------------------------------------------
+
+
+def _advance(node, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n: int,
+             weight: np.ndarray | None) -> tuple[tuple, np.ndarray]:
+    """The rows and amplitudes after a GadgetStep, QueryStep or
+    PrepareState. `weight` is the columns' squared norms, which a
+    PrepareState carries over, or None to compute them there."""
+    if isinstance(node, GadgetStep):
+        return _gadget(node, rows, amps)
+    if isinstance(node, QueryStep):
+        _query(node, rows, amps, inputs, n)
+        return rows, amps
+    if isinstance(node, PrepareState):
+        return _prepare(node, _weights(amps) if weight is None else weight)
+    raise TypeError(f"unknown plan node {node!r}")
 
 
 def _prepare(node: PrepareState, weight: np.ndarray) -> tuple[tuple, np.ndarray]:
@@ -778,7 +917,8 @@ def _align(contract: Contract, rows: tuple) -> tuple:
 def _least_squares(contract: Contract, kappa: np.ndarray, k_norm_sq: np.ndarray,
                    rows: tuple, amps: np.ndarray):
     """Per column, the best c with state ~ c * kappa and the norm of the
-    stored state - c * kappa, as `least_squares_match` computes them."""
+    stored state - c * kappa, as the reference `least_squares_match` of
+    tests/reference.py computes them."""
     inside, at, outside = _align(contract, rows)
     overlap = (kappa[inside] * amps[at]).sum(axis=0)
     coeff = overlap / np.where(k_norm_sq > 0.0, k_norm_sq, 1.0)

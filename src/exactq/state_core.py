@@ -135,12 +135,6 @@ class LabeledState:
         """Relabel support; labels absent from the mapping pass through."""
         return LabeledState((mapping.get(l, l), a) for l, a in self._amps.items())
 
-    def almost_equal(self, other: LabeledState, atol: float = 1e-9) -> bool:
-        for label in self.support() | other.support():
-            if abs(self.amplitude(label) - other.amplitude(label)) > atol:
-                return False
-        return True
-
     def __len__(self) -> int:
         return len(self._amps)
 
@@ -158,21 +152,6 @@ class LabeledState:
     def __repr__(self) -> str:
         inner = ", ".join(f"{l!r}: {a:.6g}" for l, a in self.sorted_items())
         return f"LabeledState({{{inner}}})"
-
-
-def least_squares_match(state: LabeledState, reference: LabeledState) -> tuple[complex, float]:
-    """Best scalar c with state ~ c * reference, and the residual norm.
-
-    The residual is the norm of the stored state - c * reference, so
-    differences at or below STORE_TOL count as zero.
-    """
-    ref_sq = reference.squared_norm()
-    if ref_sq == 0.0:
-        return 0j, math.sqrt(state.squared_norm())
-    overlap = sum(a.conjugate() * state.amplitude(l) for l, a in reference.items())
-    c = overlap / ref_sq
-    mismatch = LabeledState(list(state.items()) + [(l, -c * a) for l, a in reference.items()])
-    return c, math.sqrt(mismatch.squared_norm())
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,22 +1,18 @@
 """Exhaustive certification of plans and of their polynomials.
 
-`verify_exactness`, the acceptance polynomial of `extract_multilinear` and
-the degree audit `audit_leaf_degrees` run all inputs through a plan at once
-with the input-batched walkers of `batch.py`; `_fourier` inverts the
-resulting value tables. The per-input walkers here are the reference the
-batched ones are tested against, and they serve what looks at one input at
-a time:
+`verify_exactness`, the acceptance and leaf polynomials of
+`extract_multilinear` and the degree audit `audit_leaf_degrees` run all
+inputs through a plan at once with the input-batched walkers of `batch.py`;
+`_fourier` inverts the resulting value tables. What stays here looks at one
+input at a time:
 
 - `_step` holds the per-input semantics of PrepareState, GadgetStep,
   QueryStep and MeasureStep on an unnormalized `LabeledState`;
-- `_Executor._walk` folds over it into a summary: mass per output, deepest
-  query count and worst call residual. A call on a state proportional to
-  the callee's input contract reuses the callee's memoized summary, scaled
-  by the squared proportionality factor; any other call runs the callee
-  directly, so that broken plans produce honest wrong outputs rather than
-  crashes;
-- `_Executor.trace` builds the full run tree of one input (`run_on_input`),
-  and `_follow` reads one path of it (leaf polynomials).
+- `_trace_walk` folds over it into the full run tree of one input
+  (`run_on_input`).
+
+The per-input summary executor and leaf walk that the batched walkers are
+tested against fold over `_step` too; they live in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -39,15 +35,8 @@ from .plans import (
     PlanNode,
     PrepareState,
     QueryStep,
-    Wire,
 )
-from .state_core import (
-    LabeledState,
-    ZERO_LABEL,
-    apply_bindings,
-    least_squares_match,
-    measure,
-)
+from .state_core import LabeledState, ZERO_LABEL, apply_bindings, measure
 
 DEFAULT_TOL = 1e-9
 DEFAULT_BRANCH_TOL = 1e-9
@@ -106,161 +95,45 @@ class VerificationReport:
         return out
 
 
-@dataclass(frozen=True)
-class _Summary:
-    """Aggregate of one plan run: worst reachable query depth, per-output
-    mass (total and heaviest single branch), and worst call residual."""
-
-    max_queries: int
-    mass: tuple[tuple[int, float, float], ...]
-    residual: float
-
-
-_VACUOUS = _Summary(0, (), 0.0)
-
-
-def _merge_masses(parts: Iterable[tuple[tuple[int, float, float], ...]]) -> tuple:
-    acc: dict[int, tuple[float, float]] = {}
-    for mass in parts:
-        for output, total, heaviest in mass:
-            t, h = acc.get(output, (0.0, 0.0))
-            acc[output] = (t + total, max(h, heaviest))
-    return tuple((o, t, h) for o, (t, h) in sorted(acc.items()))
+def _entry_state(plan: Plan, oracle: OracleSpec, branch_tol: float) -> LabeledState | None:
+    """Normalized entry state, or None when the contract vanishes (the input
+    cannot reach this subroutine at all)."""
+    if plan.contract is None:
+        return _SCRATCH
+    raw = plan.contract(oracle.xhat)
+    norm_sq = raw.squared_norm()
+    if norm_sq <= branch_tol:
+        return None
+    return raw.scaled(1.0 / math.sqrt(norm_sq))
 
 
-def _scale_mass(mass: tuple, factor: float) -> tuple:
-    return tuple((o, t * factor, h * factor) for o, t, h in mass)
-
-
-def _resolve_bits(bits: tuple[int, ...], wires: tuple[Wire, ...]) -> tuple[int, ...]:
-    return tuple(bits[w[1] - 1] if w[0] == "var" else w[1] for w in wires)
-
-
-class _Executor:
-    def __init__(self, *, tol: float = DEFAULT_TOL, branch_tol: float = DEFAULT_BRANCH_TOL):
-        self.tol = tol
-        self.branch_tol = branch_tol
-        self.cache: dict[tuple[int, tuple[int, ...]], _Summary] = {}
-
-    # -- plan entry ---------------------------------------------------------
-
-    def entry_state(self, plan: Plan, oracle: OracleSpec) -> LabeledState | None:
-        """Normalized entry state, or None when the contract vanishes (the
-        input cannot reach this subroutine at all)."""
-        if plan.contract is None:
-            return _SCRATCH
-        raw = plan.contract(oracle.xhat)
-        norm_sq = raw.squared_norm()
-        if norm_sq <= self.branch_tol:
-            return None
-        return raw.scaled(1.0 / math.sqrt(norm_sq))
-
-    def run_plan(self, plan: Plan, bits: tuple[int, ...]) -> _Summary:
-        key = (id(plan), bits)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        oracle = OracleSpec.from_bits(bits)
-        entry = self.entry_state(plan, oracle)
-        if entry is None:
-            summary = _VACUOUS
-        else:
-            summary = self._walk(plan.root, entry, bits, oracle, 0)
-        self.cache[key] = summary
-        return summary
-
-    # -- node stepping ------------------------------------------------------
-
-    def _walk(self, node: PlanNode, state: LabeledState, bits: tuple[int, ...],
-              oracle: OracleSpec, queries: int) -> _Summary:
-        weight = state.squared_norm()
-        if weight <= self.branch_tol:
-            return _VACUOUS
-        if isinstance(node, Output):
-            return _Summary(queries, ((node.bit, weight, weight),), 0.0)
-        if isinstance(node, Call):
-            return self._call(node, state, weight, bits, queries)
-        branches = _step(node, state, weight, oracle)
-        if len(branches) == 1:
-            _, child, branch, spent = branches[0]
-            return self._walk(child, branch, bits, oracle, queries + spent)
-        results = [self._walk(child, branch, bits, oracle, queries + spent)
-                   for _, child, branch, spent in branches]
-        max_q = max((r.max_queries for r in results if r.mass), default=0)
-        residual = max((r.residual for r in results), default=0.0)
-        return _Summary(max_q, _merge_masses(r.mass for r in results), residual)
-
-    def _call(self, node: Call, state: LabeledState, weight: float,
-              bits: tuple[int, ...], queries: int) -> _Summary:
-        sub = node.plan
-        bits_sub = _resolve_bits(bits, node.wires)
-        if sub.contract is None:
-            inner = self.run_plan(sub, bits_sub)
-            if not inner.mass:
-                return _Summary(0, (), inner.residual)
-            return _Summary(queries + inner.max_queries,
-                            _scale_mass(inner.mass, weight), inner.residual)
-
-        oracle_sub = OracleSpec.from_bits(bits_sub)
-        kappa = sub.contract(oracle_sub.xhat)
-        k_norm_sq = kappa.squared_norm()
-        if k_norm_sq > self.branch_tol:
-            coeff, residual = least_squares_match(state, kappa)
-            if residual <= self.tol * max(1.0, math.sqrt(weight)):
-                inner = self.run_plan(sub, bits_sub)
-                factor = abs(coeff) ** 2 * k_norm_sq
-                if not inner.mass or factor <= self.branch_tol:
-                    return _Summary(0, (), max(residual, inner.residual))
-                return _Summary(queries + inner.max_queries,
-                                _scale_mass(inner.mass, factor),
-                                max(residual, inner.residual))
-        else:
-            residual = math.sqrt(weight)
-        # The branch state is outside the callee's input family: run it
-        # through the callee directly and let wrong outputs surface. If it
-        # escapes the callee's measurement algebra entirely, report the
-        # branch as output -1, which can never match a truth value.
+def _trace_walk(node: PlanNode, state: LabeledState, bits: tuple[int, ...], oracle: OracleSpec,
+                queries: int, outcome: tuple | None, branch_tol: float) -> RunTree:
+    """The full run tree from `node` on one input, without memoization."""
+    weight = state.squared_norm()
+    if weight <= branch_tol:
+        return RunTree("pruned", outcome, weight, queries, None, False, ())
+    if isinstance(node, Output):
+        return RunTree("output", outcome, weight, queries, node.bit, True, ())
+    if isinstance(node, Call):
+        bits_sub, oracle_sub, entry = _enter(node, state, weight, bits)
         try:
-            inner = self._walk(sub.root, state, bits_sub, oracle_sub, queries)
+            child = _trace_walk(node.plan.root, entry, bits_sub, oracle_sub, queries, None, branch_tol)
         except PartitionGap:
-            return _Summary(queries, ((-1, weight, weight),), residual)
-        return _Summary(inner.max_queries, inner.mass, max(residual, inner.residual))
-
-    # -- traced run (full tree, no memoization) -----------------------------
-
-    def trace(self, plan: Plan, bits: tuple[int, ...]) -> RunTree:
-        oracle = OracleSpec.from_bits(bits)
-        entry = self.entry_state(plan, oracle)
-        if entry is None:
-            return RunTree("vacuous", None, 0.0, 0, None, False, ())
-        return self._trace_walk(plan.root, entry, bits, oracle, 0, None)
-
-    def _trace_walk(self, node: PlanNode, state: LabeledState, bits: tuple[int, ...],
-                    oracle: OracleSpec, queries: int, outcome: tuple | None) -> RunTree:
-        weight = state.squared_norm()
-        if weight <= self.branch_tol:
-            return RunTree("pruned", outcome, weight, queries, None, False, ())
-        if isinstance(node, Output):
-            return RunTree("output", outcome, weight, queries, node.bit, True, ())
-        if isinstance(node, Call):
-            bits_sub, oracle_sub, entry = _enter(node, state, weight, bits)
-            try:
-                child = self._trace_walk(node.plan.root, entry, bits_sub, oracle_sub, queries, None)
-            except PartitionGap:
-                child = RunTree("gap", None, weight, queries, -1, True, ())
-            return RunTree("call", outcome, weight, queries, None, True, (child,))
-        kids = tuple([self._trace_walk(child, branch, bits, oracle, queries + spent, oid)
-                      for oid, child, branch, spent in _step(node, state, weight, oracle)])
-        return RunTree(_TRACE_KIND[type(node)], outcome, weight, queries, None, True, kids)
+            child = RunTree("gap", None, weight, queries, -1, True, ())
+        return RunTree("call", outcome, weight, queries, None, True, (child,))
+    kids = tuple([_trace_walk(child, branch, bits, oracle, queries + spent, oid, branch_tol)
+                  for oid, child, branch, spent in _step(node, state, weight, oracle)])
+    return RunTree(_TRACE_KIND[type(node)], outcome, weight, queries, None, True, kids)
 
 
 def _enter(node: Call, state: LabeledState, weight: float,
            bits: tuple[int, ...]) -> tuple[tuple[int, ...], OracleSpec, LabeledState]:
-    """How a traced walk enters a Call's callee: the callee's input bits,
+    """How a per-input walk enters a Call's callee: the callee's input bits,
     its oracle, and its entry state, which is the call's state, or the
     scratch state |0> at the call's weight for a callee without a
     contract."""
-    bits_sub = _resolve_bits(bits, node.wires)
+    bits_sub = tuple(bits[w[1] - 1] if w[0] == "var" else w[1] for w in node.wires)
     entry = _SCRATCH.scaled(math.sqrt(weight)) if node.plan.contract is None else state
     return bits_sub, OracleSpec.from_bits(bits_sub), entry
 
@@ -270,9 +143,9 @@ def _step(node: PlanNode, state: LabeledState, weight: float,
     """Branches of one inner plan node, as (outcome id or None, child node,
     branch state, queries spent) tuples.
 
-    This is where the per-input step semantics live. Every walker in this
-    module folds over it, and the input-batched walker of `batch.py` must
-    match it column by column, which tests/test_batch.py checks. `weight` is
+    This is where the per-input step semantics live. Every per-input walker
+    folds over it, and the input-batched walkers of `batch.py` must match it
+    column by column, which tests/test_batch.py checks. `weight` is
     the squared norm of `state`, which a PrepareState carries over to its
     prepared state. The helpers are looked up as module globals at call
     time, so they can be wrapped from outside.
@@ -311,7 +184,11 @@ def run_on_input(
     bits = tuple(x)
     if len(bits) != plan.n:
         raise ValueError(f"plan has n={plan.n}, input has {len(bits)} bits")
-    return _Executor(tol=tol, branch_tol=branch_tol).trace(plan, bits)
+    oracle = OracleSpec.from_bits(bits)
+    entry = _entry_state(plan, oracle, branch_tol)
+    if entry is None:
+        return RunTree("vacuous", None, 0.0, 0, None, False, ())
+    return _trace_walk(plan.root, entry, bits, oracle, 0, None, branch_tol)
 
 
 def tree_leaves(tree: RunTree) -> list[RunTree]:
@@ -476,61 +353,10 @@ def extract_multilinear(
         _, sums = _summarize(plan, tol=tol, branch_tol=branch_tol)
         return MultilinearPoly.from_values(plan.n, sums.total[2])
     if isinstance(selector, tuple) and len(selector) == 2 and selector[0] == "leaf":
-        values = _leaf_values(plan, tuple(selector[1]), tol=tol, branch_tol=branch_tol)
-        return MultilinearPoly.from_values(plan.n, values)
+        from .batch import leaf_values
+        return MultilinearPoly.from_values(plan.n, leaf_values(plan, tuple(selector[1]),
+                                                               branch_tol=branch_tol))
     raise ValueError(f"unknown selector {selector!r}")
-
-
-def _leaf_values(plan: Plan, path: tuple, *, tol: float, branch_tol: float) -> list[float]:
-    """Per input, in lexicographic order, the weight of the run-tree node
-    that `path` leads to, walking each input along the path only."""
-    executor = _Executor(tol=tol, branch_tol=branch_tol)
-    values = []
-    for bits in product((0, 1), repeat=plan.n):
-        oracle = OracleSpec.from_bits(bits)
-        entry = executor.entry_state(plan, oracle)
-        values.append(0.0 if entry is None else
-                      _follow(plan.root, entry, bits, oracle, path, branch_tol))
-    return values
-
-
-def _follow(node: PlanNode, state: LabeledState, bits: tuple[int, ...], oracle: OracleSpec,
-            path: tuple | None, branch_tol: float) -> float:
-    """Weight of the node that `path` leads to in the run tree `trace` would
-    build from `node`, or 0.0 when the path leaves the tree.
-
-    Like `_trace_walk`, it steps every unpruned branch of the current plan, so
-    that a PartitionGap anywhere in it is raised, but it enters only the Call
-    the path goes through; `path` None marks a branch off the path. A path
-    element that names no child descends into a lone child without being used
-    up, as in the run tree.
-    """
-    weight = state.squared_norm()
-    if weight <= branch_tol or isinstance(node, Output):
-        return weight if path == () else 0.0
-    if isinstance(node, Call):
-        if not path:
-            return weight
-        bits_sub, oracle_sub, entry = _enter(node, state, weight, bits)
-        rest = path[1:] if path[0] is None else path
-        try:
-            return _follow(node.plan.root, entry, bits_sub, oracle_sub, rest, branch_tol)
-        except PartitionGap:
-            return weight if rest == () else 0.0
-    branches = _step(node, state, weight, oracle)
-    target, rest = None, None
-    if path:
-        target = next((k for k, (oid, _, _, _) in enumerate(branches) if oid == path[0]), None)
-        if target is not None:
-            rest = path[1:]
-        elif len(branches) == 1:
-            target, rest = 0, path
-    found = weight if path == () else 0.0
-    for k, (_, child, branch, _) in enumerate(branches):
-        value = _follow(child, branch, bits, oracle, rest if k == target else None, branch_tol)
-        if k == target:
-            found = value
-    return found
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
-"""Differential tests: the input-batched summary against the per-input
-LabeledState executor, which is the reference."""
+"""Differential tests: the input-batched summary and leaf walks against the
+per-input LabeledState reference of tests/reference.py."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -12,12 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactq import (
+    Call,
     Contract,
     GadgetStep,
     LabeledState,
     MeasureStep,
     MeasurementPartition,
     Output,
+    PartitionGap,
     Plan,
     PrepareState,
     QueryStep,
@@ -33,10 +36,14 @@ from exactq import (
     solve_step_constants,
     verify_exactness,
 )
-from exactq.batch import _Bindings, exit_amplitudes, summarize
+from exactq.batch import _Bindings, exit_amplitudes, leaf_values, summarize
 from exactq.gadgets import OracleSpec
+from exactq.plans import var
 from exactq.state_core import S_LABEL, idx
-from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _collect_plans, _Executor
+from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _collect_plans, _enter, _entry_state, _step
+import reference
+import test_verifier
+from reference import Executor
 from test_verifier import s_only_measure, small_plan
 
 OUTPUTS = (-1, 0, 1)
@@ -46,7 +53,7 @@ STEP_FIELDS = ("c1", "c2", "c8", "c9", "gamma")
 def reference_report(plan, *, tol=DEFAULT_TOL):
     """(exact, worst-case queries, counterexample (input, output) list) of
     the per-input executor, by the verdict rule of `verify_exactness`."""
-    executor = _Executor(tol=tol)
+    executor = Executor(tol=tol)
     worst, residual, wrong_mass, counterexamples = 0, 0.0, 0.0, []
     for bits in itertools.product((0, 1), repeat=plan.n):
         if executor.entry_state(plan, OracleSpec.from_bits(bits)) is None:
@@ -65,7 +72,7 @@ def reference_report(plan, *, tol=DEFAULT_TOL):
 
 def assert_batch_matches_executor(plan):
     entered, sums = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
-    executor = _Executor()
+    executor = Executor()
     for index, bits in enumerate(itertools.product((0, 1), repeat=plan.n)):
         summary = executor.run_plan(plan, bits)
         masses = {output: (total, heaviest) for output, total, heaviest in summary.mass}
@@ -93,14 +100,17 @@ def mutated_unbr(n, d, name, delta):
 deltas = st.floats(1e-4, 1e-2).flatmap(lambda x: st.sampled_from((x, -x)))
 
 
-@pytest.mark.parametrize("make_plan", [
-    lambda: build_unb(6, 2),
-    lambda: build_unbr(5, 1),
-    lambda: build_equality(4),
-    lambda: build_exact_kl(8, 2, 6),
-], ids=["unb62", "unbr51", "equality4", "exactkl826"])
-def test_valid_plans_match(make_plan):
-    assert_batch_matches_executor(make_plan())
+VALID_PLANS = {
+    "unb62": lambda: build_unb(6, 2),
+    "unbr51": lambda: build_unbr(5, 1),
+    "equality4": lambda: build_equality(4),
+    "exactkl826": lambda: build_exact_kl(8, 2, 6),
+}
+
+
+@pytest.mark.parametrize("name", VALID_PLANS)
+def test_valid_plans_match(name):
+    assert_batch_matches_executor(VALID_PLANS[name]())
 
 
 @settings(max_examples=6, deadline=None)
@@ -213,3 +223,113 @@ def test_compiled_amplitudes_are_float64():
             assert array.dtype == np.float64 or array.dtype.kind in "biu", (kind, array.dtype)
     for kind in ("GadgetStep", "PrepareState", "Contract"):
         assert any(array.dtype == np.float64 for array in found[kind]), kind
+
+
+# ---------------------------------------------------------------------------
+# Leaf values
+# ---------------------------------------------------------------------------
+
+
+def reachable_path(plan, bits, rng):
+    """An outcome path that carries weight on the input `bits`: from the
+    entry state down to an Output, taking a random branch with weight at
+    each measurement and entering every Call."""
+    oracle = OracleSpec.from_bits(bits)
+    state = _entry_state(plan, oracle, DEFAULT_BRANCH_TOL)
+    node, path = plan.root, ()
+    while state is not None and not isinstance(node, Output):
+        weight = state.squared_norm()
+        if isinstance(node, Call):
+            bits, oracle, state = _enter(node, state, weight, bits)
+            node = node.plan.root
+            continue
+        try:
+            branches = [branch for branch in _step(node, state, weight, oracle)
+                        if branch[2].squared_norm() > DEFAULT_BRANCH_TOL]
+        except PartitionGap:
+            break
+        outcome, node, state, _ = rng.choice(branches)
+        if outcome is not None:
+            path += (outcome,)
+    return path
+
+
+def assert_leaf_values_match_reference(plan, rng, count):
+    """`leaf_values` within 1e-12 of the reference on every input, on the
+    paths to `count` random leaves of random inputs and on their prefixes."""
+    paths = set()
+    for _ in range(count):
+        path = reachable_path(plan, tuple(rng.randrange(2) for _ in range(plan.n)), rng)
+        paths.update((path, path[:-1], path[:1]))
+    for path in sorted(paths, key=repr):
+        expected = reference.leaf_values(plan, path)
+        values = leaf_values(plan, path, branch_tol=DEFAULT_BRANCH_TOL)
+        assert np.abs(values - expected).max() <= 1e-12, path
+
+
+LEAF_PLANS = {**VALID_PLANS, "appendixA": build_appendix_a}
+
+
+@pytest.mark.parametrize("name", LEAF_PLANS)
+def test_leaf_values_match_reference(name):
+    assert_leaf_values_match_reference(LEAF_PLANS[name](), random.Random(name), 3)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from(((5, 1), (6, 2))), st.sampled_from(STEP_FIELDS), deltas,
+       st.randoms(use_true_random=False))
+def test_mutated_step_constants_leaf_values_match(nd, name, delta, rng):
+    plan = mutated_unbr(*nd, name, abs(delta) if name == "gamma" else delta)
+    assert_leaf_values_match_reference(plan, rng, 2)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.floats(0.0, 0.5), st.randoms(use_true_random=False))
+def test_gamma_override_leaf_values_match(gamma, rng):
+    assert_leaf_values_match_reference(build_unb(5, 1, gamma_override=gamma), rng, 2)
+
+
+def leaf_values_both(plan, path):
+    """The batched and the reference leaf values, as lists."""
+    return (leaf_values(plan, path, branch_tol=DEFAULT_BRANCH_TOL).tolist(),
+            reference.leaf_values(plan, path))
+
+
+def test_leaf_walk_top_level_gap_raises():
+    state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
+    plan = small_plan(PrepareState(state, s_only_measure()))
+    for path in ((), (("s",),)):
+        with pytest.raises(PartitionGap):
+            leaf_values(plan, path, branch_tol=DEFAULT_BRANCH_TOL)
+        with pytest.raises(PartitionGap):
+            reference.leaf_values(plan, path)
+
+
+def test_leaf_walk_gap_in_a_mismatched_call():
+    # The call's state is not proportional to the callee's contract |S>, so
+    # the callee runs on it. Its branch |1> gaps after its branch |S> has
+    # been read: a path into the callee reads 0, and a path that ends at the
+    # callee's root reads the call's weight.
+    split = MeasurementPartition(((("s",), lambda label: label == S_LABEL),
+                                  (("i",), lambda label: label == idx(1))))
+    callee = small_plan(MeasureStep(split, ((("s",), None, Output(1)), (("i",), None, s_only_measure()))),
+                        contract=Contract(1, (S_LABEL,), (1.0,), ((0.0,),)))
+    state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
+    plan = small_plan(PrepareState(state, Call(callee, (var(1),))))
+    assert leaf_values_both(plan, (None, None)) == ([1.0, 1.0], [1.0, 1.0])
+    assert leaf_values_both(plan, (("s",),)) == ([0.0, 0.0], [0.0, 0.0])
+    assert leaf_values_both(plan, (None, None, ("s",))) == ([0.0, 0.0], [0.0, 0.0])
+
+
+def test_leaf_walk_overlapping_outcomes():
+    # Outcomes that overlap on a populated label are an error of the plan on
+    # any path; on a label that cancelled, they are harmless.
+    plan = test_verifier.TestErrorSemantics.overlap_plan((0.6, 0.0, 0.8))
+    for path in ((("all",), ("a",)), (("all",), ("b",))):
+        with pytest.raises(ValueError, match="matches outcomes"):
+            leaf_values(plan, path, branch_tol=DEFAULT_BRANCH_TOL)
+        with pytest.raises(ValueError, match="matches outcomes"):
+            reference.leaf_values(plan, path)
+    plan = test_verifier.TestErrorSemantics.overlap_plan((0.6, -0.6, math.sqrt(0.28)))
+    assert leaf_values_both(plan, (("all",), ("a",))) == (
+        [pytest.approx(0.28)] * 2, [pytest.approx(0.28)] * 2)

@@ -6,6 +6,7 @@ import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,57 +36,20 @@ from exactq import (
     solve_step_constants,
     symmetrize_to_univariate,
 )
+from exactq.batch import leaf_values as batch_leaf_values
 from exactq.gadgets import OracleSpec
 from exactq.plans import var
 from exactq.state_core import S_LABEL, idx
 from exactq.verifier import (
     DEFAULT_BRANCH_TOL,
-    DEFAULT_TOL,
     LeafDegreeRecord,
     _SCRATCH,
     _collect_plans,
-    _leaf_values,
     _step,
 )
+from reference import leaf_values, leaf_weight, output_leaf_paths
 from test_batch import STEP_FIELDS, deltas, mutated_unbr
 from test_verifier import s_only_measure, small_plan
-
-
-def leaf_weight(tree, path):
-    """Reference: the weight of the node an outcome path leads to in a full
-    run tree. A path element that names no child descends into a lone child
-    without being used up; anything else off the tree weighs 0."""
-    remaining = path
-    node = tree
-    while True:
-        if not remaining:
-            return node.norm_sq if node.reachable or node.kind == "pruned" else 0.0
-        advanced = False
-        for child in node.children:
-            if child.outcome == remaining[0]:
-                node, remaining, advanced = child, remaining[1:], True
-                break
-        if not advanced:
-            if len(node.children) == 1:
-                node = node.children[0]
-            else:
-                return 0.0
-
-
-def output_leaf_paths(trees):
-    """Outcome paths of every leaf that carries an output, gap leaves
-    included, over a list of run trees."""
-    paths = set()
-
-    def visit(node, path):
-        if node.output is not None:
-            paths.add(path)
-        for child in node.children:
-            visit(child, path if child.outcome is None else path + (child.outcome,))
-
-    for tree in trees:
-        visit(tree, ())
-    return sorted(paths, key=repr)
 
 
 def exit_states(node, state, oracle, path=(), queries=0):
@@ -152,8 +116,6 @@ class TestMultilinearPoly:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**10))
     def test_inversion_roundtrip(self, n, seed):
-        import numpy as np
-
         rng = np.random.default_rng(seed)
         values = rng.standard_normal(2**n)
         poly = MultilinearPoly.from_values(n, values, tol=0.0)
@@ -193,17 +155,40 @@ class TestLeafPolynomials:
         (mutated_unbr_5_1, 1),
     ], ids=["unb62", "unbr51-c1-mutated"])
     def test_path_walk_equals_full_run_tree(self, make_plan, stride):
-        # The path-only walk must read exactly the weight the full run tree
-        # holds at the end of the path, on every input. unb(6,2) has 391
-        # output leaf paths; every 13th is checked to keep the test short.
+        # The reference path-only walk must read exactly the weight the full
+        # run tree holds at the end of the path, on every input. unb(6,2) has
+        # 391 output leaf paths; every 13th is checked to keep the test short.
         plan = make_plan()
         trees = [run_on_input(plan, bits) for bits in itertools.product((0, 1), repeat=plan.n)]
         paths = output_leaf_paths(trees)[::stride]
         for path in paths + [path[:-1] for path in paths if path]:
             expected = [leaf_weight(tree, path) for tree in trees]
-            assert _leaf_values(plan, path, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL) == expected, path
-        poly = extract_multilinear(plan, ("leaf", paths[0]))
-        assert poly == MultilinearPoly.from_values(plan.n, [leaf_weight(tree, paths[0]) for tree in trees])
+            assert leaf_values(plan, path) == expected, path
+        # extract_multilinear runs the batched walker, whose float64 sums
+        # may differ from the tree's in the last bits.
+        assert_same_polynomial(extract_multilinear(plan, ("leaf", paths[0])),
+                               MultilinearPoly.from_values(plan.n, [leaf_weight(tree, paths[0])
+                                                                    for tree in trees]))
+
+    @pytest.mark.parametrize("make_plan", [lambda: build_unb(6, 2), mutated_unbr_5_1],
+                             ids=["unb62", "unbr51-c1-mutated"])
+    def test_batched_walk_matches_full_run_tree_on_every_path(self, make_plan):
+        plan = make_plan()
+        trees = [run_on_input(plan, bits) for bits in itertools.product((0, 1), repeat=plan.n)]
+        paths = output_leaf_paths(trees)
+        for path in paths + [path[:-1] for path in paths if path]:
+            expected = [leaf_weight(tree, path) for tree in trees]
+            values = batch_leaf_values(plan, path, branch_tol=DEFAULT_BRANCH_TOL)
+            assert np.abs(values - expected).max() <= 1e-12, path
+            assert_same_polynomial(MultilinearPoly.from_values(plan.n, values),
+                                   MultilinearPoly.from_values(plan.n, expected))
+
+
+def assert_same_polynomial(poly, expected):
+    """Same support, and coefficients within 1e-15."""
+    assert [s for s, _ in poly.coeffs] == [s for s, _ in expected.coeffs]
+    assert [c for _, c in poly.coeffs] == pytest.approx([c for _, c in expected.coeffs],
+                                                        rel=0.0, abs=1e-15)
 
 
 class TestSymmetrization:

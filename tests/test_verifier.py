@@ -33,7 +33,8 @@ from exactq.batch import summarize
 from exactq.gadgets import extract_trailing_index
 from exactq.plans import var
 from exactq.state_core import S_LABEL, idx
-from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _Executor
+from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL
+from reference import Executor
 
 
 def check_norm_conservation(tree, depth=1):
@@ -118,7 +119,7 @@ class TestRunTree:
         # summaries must account for the same mass per output, "gap" leaves
         # (output -1) included, and agree on the deepest query count.
         plan = make_plan()
-        executor = _Executor()
+        executor = Executor()
         _, sums = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
         for index, bits in enumerate(itertools.product((0, 1), repeat=plan.n)):
             summary = executor.run_plan(plan, bits)
@@ -232,14 +233,14 @@ class TestErrorSemantics:
         report = verify_exactness(plan)
         assert not report.exact and report.counterexamples == ()
         assert report.max_norm_residual == pytest.approx(0.72)
-        assert _Executor().run_plan(plan, (0,)).mass == ((1, pytest.approx(0.28), pytest.approx(0.28)),)
+        assert Executor().run_plan(plan, (0,)).mass == ((1, pytest.approx(0.28), pytest.approx(0.28)),)
 
     def test_outcomes_overlapping_on_a_populated_label_raise(self):
         plan = self.overlap_plan((0.6, 0.0, 0.8))
         with pytest.raises(ValueError, match="matches outcomes"):
             verify_exactness(plan)
         with pytest.raises(ValueError, match="matches outcomes"):
-            _Executor().run_plan(plan, (0,))
+            Executor().run_plan(plan, (0,))
 
 
 class TestVacuousContracts:
