@@ -30,7 +30,14 @@ Gadget steps are one gather, one matrix product and one scatter per group of
 bindings that share a gadget. Their index maps, like those of queries and
 measurements, are compiled once per (node, row-label tuple) and kept on the
 node, so a plan compiles at its first walk, never while it is built.
-Sibling branches of a measurement that call one plan run as one call.
+
+The summary of a block is one (9, columns) float64 matrix (`_Sums`): three
+rows of total mass per output, which branches merge by adding, and six rows
+merged by maximum (deepest query count, heaviest branch per output, call
+residual, gap flag). Adjacent sibling branches of a measurement that call
+one plan run as one call over all their columns, and their summaries fold
+into the measurement's in one pass: one accumulation of the totals in
+branch order and one maximum over the rest.
 
 An input contract is affine in the +-1 input, so the contract states of a
 block are one product of its matrix over (1, xhat), compiled at the first
@@ -52,7 +59,7 @@ the path, and it keeps no memo.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, groupby
 
 import numpy as np
 
@@ -81,56 +88,64 @@ _MAX_NORM = STORE_TOL / _NEGLIGIBLE
 
 
 class _Sums:
-    """Per-column summary of a run: deepest query count over branches with
-    mass (-1 when no branch carries mass), total and heaviest-branch mass per
-    output (rows for outputs -1, 0 and 1), worst call residual, and the gap
-    flag."""
+    """Per-column summary of a run, packed in one (9, columns) float64
+    matrix `data`. Rows 0-2 are the total mass per output (-1, 0, 1), which
+    branches merge by adding. Rows 3-8 merge by maximum: the deepest query
+    count over branches with mass (-1 when no branch carries mass), the
+    heaviest-branch mass per output, the worst call residual, and the gap
+    flag as 0 or 1. The named fields are views of their rows."""
 
-    __slots__ = ("maxq", "total", "heavy", "resid", "gap")
+    __slots__ = ("data",)
 
-    def __init__(self, maxq, total, heavy, resid, gap):
-        self.maxq = maxq
-        self.total = total
-        self.heavy = heavy
-        self.resid = resid
-        self.gap = gap
+    def __init__(self, data: np.ndarray):
+        self.data = data
+
+    total = property(lambda self: self.data[:3])
+    maxq = property(lambda self: self.data[3])
+    heavy = property(lambda self: self.data[4:7])
+    resid = property(lambda self: self.data[7])
+    gap = property(lambda self: self.data[8])
 
     @classmethod
     def vacuous(cls, width: int) -> _Sums:
-        return cls(np.full(width, -1), np.zeros((3, width)), np.zeros((3, width)),
-                   np.zeros(width), np.zeros(width, dtype=bool))
+        data = np.zeros((9, width))
+        data[3] = -1.0
+        return cls(data)
 
     @classmethod
     def output(cls, bit: int, weight: np.ndarray, queries: int) -> _Sums:
-        width = len(weight)
-        total = np.zeros((3, width))
-        total[bit + 1] = weight
-        return cls(np.full(width, queries), total, total.copy(),
-                   np.zeros(width), np.zeros(width, dtype=bool))
+        data = np.zeros((9, len(weight)))
+        data[bit + 1] = data[bit + 5] = weight
+        data[3] = queries
+        return cls(data)
 
     def take(self, cols) -> _Sums:
-        return _Sums(self.maxq[cols], self.total[:, cols], self.heavy[:, cols],
-                     self.resid[cols], self.gap[cols])
+        return _Sums(self.data[:, cols])
 
     def put(self, cols, other: _Sums) -> None:
-        self.maxq[cols] = other.maxq
-        self.total[:, cols] = other.total
-        self.heavy[:, cols] = other.heavy
-        self.resid[cols] = other.resid
-        self.gap[cols] = other.gap
+        self.data[:, cols] = other.data
 
     def merge(self, cols, other: _Sums) -> None:
-        """Fold one more branch into the columns `cols` (all when None)."""
-        if cols is None:
-            np.maximum(self.maxq, other.maxq, out=self.maxq)
-            self.total += other.total
-            np.maximum(self.heavy, other.heavy, out=self.heavy)
-            np.maximum(self.resid, other.resid, out=self.resid)
-            self.gap |= other.gap
+        """Fold branches into the columns `cols` (all when None), in branch
+        order. `other` holds one block of as many columns per branch, the
+        branches one after another; several branches use it up."""
+        mine = self.data if cols is None else self.data[:, cols]
+        if other.data.shape[1] == mine.shape[1]:
+            mine[:3] += other.data[:3]
+            np.maximum(mine[3:], other.data[3:], out=mine[3:])
         else:
-            mine = self.take(cols)
-            mine.merge(None, other)
-            self.put(cols, mine)
+            # The totals accumulate in place, one branch after another from
+            # the current sums. np.add.reduce would not keep that order: it
+            # sums pairwise where numpy makes the branch axis its inner loop,
+            # as it does for one column.
+            branches = other.data.reshape(9, -1, mine.shape[1])
+            totals = branches[:3]
+            totals[:, 0] += mine[:3]
+            np.add.accumulate(totals, axis=1, out=totals)
+            mine[:3] = totals[:, -1]
+            np.maximum(mine[3:], branches[3:].max(axis=1), out=mine[3:])
+        if cols is not None:
+            self.data[:, cols] = mine
 
 
 class _Memo:
@@ -174,7 +189,7 @@ def summarize(plan: Plan, *, tol: float, branch_tol: float) -> tuple[np.ndarray,
     for start in range(0, count, width):
         block = np.arange(start, min(count, start + width))
         entered[block], part = walker.run(plan, block)
-        gapped = part.gap & entered[block]
+        gapped = (part.gap != 0) & entered[block]
         if gapped.any():
             bits = _bits(int(block[np.argmax(gapped)]), plan.n)
             raise PartitionGap(f"input {bits}: a branch state has a label that matches "
@@ -241,11 +256,11 @@ class _Walker:
                 inputs: np.ndarray, n: int, queries: int) -> _Sums:
         """Split the rows by outcome and fold the branches in branch order.
 
-        Children that call one plan without merging labels run as one call
-        over all their columns when the first of them is reached. A column
-        that gaps in an earlier of them is still read by the later ones, but
-        the gap discards those reads, as it discards every branch of the
-        column.
+        Adjacent children that call one plan without merging labels run as
+        one call over all their columns when the first of them is reached,
+        and their summaries fold into the columns at once. A column that gaps
+        in one of them is still read by the later ones, but the gap discards
+        those reads, as it discards every branch of the column.
         """
         gap_rows, clash, branches, groups = _measure_maps(node, rows)
         # A label that matches two outcomes is an error of the plan, as in
@@ -255,17 +270,14 @@ class _Walker:
                 raise ValueError(message)
         sums = _Sums.vacuous(len(inputs))
         if len(gap_rows):
-            sums.gap = (amps[gap_rows] != 0).any(axis=0)
+            sums.gap[:] = (amps[gap_rows] != 0).any(axis=0)
 
-        done: dict[int, tuple] = {}
+        folded = 0
         for k, (child, members, labels, _) in enumerate(branches):
-            if k in done:
-                sums.merge(*done.pop(k))
-                continue
-            if not len(members):
+            if k < folded or not len(members):
                 continue
             # A column that gapped stops there, as the per-input walk does.
-            cols = np.flatnonzero(~sums.gap) if sums.gap.any() else None
+            cols = np.flatnonzero(sums.gap == 0) if sums.gap.any() else None
             if cols is not None and not len(cols):
                 break
             block_inputs = inputs if cols is None else inputs[cols]
@@ -275,8 +287,8 @@ class _Walker:
                                            block_inputs, n, queries))
                 continue
             # Sibling calls into one plan run as one call over all their
-            # columns, member by member; each share merges in branch order.
-            sub, union, ks, sources, order, starts, wired, scale, const = group
+            # columns, a member's columns after another's.
+            sub, union, count, sources, order, starts, wired, scale, const = group
             width = len(block_inputs)
             padded = np.zeros((len(rows) + 1, width), dtype=_DTYPE)
             padded[:-1] = amps if cols is None else amps[:, cols]
@@ -288,22 +300,21 @@ class _Walker:
             for b in range(sub.n):
                 sub_inputs += ((block_inputs >> (n - wired[:, b:b + 1])) & 1) * scale[:, b:b + 1]
             sub_inputs = sub_inputs.ravel()
-            shares = _Sums.vacuous(len(ks) * width)
+            shares = _Sums.vacuous(count * width)
             # A block of members at a time: a callee with a contract needs
             # their states, one without only their weights.
             rows_needed = 0 if sub.contract is None else len(union)
             step = max(1, _columns(rows_needed) // width)
-            for first in range(0, len(ks), step):
-                span = slice(first * width, min(len(ks), first + step) * width)
+            for first in range(0, count, step):
+                span = slice(first * width, min(count, first + step) * width)
                 part = np.flatnonzero(live[span]) + span.start
                 if not len(part):
                     continue
                 joined = None if sub.contract is None else \
                     padded[sources[:, first:first + step]].reshape(len(union), -1)[:, part - span.start]
                 shares.put(part, self.enter(sub, union, joined, weight[part], sub_inputs[part], queries))
-            for m, j in enumerate(ks):
-                done[j] = (cols, shares.take(slice(m * width, (m + 1) * width)))
-            sums.merge(*done.pop(k))
+            sums.merge(cols, shares)
+            folded = k + count
         return sums
 
     def enter(self, sub: Plan, rows: tuple, amps: np.ndarray | None, weight: np.ndarray,
@@ -313,9 +324,9 @@ class _Walker:
         ignores the states, so `amps` may then be None."""
         if sub.contract is None:
             sums = self.memo(sub, sub_inputs)
-            sums.maxq = np.where(sums.maxq >= 0, queries + sums.maxq, -1)
-            sums.total *= weight
-            sums.heavy *= weight
+            sums.maxq[:] = np.where(sums.maxq >= 0, queries + sums.maxq, -1)
+            np.multiply(sums.total, weight, out=sums.total)
+            np.multiply(sums.heavy, weight, out=sums.heavy)
             return sums
 
         kappa, k_norm_sq = contract_columns(sub.contract, sub_inputs)
@@ -328,9 +339,9 @@ class _Walker:
             inner = self.memo(sub, sub_inputs[matched])
             factor = np.abs(coeff[matched]) ** 2 * k_norm_sq[matched]
             live = (inner.maxq >= 0) & (factor > self.branch_tol)
-            inner.maxq = np.where(live, queries + inner.maxq, -1)
-            inner.total = np.where(live, inner.total * factor, 0.0)
-            inner.heavy = np.where(live, inner.heavy * factor, 0.0)
+            inner.maxq[:] = np.where(live, queries + inner.maxq, -1)
+            inner.total[:] = np.where(live, inner.total * factor, 0.0)
+            inner.heavy[:] = np.where(live, inner.heavy * factor, 0.0)
             np.maximum(inner.resid, residual[matched], out=inner.resid)
             sums.put(matched, inner)
         # The other states are outside the callee's input family: walk them
@@ -343,14 +354,10 @@ class _Walker:
             cols = rest[start:start + width]
             inner = self.walk(sub.root, rows, amps[:, cols], sub_inputs[cols], sub.n, queries)
             np.maximum(inner.resid, residual[cols], out=inner.resid)
-            gap = inner.gap
+            gap = inner.gap != 0
             if gap.any():
-                inner.maxq[gap] = queries
-                inner.total[:, gap] = 0.0
-                inner.total[0, gap] = weight[cols][gap]
-                inner.heavy[:, gap] = inner.total[:, gap]
+                inner.put(gap, _Sums.output(-1, weight[cols][gap], queries))
                 inner.resid[gap] = residual[cols][gap]
-                inner.gap[:] = False
             sums.put(cols, inner)
         return sums
 
@@ -779,8 +786,8 @@ def _measure_maps(node: MeasureStep, rows: tuple):
     """Rows that match no outcome; rows that match two, with the error
     `classify` gives them; per child, its rows, its labels after the
     rewrite, and where each row lands when the rewrite merges labels; and
-    the groups of children that call one plan without merging labels, keyed
-    by their first member."""
+    the groups of adjacent children that call one plan without merging
+    labels, keyed by their first member."""
     cache = _cache(node)
     maps = cache.get(rows)
     if maps is not None:
@@ -807,13 +814,15 @@ def _measure_maps(node: MeasureStep, rows: tuple):
                 target = np.array([where[label] for label in labels], dtype=np.intp)
                 labels = unique
         branches.append((child, np.array(idx, dtype=np.intp), tuple(labels), target))
-    callers: dict[int, list[int]] = {}
-    for k, (child, _, _, target) in enumerate(branches):
-        if isinstance(child, Call) and target is None:
-            callers.setdefault(id(child.plan), []).append(k)
+
+    def callee(k):
+        child, _, _, target = branches[k]
+        return id(child.plan) if isinstance(child, Call) and target is None else None
+
     groups = {}
-    for ks in callers.values():
-        if len(ks) < 2:
+    for plan_id, run in groupby(range(len(branches)), callee):
+        ks = list(run)
+        if plan_id is None or len(ks) < 2:
             continue
         union = tuple(dict.fromkeys(label for k in ks for label in branches[k][2]))
         where = {label: u for u, label in enumerate(union)}
@@ -828,7 +837,7 @@ def _measure_maps(node: MeasureStep, rows: tuple):
         order = np.concatenate([np.append(branches[k][1], len(rows)) for k in ks])
         starts = np.cumsum([0] + [len(branches[k][1]) + 1 for k in ks[:-1]])
         wired, scale, const = (np.array(w) for w in zip(*(_wiring(branches[k][0]) for k in ks)))
-        groups[ks[0]] = (branches[ks[0]][0].plan, union, ks, sources, order, starts,
+        groups[ks[0]] = (branches[ks[0]][0].plan, union, len(ks), sources, order, starts,
                          wired, scale, const)
     maps = cache[rows] = (np.array(gap, dtype=np.intp), clash, branches, groups)
     return maps

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .algorithms import _hadamard_test_step, _uw_test_step, build_exact_k
+from .algorithms import _hadamard_test_step, _memoized, _uw_test_step, build_exact_k
 from .errors import InconsistentSpec
 from .plans import Call, Output, Plan, PlanNode, const, drop_wires, identity_wires
 
@@ -166,8 +166,10 @@ def _build_outward(
     return plan
 
 
+@_memoized
 def build_sym(spec: SymSpec) -> Plan:
-    """Compile a symmetric function to a plan under the chosen strategy."""
+    """Compile a symmetric function to a plan under the chosen strategy.
+    Plans are shared: build_sym(spec) is build_sym(spec)."""
     if not spec.a or any(c not in "01" for c in spec.a):
         raise ValueError(f"value vector must be a nonempty 0/1 string, got {spec.a!r}")
     if spec.strategy not in STRATEGIES:

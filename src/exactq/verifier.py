@@ -176,7 +176,6 @@ def run_on_input(
     plan: Plan,
     x: Sequence[int],
     *,
-    tol: float = DEFAULT_TOL,
     branch_tol: float = DEFAULT_BRANCH_TOL,
 ) -> RunTree:
     """Simulate one input and return the full branching tree (no sharing;
@@ -346,7 +345,9 @@ def extract_multilinear(
     branch_tol: float = DEFAULT_BRANCH_TOL,
 ) -> MultilinearPoly:
     """Multilinear polynomial of the acceptance probability, or of one
-    leaf's branch weight (selector ("leaf", outcome path))."""
+    leaf's branch weight (selector ("leaf", outcome path)). `tol` is the
+    contract-match tolerance of the acceptance walk; a leaf walk follows the
+    run tree and does not read it."""
     if plan.n > 14:
         raise ValueError(f"n={plan.n} exceeds the extraction limit 14")
     if selector == "acceptance":

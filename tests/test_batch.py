@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactq import (
+    OUTWARD,
+    TWO_SIDED,
     Call,
     Contract,
     GadgetStep,
@@ -26,8 +28,12 @@ from exactq import (
     QueryStep,
     appendix_a_angles,
     build_appendix_a,
+    SymSpec,
     build_equality,
+    build_exact_k,
     build_exact_kl,
+    build_general_unbalance,
+    build_sym,
     build_unb,
     build_unbr,
     chain_gamma_at,
@@ -36,8 +42,8 @@ from exactq import (
     solve_step_constants,
     verify_exactness,
 )
-from exactq.batch import _Bindings, exit_amplitudes, leaf_values, summarize
-from exactq.gadgets import OracleSpec
+from exactq.batch import _Bindings, _Sums, exit_amplitudes, leaf_values, summarize
+from exactq.gadgets import OracleSpec, extract_trailing_index
 from exactq.plans import var
 from exactq.state_core import S_LABEL, idx
 from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _collect_plans, _enter, _entry_state, _step
@@ -105,6 +111,10 @@ VALID_PLANS = {
     "unbr51": lambda: build_unbr(5, 1),
     "equality4": lambda: build_equality(4),
     "exactkl826": lambda: build_exact_kl(8, 2, 6),
+    # Measurements with 21 sibling calls into one contract-free plan.
+    "sym0011100two": lambda: build_sym(SymSpec("0011100", strategy=TWO_SIDED)),
+    "sym0011100out": lambda: build_sym(SymSpec("0011100", strategy=OUTWARD)),
+    "general61": lambda: build_general_unbalance(6, 1),
 }
 
 
@@ -151,6 +161,112 @@ def test_wrong_mass_spread_over_branches_is_not_exact():
     assert report.max_norm_residual <= tol
     assert not report.exact
     assert reference_report(plan, tol=tol) == (False, 0, [])
+
+
+# ---------------------------------------------------------------------------
+# Folding the summaries of sibling calls
+# ---------------------------------------------------------------------------
+
+
+def random_sums(rng, width):
+    """Summaries of `width` columns with totals over many magnitudes, so that
+    the order of additions shows in the last bits."""
+    sums = _Sums.vacuous(width)
+    sums.total[:] = rng.random((3, width)) * 10.0 ** rng.integers(-15, 1, (3, width))
+    sums.maxq[:] = rng.integers(-1, 12, width)
+    sums.heavy[:] = rng.random((3, width)) * sums.total
+    sums.resid[:] = rng.random(width) * 1e-9
+    sums.gap[:] = rng.random(width) < 0.2
+    return sums
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 25), st.integers(1, 6), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_fold_equals_sequential_merges(count, width, on_some_columns, seed):
+    rng = np.random.default_rng(seed)
+    prior = random_sums(rng, width + 3 if on_some_columns else width)
+    cols = np.sort(rng.choice(width + 3, width, replace=False)) if on_some_columns else None
+    shares = random_sums(rng, count * width)
+    folded, sequential = _Sums(prior.data.copy()), _Sums(prior.data.copy())
+    folded.merge(cols, _Sums(shares.data.copy()))
+    for m in range(count):
+        sequential.merge(cols, shares.take(slice(m * width, (m + 1) * width)))
+    assert folded.data.tobytes() == sequential.data.tobytes()
+
+
+def sibling_call_plan(order):
+    """A two-variable plan that measures |1>, |S> and |2>, in that order,
+    into children given by `order`: "A" calls a contract-free plan that
+    outputs its variable, wired to x1 at the first such child and to x2 at
+    the second, and "O" outputs 1."""
+    r = math.sqrt(0.5)
+    hadamard = isometry_from_columns("hadamard", {S_LABEL: {S_LABEL: r, idx(1): r},
+                                                  idx(1): {S_LABEL: r, idx(1): -r}})
+    split = MeasurementPartition(((("s",), lambda label: label == S_LABEL),
+                                  (("i",), lambda label: label == idx(1))))
+    read = MeasureStep(split, ((("s",), None, Output(0)), (("i",), None, Output(1))))
+    interfere = GadgetStep(((identity_binding(hadamard), False),), read)
+    callee = Plan(family="bit", n=1, params=(), claimed_queries=1, truth=lambda bits: bits[0],
+                  root=PrepareState(LabeledState({S_LABEL: r, idx(1): r}),
+                                    QueryStep(extract_trailing_index, interfere)))
+    calls = iter((Call(callee, (var(1),)), Call(callee, (var(2),))))
+    labels = (idx(1), S_LABEL, idx(2))
+    outer = MeasurementPartition(tuple(((k,), lambda label, want=want: label == want)
+                                       for k, want in enumerate(labels)))
+    measure = MeasureStep(outer, tuple(((k,), None, next(calls) if kind == "A" else Output(1))
+                                       for k, kind in enumerate(order)))
+    state = LabeledState({idx(1): 0.48, S_LABEL: 0.6, idx(2): 0.64})
+    return small_plan(PrepareState(state, measure), n=2), measure
+
+
+@pytest.mark.parametrize("order,groups", [("AOA", {}), ("AAO", {0: 2}), ("OAA", {1: 2})])
+def test_sibling_calls_group_only_when_adjacent(order, groups):
+    plan, measure = sibling_call_plan(order)
+    assert_batch_matches_executor(plan)
+    compiled = [maps[3] for maps in vars(measure)["_batch_cache"].values()]
+    assert compiled and all({k: group[2] for k, group in found.items()} == groups for found in compiled)
+
+
+def groups_by_callee(branches):
+    """The groups of sibling calls a measurement would form from all its
+    children that call one plan without merging labels, adjacent or not."""
+    callers: dict[int, list[int]] = {}
+    for k, (child, _, _, target) in enumerate(branches):
+        if isinstance(child, Call) and target is None:
+            callers.setdefault(id(child.plan), []).append(k)
+    return sorted(ks for ks in callers.values() if len(ks) > 1)
+
+
+BUILDER_PLANS = {
+    **VALID_PLANS,
+    "unb71": lambda: build_unb(7, 1),
+    "exact63": lambda: build_exact_k(6, 3),
+    "general82": lambda: build_general_unbalance(8, 2),
+    "appendixA": build_appendix_a,
+}
+
+
+@pytest.mark.parametrize("name", BUILDER_PLANS)
+def test_builder_sibling_calls_are_adjacent(name):
+    # Groups form only from adjacent sibling calls; in the builders' plans
+    # every group of sibling calls into one plan is such a run, so the walk
+    # groups all of them.
+    plan = BUILDER_PLANS[name]()
+    verify_exactness(plan)
+    measured = 0
+    for sub in _collect_plans(plan):
+        stack = [sub.root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, MeasureStep):
+                stack += [child for _, _, child in node.children]
+                for _, _, branches, groups in vars(node).get("_batch_cache", {}).values():
+                    measured += 1
+                    assert groups_by_callee(branches) == sorted(
+                        list(range(k, k + group[2])) for k, group in groups.items())
+            elif isinstance(node, (GadgetStep, PrepareState, QueryStep)):
+                stack.append(node.child)
+    assert measured
 
 
 def complex_gadget_plan():

@@ -72,3 +72,22 @@ class TestSymValidation:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             build_sym(SymSpec("00100", 0, "sideways"))
+
+
+class TestBuildSymMemo:
+    def test_same_spec_shares_one_plan(self):
+        spec = SymSpec("0011100", 1, OUTWARD)
+        assert build_sym(spec) is build_sym(spec)
+        assert build_sym(SymSpec("0011100", 1, OUTWARD)) is build_sym(spec)
+
+    def test_radius_and_strategy_give_distinct_plans(self):
+        plans = [build_sym(SymSpec("000100", g, strategy))
+                 for g in (1, 2) for strategy in (TWO_SIDED, OUTWARD)]
+        assert len({id(plan) for plan in plans}) == 4
+        assert {(plan.params_dict()["g"], plan.params_dict()["strategy"]) for plan in plans} == {
+            (g, strategy) for g in (1, 2) for strategy in (TWO_SIDED, OUTWARD)}
+
+    def test_inconsistent_spec_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(InconsistentSpec):
+                build_sym(SymSpec("000100", 0))
