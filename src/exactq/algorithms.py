@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 import math
 from itertools import combinations
-from typing import Callable, Mapping
+from typing import Callable, Mapping, TypeVar
 
-from .errors import InconsistentSpec, NoChain
+from .errors import DegenerateCase, InconsistentSpec, NoChain
 from .gadgets import (
     extract_leading_index,
     extract_trailing_index,
@@ -81,23 +81,36 @@ def precomputed_state(n: int, gamma: float) -> Contract:
     return Contract(n, tuple(labels), (0.0,) * len(labels), tuple(coeffs))
 
 
-# Default builds, keyed by (builder name, positional args). Plans are
-# immutable and shared: build_unb(8, 2) is build_unb(8, 2).
-_PLANS: dict[tuple[str, tuple], Plan] = {}
+# Default builds, and the steps they share with override builds, keyed by
+# (builder name, positional args). Plans are immutable and shared:
+# build_unb(8, 2) is build_unb(8, 2).
+_PLANS: dict[tuple[str, tuple], object] = {}
+
+_Built = TypeVar("_Built")
+# The applications of one GadgetStep.
+_Apps = tuple[tuple[Binding, bool], ...]
 
 
-def _memoized(build: Callable[..., Plan]) -> Callable[..., Plan]:
-    """Memoize a builder's default builds in `_PLANS`. A call that passes
-    any keyword argument (the override knobs) builds afresh."""
+def _memoized(build: Callable[..., _Built]) -> Callable[..., _Built]:
+    """Memoize a builder's default builds in `_PLANS`.
+
+    A call that passes any keyword argument (the override knobs) builds a
+    new Plan. It builds afresh only the steps its knobs set; every other
+    step comes from a memoized helper (`_unbr_shared`, `_unb_shared`,
+    `_appendix_a_shared`) that the default build of the same shape uses
+    too. So the override plans of one shape share those nodes, and the maps
+    the batched walker compiles on them, with the default plan. Nothing is
+    memoized per knob value.
+    """
     @functools.wraps(build)
     def cached(*args, **overrides):
         if overrides:
             return build(*args, **overrides)
         key = (build.__name__, args)
-        plan = _PLANS.get(key)
-        if plan is None:
-            plan = _PLANS[key] = build(*args)
-        return plan
+        built = _PLANS.get(key)
+        if built is None:
+            built = _PLANS[key] = build(*args)
+        return built
     return cached
 
 
@@ -129,6 +142,10 @@ def build_unbr(n: int, d: int, *, constants: StepConstants | None = None, valida
     Recurses down the d-chain to its base. `constants` overrides the step
     constants (for sensitivity experiments); `validate=False` skips the
     constraint check so deliberately broken constants reach the simulator.
+    An override build makes only its split and merge rotations, its input
+    contract and its Plan; the U_n/U_{n-2} stages and the measurement are
+    the default build's (`_unbr_shared`). The chain base has no step
+    constants, so either knob there raises DegenerateCase.
     """
     if d not in CHAIN_BASES:
         raise NoChain(f"no recursion chain is known for d={d} (supported: 1, 2, 3)")
@@ -137,6 +154,12 @@ def build_unbr(n: int, d: int, *, constants: StepConstants | None = None, valida
     if n < n0 or (n - n0) % 2 != 0:
         raise NoChain(f"(n={n}, d={d}) is not on the chain n = {n0}, {n0 + 2}, ...")
     if n == n0:
+        knobs = [name for name, given in (("constants", constants is not None), ("validate", not validate))
+                 if given]
+        if knobs:
+            hint = "; perturb it with build_appendix_a(angle_overrides=...)" if d == 3 else ""
+            raise DegenerateCase(f"build_unbr({n}, {d}) is the chain base, which has no step constants: "
+                                 f"{' and '.join(knobs)} would be ignored{hint}")
         return _build_unbr_base(d)
     return _build_unbr_step(n, d, constants=constants, validate=validate)
 
@@ -171,20 +194,14 @@ def _build_unbr_base(d: int) -> Plan:
     return build_appendix_a()
 
 
-def _build_unbr_step(n: int, d: int, *, constants: StepConstants | None, validate: bool) -> Plan:
-    gamma_prev = chain_gamma_at(d, n - 2)
-    cs = constants if constants is not None else solve_step_constants(n, d, gamma_prev)
-    if validate:
-        cs.validate()
-    gamma = cs.gamma
+@_memoized
+def _unbr_shared(n: int, d: int) -> tuple[_Apps, _Apps, MeasureStep]:
+    """The steps of a build_unbr(n, d) step that no step constant sets: the
+    U_n/U_{n-2} applications inverted and forward, and the measurement
+    whose pair outcomes call build_unbr(n-2, d)."""
     sub = build_unbr(n - 2, d)
     m = n - 2
     pairs = list(combinations(range(1, n + 1), 2))
-
-    split_gadget = r_rotation(math.atan2(cs.c1, cs.c2))
-    merge_gadget = r_rotation(math.atan2(cs.c8, cs.c9))
-    splits = tuple((_split_binding(split_gadget, i, j), False) for i, j in pairs)
-    merges = tuple((_split_binding(merge_gadget, i, j), True) for i, j in pairs)
 
     un = u_gadget(n)
     big_binding = bind(un, {
@@ -225,6 +242,23 @@ def _build_unbr_step(n: int, d: int, *, constants: StepConstants | None, validat
         children.append((("pair", i, j), rewrite, Call(sub, drop_wires(n, (i, j)))))
 
     measure = MeasureStep(MeasurementPartition(tuple(outcomes)), tuple(children))
+    return inverses, forwards, measure
+
+
+def _build_unbr_step(n: int, d: int, *, constants: StepConstants | None, validate: bool) -> Plan:
+    gamma_prev = chain_gamma_at(d, n - 2)
+    cs = constants if constants is not None else solve_step_constants(n, d, gamma_prev)
+    if validate:
+        cs.validate()
+    gamma = cs.gamma
+    inverses, forwards, measure = _unbr_shared(n, d)
+    pairs = list(combinations(range(1, n + 1), 2))
+
+    split_gadget = r_rotation(math.atan2(cs.c1, cs.c2))
+    merge_gadget = r_rotation(math.atan2(cs.c8, cs.c9))
+    splits = tuple((_split_binding(split_gadget, i, j), False) for i, j in pairs)
+    merges = tuple((_split_binding(merge_gadget, i, j), True) for i, j in pairs)
+
     root = GadgetStep(splits,
             GadgetStep(inverses,
              QueryStep(extract_trailing_index,
@@ -301,24 +335,9 @@ def appendix_a_angles(c: Mapping[int, float] | None = None) -> dict[str, float]:
 
 
 @_memoized
-def build_appendix_a(
-    *,
-    angle_overrides: Mapping[str, float] | None = None,
-    gamma_override: float | None = None,
-) -> Plan:
-    """Two-query plan for the weight set {1,4} at n=5 on the precomputed state.
-
-    The overrides exist for sensitivity experiments; default builds are cached.
-    """
-    C = appendix_a_constants()
-    angles = appendix_a_angles()
-    if angle_overrides:
-        unknown = set(angle_overrides) - set(angles)
-        if unknown:
-            raise ValueError(f"unknown angle overrides {sorted(unknown)!r}")
-        angles.update(angle_overrides)
-    gamma = C[1] ** 2 if gamma_override is None else gamma_override
-
+def _appendix_a_shared() -> tuple[_Apps, _Apps, MeasureStep]:
+    """The steps of build_appendix_a that no angle or gamma sets: the
+    U_5/U_3 applications inverted and forward, and the final measurement."""
     n = 5
     pairs = list(combinations(range(1, n + 1), 2))
     u5 = u_gadget(5)
@@ -340,10 +359,6 @@ def build_appendix_a(
     inverses = ((big_binding, True),) + tuple((b, True) for b in sub_bindings)
     forwards = ((big_binding, False),) + tuple((b, False) for b in sub_bindings)
 
-    def rotation_pass(angle: float, inverse: bool) -> tuple[tuple[Binding, bool], ...]:
-        gadget = r_rotation(angle)
-        return tuple((_split_binding(gadget, i, j), inverse) for i, j in pairs)
-
     outcomes: list = [(("s",), lambda l: l == S_LABEL)]
     children: list = [(("s",), None, Output(0))]
     for i, j in pairs:
@@ -364,6 +379,38 @@ def build_appendix_a(
             children.append((("quad", i, j, u, v), None, Output(0)))
 
     measure = MeasureStep(MeasurementPartition(tuple(outcomes)), tuple(children))
+    return inverses, forwards, measure
+
+
+@_memoized
+def build_appendix_a(
+    *,
+    angle_overrides: Mapping[str, float] | None = None,
+    gamma_override: float | None = None,
+) -> Plan:
+    """Two-query plan for the weight set {1,4} at n=5 on the precomputed state.
+
+    The overrides exist for sensitivity experiments; default builds are
+    cached. An override build makes only its four rotation passes, its
+    input contract and its Plan; the U_5/U_3 stages and the measurement are
+    the default build's (`_appendix_a_shared`).
+    """
+    C = appendix_a_constants()
+    angles = appendix_a_angles()
+    if angle_overrides:
+        unknown = set(angle_overrides) - set(angles)
+        if unknown:
+            raise ValueError(f"unknown angle overrides {sorted(unknown)!r}")
+        angles.update(angle_overrides)
+    gamma = C[1] ** 2 if gamma_override is None else gamma_override
+
+    inverses, forwards, measure = _appendix_a_shared()
+    pairs = list(combinations(range(1, 6), 2))
+
+    def rotation_pass(angle: float, inverse: bool) -> _Apps:
+        gadget = r_rotation(angle)
+        return tuple((_split_binding(gadget, i, j), inverse) for i, j in pairs)
+
     node: PlanNode = measure
     node = GadgetStep(rotation_pass(angles["merge2"], True), node)
     node = GadgetStep(forwards, node)
@@ -394,8 +441,40 @@ def unb_claimed_queries(n: int, d: int) -> int:
 
 
 @_memoized
+def _unb_shared(n: int, d: int) -> tuple[_Apps, MeasureStep]:
+    """The steps of build_unb(n, d), n > d, that gamma does not set: the U_n
+    application, and the measurement that calls build_unb(n-2, d) on each
+    pair outcome and build_unbr(n, d) on the rest."""
+    sub_pair = build_unb(n - 2, d)
+    sub_rest = build_unbr(n, d)
+    if unb_claimed_queries(n, d) != 1 + max(sub_pair.claimed_queries, sub_rest.claimed_queries):
+        raise InconsistentSpec(f"query count recursion broke at n={n}, d={d}")
+    pairs = list(combinations(range(1, n + 1), 2))
+    right_arms = {tag("R", pair(i, j)) for i, j in pairs}
+    outcomes: list = []
+    children: list = []
+    for i, j in pairs:
+        arm = tag("R", pair(i, j))
+        outcomes.append((("pair", i, j), lambda l, arm=arm: l == arm))
+        children.append((("pair", i, j), None, Call(sub_pair, drop_wires(n, (i, j)))))
+    outcomes.append((("rest",), lambda l: l not in right_arms))
+    rewrite = {tag("L", pair(i, j)): pair(i, j) for i, j in pairs}
+    children.append((("rest",), rewrite, Call(sub_rest, identity_wires(n))))
+
+    measure = MeasureStep(MeasurementPartition(tuple(outcomes)), tuple(children))
+    return ((identity_binding(u_gadget(n)), False),), measure
+
+
+@_memoized
 def build_unb(n: int, d: int, *, gamma_override: float | None = None) -> Plan:
-    """Full plan deciding whether the weight is (n-d)/2 or (n+d)/2."""
+    """Full plan deciding whether the weight is (n-d)/2 or (n+d)/2.
+
+    `gamma_override` replaces the split angle's gamma (for sensitivity
+    experiments). An override build makes only its split rotations, its
+    state preparation and its Plan; the U_n stage and the measurement are
+    the default build's (`_unb_shared`). At n = d the plan calls EQUALITY
+    and has no gamma, so an override there raises DegenerateCase.
+    """
     if d not in CHAIN_BASES:
         raise NoChain(f"d={d} is outside the chain family (supported: 1, 2, 3); "
                       f"use build_general_unbalance for larger gaps")
@@ -405,6 +484,9 @@ def build_unb(n: int, d: int, *, gamma_override: float | None = None) -> Plan:
     truth = weight_truth(n, frozenset({k, l}))
     claimed = unb_claimed_queries(n, d)
     if n == d:
+        if gamma_override is not None:
+            raise DegenerateCase(f"build_unb({n}, {d}) calls EQUALITY and has no gamma: "
+                                 f"gamma_override would be ignored")
         plan = Plan(
             family="unb", n=n, params=(("n", n), ("d", d)),
             root=Call(build_equality(n), identity_wires(n)),
@@ -412,31 +494,15 @@ def build_unb(n: int, d: int, *, gamma_override: float | None = None) -> Plan:
         )
     else:
         gamma = chain_gamma_at(d, n) if gamma_override is None else gamma_override
-        sub_pair = build_unb(n - 2, d)
-        sub_rest = build_unbr(n, d)
-        if gamma_override is None and claimed != 1 + max(sub_pair.claimed_queries, sub_rest.claimed_queries):
-            raise InconsistentSpec(f"query count recursion broke at n={n}, d={d}")
+        u_apps, measure = _unb_shared(n, d)
         pairs = list(combinations(range(1, n + 1), 2))
         beta = math.asin(math.sqrt(gamma))
         split_gadget = r_rotation(beta)
         splits = tuple((_split_binding(split_gadget, i, j), False) for i, j in pairs)
         uniform = LabeledState({idx(i): 1.0 / math.sqrt(n) for i in range(1, n + 1)})
-
-        right_arms = {tag("R", pair(i, j)) for i, j in pairs}
-        outcomes: list = []
-        children: list = []
-        for i, j in pairs:
-            arm = tag("R", pair(i, j))
-            outcomes.append((("pair", i, j), lambda l, arm=arm: l == arm))
-            children.append((("pair", i, j), None, Call(sub_pair, drop_wires(n, (i, j)))))
-        outcomes.append((("rest",), lambda l: l not in right_arms))
-        rewrite = {tag("L", pair(i, j)): pair(i, j) for i, j in pairs}
-        children.append((("rest",), rewrite, Call(sub_rest, identity_wires(n))))
-
-        measure = MeasureStep(MeasurementPartition(tuple(outcomes)), tuple(children))
         root = PrepareState(uniform,
                 QueryStep(extract_trailing_index,
-                 GadgetStep(((identity_binding(u_gadget(n)), False),),
+                 GadgetStep(u_apps,
                   GadgetStep(splits, measure))))
         plan = Plan(
             family="unb", n=n, params=(("n", n), ("d", d)),

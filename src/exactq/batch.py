@@ -43,8 +43,8 @@ An input contract is affine in the +-1 input, so the contract states of a
 block are one product of its matrix over (1, xhat), compiled at the first
 walk and kept on the contract, with the block's +-1 encodings; they are
 evaluated wherever a block needs them, and nothing is kept per input. The
-memos belong to one `summarize` call and are freed when it returns; only the
-compiled maps stay on the plan.
+memos belong to one `summarize` call and are freed when it returns; the
+compiled maps stay on plan nodes, which plans of one shape share.
 
 `exit_amplitudes` takes the same steps for the degree audit, but stops at a
 plan's exits: it starts from the raw contract states, prunes nothing and

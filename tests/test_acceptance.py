@@ -258,15 +258,22 @@ def test_criterion_8_property_and_mutation_suite():
             pass
 
     # Operative runtime constants: force the mutated values past validation
-    # and demand a counterexample from exhaustive simulation.
-    for field in ("c1", "c2", "c8", "c9", "gamma"):
-        bumped = StepConstants(**{
-            **{f: getattr(base, f) for f in base.__dataclass_fields__},
-            field: getattr(base, field) + 1e-3,
-        })
-        report = verify_exactness(build_unbr(5, 1, constants=bumped, validate=False))
-        if report.exact:
-            failures.append(("runtime survived", field))
+    # and demand a counterexample from exhaustive simulation, on every chain
+    # shape the benchmark mutates. The mutants share their measurement and
+    # U stages with the default build, which must still verify exact after.
+    for n, d in ((5, 1), (7, 1), (6, 2)):
+        shape_base = solve_step_constants(n, d, chain_gamma_at(d, n - 2))
+        for field in ("c1", "c2", "c8", "c9", "gamma"):
+            bumped = StepConstants(**{
+                **{f: getattr(shape_base, f) for f in shape_base.__dataclass_fields__},
+                field: getattr(shape_base, field) + 1e-3,
+            })
+            report = verify_exactness(build_unbr(n, d, constants=bumped, validate=False))
+            if report.exact or not report.counterexamples:
+                failures.append(("runtime survived", (n, d), field))
+    for n, d in ((7, 1), (6, 2)):
+        if not verify_exactness(build_unbr(n, d)).exact:
+            failures.append(("default not exact after its mutants", (n, d)))
 
     if verify_exactness(build_unb(5, 1, gamma_override=1 / 126 + 1e-3)).exact:
         failures.append(("runtime survived", "unb gamma"))

@@ -7,25 +7,43 @@ import itertools
 import pytest
 
 from exactq import (
+    DegenerateCase,
     InconsistentSpec,
+    MeasureStep,
     NoChain,
+    algorithms,
+    build_appendix_a,
     build_equality,
     build_exact_kl,
     build_unb,
     build_unbr,
     build_uw_step,
+    chain_gamma_at,
     exact_kl_claimed_queries,
     precomputed_state,
+    solve_step_constants,
     unb_claimed_queries,
     unbr_claimed_queries,
     verify_exactness,
     weight_truth,
 )
 from exactq.state_core import S_LABEL, pair
+from test_batch import mutated_unbr
+
+
+STEP_FIELDS = ("c1", "c2", "c8", "c9", "gamma")
 
 
 def exact_and_tight(report):
     return report.exact and report.worst_case_queries == report.claimed_bound
+
+
+def final_measurement(plan) -> MeasureStep:
+    """The measurement at the end of a plan's single-child spine."""
+    node = plan.root
+    while not isinstance(node, MeasureStep):
+        node = node.child
+    return node
 
 
 class TestTruthAndContract:
@@ -104,6 +122,21 @@ class TestUnbR:
         with pytest.raises(NoChain):
             build_unbr(9, 5)
 
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 2), (5, 3)])
+    def test_chain_base_rejects_step_knobs(self, n, d):
+        constants = solve_step_constants(7, 1, chain_gamma_at(1, 5))
+        with pytest.raises(DegenerateCase, match="constants"):
+            build_unbr(n, d, constants=constants)
+        with pytest.raises(DegenerateCase, match="validate"):
+            build_unbr(n, d, constants=constants, validate=False)
+        with pytest.raises(DegenerateCase, match="validate"):
+            build_unbr(n, d, validate=False)
+
+    def test_appendix_base_points_at_its_overrides(self):
+        constants = solve_step_constants(7, 1, chain_gamma_at(1, 5))
+        with pytest.raises(DegenerateCase, match="build_appendix_a"):
+            build_unbr(5, 3, constants=constants, validate=False)
+
 
 class TestUnb:
     @pytest.mark.parametrize(
@@ -134,10 +167,57 @@ class TestUnb:
         assert not report.exact
         assert report.counterexamples
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equality_case_rejects_gamma_override(self, d):
+        with pytest.raises(DegenerateCase, match="gamma_override"):
+            build_unb(d, d, gamma_override=0.37)
+
     def test_default_builds_are_shared(self):
         assert build_unb(8, 2) is build_unb(8, 2)
         assert build_unbr(7, 1) is build_unbr(7, 1)
         assert build_unb(5, 1, gamma_override=0.05) is not build_unb(5, 1)
+
+
+class TestSharedSteps:
+    """Override builds take the steps no knob sets from the default build."""
+
+    @pytest.mark.parametrize("field", STEP_FIELDS)
+    def test_unbr_mutants_share_measurement_and_u_stages(self, field):
+        default, mutant = build_unbr(7, 1), mutated_unbr(7, 1, field, 1e-3)
+        assert mutant is not default
+        assert final_measurement(mutant) is final_measurement(default)
+        assert mutant.root.child.applications is default.root.child.applications
+
+    def test_unb_gamma_override_shares_measurement(self):
+        default, override = build_unb(5, 1), build_unb(5, 1, gamma_override=0.05)
+        assert override is not default
+        assert final_measurement(override) is final_measurement(default)
+
+    def test_appendix_angle_override_shares_measurement(self):
+        angles = algorithms.appendix_a_angles()
+        angles["merge2"] += 1e-3
+        default, override = build_appendix_a(), build_appendix_a(angle_overrides=angles)
+        assert override is not default
+        assert final_measurement(override) is final_measurement(default)
+
+    def test_mutants_reuse_the_defaults_compiled_measurement(self):
+        default = build_unbr(7, 1)
+        verify_exactness(default)
+        measurement = final_measurement(default)
+        maps = set(measurement.__dict__["_batch_cache"])
+        for field in STEP_FIELDS:
+            assert not verify_exactness(mutated_unbr(7, 1, field, 1e-3)).exact
+        assert set(measurement.__dict__["_batch_cache"]) == maps
+
+    def test_default_report_does_not_depend_on_build_order(self, monkeypatch):
+        def default_report(mutants_first):
+            monkeypatch.setattr(algorithms, "_PLANS", {})
+            if mutants_first:
+                for field in STEP_FIELDS:
+                    verify_exactness(mutated_unbr(7, 1, field, 1e-3))
+            return verify_exactness(build_unbr(7, 1)).as_dict(verbose=True)
+
+        assert default_report(True) == default_report(False)
 
 
 class TestGeneralUnbalance:
