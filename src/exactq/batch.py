@@ -18,6 +18,12 @@ stay the reference:
   sub-inputs the calls reach, scaled by |c|^2 ||kappa||^2. Other columns walk
   the callee as one batch.
 
+A contract-free plan whose root calls a contract-free plan (a padding or
+renaming reduction) enters it from |0> with weight 1.0 and no queries, so it
+shares its callee's memo; the leaf and exit walks still walk such plans. A
+call's wires compile once into bit runs: a callee input takes one shift, mask
+and or per run.
+
 Every amplitude the builders make is real, so the walk is real too: gadget
 matrices, prepared states and contract matrices compile to float64 (`_real`),
 and one with a nonzero imaginary part raises ValueError. There is no complex
@@ -59,7 +65,7 @@ the path, and it keeps no memo.
 
 from __future__ import annotations
 
-from itertools import compress, groupby
+from itertools import compress, groupby, zip_longest
 
 import numpy as np
 
@@ -158,7 +164,10 @@ class _Memo:
         self.size = 0
 
     def missing(self, inputs: np.ndarray) -> np.ndarray:
-        return _distinct(inputs[self.slot[inputs] < 0])
+        """The distinct inputs without a summary, in increasing order."""
+        needed = np.zeros(len(self.slot), dtype=bool)
+        needed[inputs] = self.slot[inputs] < 0
+        return np.flatnonzero(needed)
 
     def add(self, inputs: np.ndarray, sums: _Sums) -> None:
         size = self.size + len(inputs)
@@ -217,7 +226,11 @@ class _Walker:
 
     def memo(self, plan: Plan, inputs: np.ndarray) -> _Sums:
         """Summaries of `plan` run from its entry state, one per column,
-        computed only for inputs no earlier call has reached."""
+        computed only for inputs no earlier call has reached. A plan that
+        only calls a plan, both contract-free, has its callee's summaries."""
+        while plan.contract is None and isinstance(plan.root, Call) and plan.root.plan.contract is None:
+            inputs = _sub_inputs(plan.root, inputs, plan.n)
+            plan = plan.root.plan
         entry = self.memos.get(id(plan))
         if entry is None:
             entry = self.memos[id(plan)] = (plan, _Memo(plan.n))
@@ -262,7 +275,7 @@ class _Walker:
         in one of them is still read by the later ones, but the gap discards
         those reads, as it discards every branch of the column.
         """
-        gap_rows, clash, branches, groups = _measure_maps(node, rows)
+        gap_rows, clash, branches, groups = _measure_maps(node, rows, n)
         # A label that matches two outcomes is an error of the plan, as in
         # `measure`, once it carries amplitude.
         for r, message in clash:
@@ -288,7 +301,7 @@ class _Walker:
                 continue
             # Sibling calls into one plan run as one call over all their
             # columns, a member's columns after another's.
-            sub, union, count, sources, order, starts, wired, scale, const = group
+            sub, union, count, sources, order, starts, runs = group
             width = len(block_inputs)
             padded = np.zeros((len(rows) + 1, width), dtype=_DTYPE)
             padded[:-1] = amps if cols is None else amps[:, cols]
@@ -296,10 +309,7 @@ class _Walker:
             if sub.contract is None:
                 padded = None
             live = weight > self.branch_tol
-            sub_inputs = np.repeat(const[:, None], width, axis=1)
-            for b in range(sub.n):
-                sub_inputs += ((block_inputs >> (n - wired[:, b:b + 1])) & 1) * scale[:, b:b + 1]
-            sub_inputs = sub_inputs.ravel()
+            sub_inputs = _route(block_inputs, runs).ravel()
             shares = _Sums.vacuous(count * width)
             # A block of members at a time: a callee with a contract needs
             # their states, one without only their weights.
@@ -454,7 +464,7 @@ def _leaf_measure(node: MeasureStep, rows: tuple, amps: np.ndarray, inputs: np.n
     """`_leaf` at a measurement: the child `path[0]` names (a lone child when
     none does) is on the path, the others are walked with path None, and a
     column that gaps is skipped in later children."""
-    gap_rows, clash, branches, _ = _measure_maps(node, rows)
+    gap_rows, clash, branches, _ = _measure_maps(node, rows, n)
     for r, message in clash:
         if amps[r].any():
             raise ValueError(message)
@@ -555,7 +565,7 @@ def _exits(node, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n: int,
     or Call exit below `node`. The walk owns `amps`."""
     while not isinstance(node, (Output, Call)):
         if isinstance(node, MeasureStep):
-            gap_rows, clash, branches, _ = _measure_maps(node, rows)
+            gap_rows, clash, branches, _ = _measure_maps(node, rows, n)
             for r, message in clash:
                 if amps[r].any():
                     raise ValueError(message)
@@ -598,13 +608,6 @@ def _real(values, what: str) -> np.ndarray:
             raise ValueError(f"{what} has a complex amplitude; the batched walker is real")
         array = array.real
     return array.astype(_DTYPE)
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values (np.unique, without the numpy.ma import it
-    pulls in)."""
-    values = np.sort(values)
-    return values[np.append(True, values[1:] != values[:-1])] if len(values) else values
 
 
 def _bits(index: int, n: int) -> tuple[int, ...]:
@@ -782,14 +785,14 @@ def _query(node: QueryStep, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n
         amps[queried] *= signs
 
 
-def _measure_maps(node: MeasureStep, rows: tuple):
+def _measure_maps(node: MeasureStep, rows: tuple, n: int):
     """Rows that match no outcome; rows that match two, with the error
     `classify` gives them; per child, its rows, its labels after the
     rewrite, and where each row lands when the rewrite merges labels; and
     the groups of adjacent children that call one plan without merging
-    labels, keyed by their first member."""
+    labels, keyed by their first member, in a plan of `n` variables."""
     cache = _cache(node)
-    maps = cache.get(rows)
+    maps = cache.get((n, rows))
     if maps is not None:
         return maps
     slot = {oid: k for k, (oid, _, _) in enumerate(node.children)}
@@ -836,10 +839,9 @@ def _measure_maps(node: MeasureStep, rows: tuple):
         # when their weights are summed.
         order = np.concatenate([np.append(branches[k][1], len(rows)) for k in ks])
         starts = np.cumsum([0] + [len(branches[k][1]) + 1 for k in ks[:-1]])
-        wired, scale, const = (np.array(w) for w in zip(*(_wiring(branches[k][0]) for k in ks)))
         groups[ks[0]] = (branches[ks[0]][0].plan, union, len(ks), sources, order, starts,
-                         wired, scale, const)
-    maps = cache[rows] = (np.array(gap, dtype=np.intp), clash, branches, groups)
+                         _runs([branches[k][0] for k in ks], n))
+    maps = cache[(n, rows)] = (np.array(gap, dtype=np.intp), clash, branches, groups)
     return maps
 
 
@@ -856,30 +858,54 @@ def _branch(branch: tuple, amps: np.ndarray, cols) -> np.ndarray:
     return merged
 
 
-def _wiring(node: Call) -> tuple[np.ndarray, np.ndarray, int]:
-    """The call's wires as arrays: callee input bit k is parent variable
-    wired[k] (0 for a constant) times scale[k] = 2^(m-1-k), plus the
-    constant bits in `const`."""
-    cache = _cache(node)
-    wiring = cache.get("wiring")
-    if wiring is None:
-        m = node.plan.n
-        wired = np.zeros(m, dtype=np.int64)
-        scale = np.zeros(m, dtype=np.int64)
-        const = 0
-        for k, (kind, value) in enumerate(node.wires):
+def _runs(calls, n: int) -> tuple:
+    """The wires of `calls` from a plan of `n` variables, compiled for
+    `_route`: a common left shift; per run, a right shift (None for none) and
+    a mask, one row per call; and the constant bits (None when none and some
+    run). A run is the callee bits at one distance from their parent bits, so
+    dropping wires take one to three runs, and no call more runs than bits."""
+    wired = []
+    for call in calls:
+        runs: dict[int, int] = {}
+        bits = 0
+        for k, (kind, value) in enumerate(call.wires):
+            bit = call.plan.n - 1 - k
             if kind == "var":
-                wired[k], scale[k] = value, 1 << (m - 1 - k)
+                # Parent variable `value` is bit n - value of a parent input.
+                runs[bit - n + value] = runs.get(bit - n + value, 0) | 1 << bit
             else:
-                const |= value << (m - 1 - k)
-        wiring = cache["wiring"] = (wired, scale, const)
-    return wiring
+                bits |= value << bit
+        wired.append((sorted(runs.items(), reverse=True), bits))
+    left = max([0] + [distance for runs, _ in wired for distance, _ in runs])
+    steps = []
+    # Run r of every call, a call with fewer runs adding nothing.
+    for column in zip_longest(*(runs for runs, _ in wired), fillvalue=(left, 0)):
+        distances, masks = zip(*column)
+        shift = left - np.array(distances, dtype=np.int64)[:, None]
+        steps.append((shift if shift.any() else None, np.array(masks, dtype=np.int64)[:, None]))
+    const = np.array([[bits] for _, bits in wired], dtype=np.int64)
+    return left, steps, const if const.any() or not steps else None
+
+
+def _route(inputs: np.ndarray, runs: tuple) -> np.ndarray:
+    """The callee inputs of the parent inputs `inputs` through wires compiled
+    by `_runs`, one row per call: one shift, mask and or per run."""
+    left, steps, const = runs
+    source = inputs << left if left else inputs
+    out = None if const is None else np.repeat(const, len(inputs), axis=1)
+    for shift, mask in steps:
+        part = (source if shift is None else source >> shift) & mask
+        out = part if out is None else np.bitwise_or(out, part, out=out)
+    return out
 
 
 def _sub_inputs(node: Call, inputs: np.ndarray, n: int) -> np.ndarray:
-    """The callee's input for each column, through the call's wires."""
-    wired, scale, const = _wiring(node)
-    return ((inputs[:, None] >> (n - wired)) & 1) @ scale + const
+    """The callee's input for each column of a plan of `n` variables."""
+    cache = _cache(node)
+    runs = cache.get(n)
+    if runs is None:
+        runs = cache[n] = _runs([node], n)
+    return _route(inputs, runs)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactq import (
     OUTWARD,
@@ -42,10 +42,11 @@ from exactq import (
     solve_step_constants,
     verify_exactness,
 )
-from exactq.batch import _Bindings, _Sums, exit_amplitudes, leaf_values, summarize
+from exactq.batch import (_Bindings, _Sums, _Walker, _route, _runs, _sub_inputs, exit_amplitudes,
+                          leaf_values, summarize)
 from exactq.gadgets import OracleSpec, extract_trailing_index
-from exactq.plans import var
-from exactq.state_core import S_LABEL, idx
+from exactq.plans import const, identity_wires, var
+from exactq.state_core import S_LABEL, ZERO_LABEL, idx
 from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _collect_plans, _enter, _entry_state, _step
 import reference
 import test_verifier
@@ -267,6 +268,200 @@ def test_builder_sibling_calls_are_adjacent(name):
             elif isinstance(node, (GadgetStep, PrepareState, QueryStep)):
                 stack.append(node.child)
     assert measured
+
+
+# ---------------------------------------------------------------------------
+# Calls into contract-free plans: wrapper plans and wire runs
+# ---------------------------------------------------------------------------
+
+
+def read_plan(m, k, then=None, *, gap=False):
+    """A contract-free plan on `m` variables that reads x_k with one query and
+    outputs it, or continues to then[x_k]. With `gap`, the label that x_k = 1
+    leaves matches no outcome, so the plan gaps on those inputs."""
+    r = math.sqrt(0.5)
+    hadamard = isometry_from_columns("hadamard", {S_LABEL: {S_LABEL: r, idx(k): r},
+                                                  idx(k): {S_LABEL: r, idx(k): -r}})
+    if gap:
+        read = s_only_measure()
+    else:
+        zero, one = then or (Output(0), Output(1))
+        split = MeasurementPartition(((("s",), lambda label: label == S_LABEL),
+                                      (("i",), lambda label: label == idx(k))))
+        read = MeasureStep(split, ((("s",), None, zero), (("i",), None, one)))
+    truth = (lambda bits: bits[k - 1]) if then is None else \
+        (lambda bits: then[bits[k - 1]].plan.truth(bits))
+    return Plan(family="read", n=m, params=(("k", k),), claimed_queries=1 + (then is not None),
+                truth=truth,
+                root=PrepareState(LabeledState({S_LABEL: r, idx(k): r}),
+                                  QueryStep(extract_trailing_index,
+                                            GadgetStep(((identity_binding(hadamard), False),), read))))
+
+
+def wrapper(sub, wires, n):
+    """A contract-free plan on `n` variables whose root calls `sub`."""
+    def truth(bits):
+        return sub.truth(tuple(bits[i - 1] if kind == "var" else i for kind, i in wires))
+    return Plan(family="wrap", n=n, params=(), root=Call(sub, wires),
+                claimed_queries=sub.claimed_queries, truth=truth)
+
+
+def collapsible(plan):
+    return plan.contract is None and isinstance(plan.root, Call) and plan.root.plan.contract is None
+
+
+def plans_run(plan):
+    """The plans `_Walker.run` walks, in order, while `plan` is verified."""
+    seen = []
+    original = _Walker.run
+
+    def run(self, sub, inputs):
+        seen.append(sub)
+        return original(self, sub, inputs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Walker, "run", run)
+        verify_exactness(plan)
+    return seen
+
+
+def reader():
+    """A contract-free plan on four variables that outputs x1 if x2 else x3."""
+    return read_plan(4, 2, then=(Call(read_plan(4, 3), identity_wires(4)),
+                                 Call(read_plan(4, 1), identity_wires(4))))
+
+
+def wrapper_chain(kind):
+    inner = reader()
+    if kind == "identity":
+        return wrapper(inner, identity_wires(4), 4), inner
+    if kind == "permuted":
+        # The inner wrapper pads three variables out to its wider callee.
+        middle = wrapper(inner, (var(2), const(1), var(3), var(1)), 3)
+        return wrapper(middle, (var(4), var(1), var(3)), 4), inner
+    # A callee with no variables, which calls its wider callee on constants.
+    middle = wrapper(inner, (const(1), const(0), const(1), const(1)), 0)
+    return wrapper(middle, (), 2), inner
+
+
+@pytest.mark.parametrize("kind", ["identity", "permuted", "empty"])
+def test_wrapper_chains_match(kind):
+    plan, inner = wrapper_chain(kind)
+    assert_batch_matches_executor(plan)
+    assert verify_exactness(plan).exact
+    # Only the top-level plan and the innermost callee, with its own calls,
+    # run: the wrappers share the innermost callee's memo.
+    run = plans_run(plan)
+    assert inner in run
+    assert all(sub is plan or not collapsible(sub) for sub in run)
+
+
+def test_gap_through_wrappers_at_top_level():
+    gapping = read_plan(2, 1, gap=True)
+    plan = wrapper(wrapper(gapping, (var(2), var(1)), 2), (var(2), var(1)), 2)
+    with pytest.raises(PartitionGap):
+        verify_exactness(plan)
+    with pytest.raises(PartitionGap):
+        Executor().run_plan(plan, (1, 0))
+    # Inputs with x1 = 0 do not gap.
+    assert Executor().run_plan(plan, (0, 1)).mass
+
+
+def test_gap_through_wrappers_under_a_direct_walk():
+    # The call's state is not proportional to the callee's contract |S>, so
+    # the callee is walked directly. Its branch |S> calls the wrappers of a
+    # plan that gaps where x2 = 1; those inputs report output -1.
+    gapping = read_plan(2, 1, gap=True)
+    wrapped = wrapper(wrapper(gapping, (var(2), var(1)), 2), identity_wires(2), 2)
+    split = MeasurementPartition(((("s",), lambda label: label == S_LABEL),
+                                  (("i",), lambda label: label == idx(1))))
+    callee = small_plan(MeasureStep(split, ((("s",), None, Call(wrapped, identity_wires(2))),
+                                            (("i",), None, Output(1)))),
+                        n=2, contract=Contract(2, (S_LABEL,), (1.0,), ((0.0, 0.0),)))
+    state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
+    plan = small_plan(PrepareState(state, Call(callee, identity_wires(2))), n=2)
+    assert_batch_matches_executor(plan)
+    entered, sums = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
+    assert sums.total[0].tolist() == [0.0, pytest.approx(1.0), 0.0, pytest.approx(1.0)]
+
+
+@pytest.mark.parametrize("constants", [(1.0, 0.0), (0.6, 0.8)], ids=["matched", "mismatched"])
+def test_wrapper_into_a_contract_does_not_collapse(constants):
+    # The wrapper enters its callee from |0>, which the callee's contract
+    # matches or not: the call is a contract check, so the wrapper runs.
+    split = MeasurementPartition(((("z",), lambda label: label == ZERO_LABEL),
+                                  (("s",), lambda label: label == S_LABEL)))
+    callee = small_plan(MeasureStep(split, ((("z",), None, Output(1)), (("s",), None, Output(0)))),
+                        n=2, contract=Contract(2, (ZERO_LABEL, S_LABEL), constants,
+                                               ((0.0, 0.0), (0.0, 0.0))))
+    checked = wrapper(callee, (var(2), var(1)), 2)
+    plan = wrapper(checked, identity_wires(2), 2)
+    assert_batch_matches_executor(plan)
+    assert checked in plans_run(plan)
+
+
+@pytest.mark.parametrize("make_plan", [
+    lambda: build_sym(SymSpec("0011100", strategy=TWO_SIDED)),
+    lambda: build_sym(SymSpec("0011100", strategy=OUTWARD)),
+    lambda: build_exact_kl(8, 2, 6),
+    lambda: build_general_unbalance(8, 2),
+], ids=["sym-two-sided", "sym-outward", "exactkl826", "general82"])
+def test_builders_run_no_wrapper_below_the_top(make_plan):
+    plan = make_plan()
+    run = plans_run(plan)
+    assert all(sub is plan or not collapsible(sub) for sub in run)
+    if plan.family == "sym" and plan.params_dict()["strategy"] == TWO_SIDED:
+        # 153 runs over 73 plans when every wrapper filled its own memo.
+        assert len(run) <= 70
+
+
+@st.composite
+def wirings(draw):
+    """A parent size n, then calls into one plan of m variables, each wired
+    from distinct parent variables in any order and constants, and parent
+    inputs."""
+    n = draw(st.integers(0, 14))
+    m = draw(st.integers(0, 16))
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        count = draw(st.integers(0, min(n, m)))
+        parents = draw(st.permutations(range(1, n + 1)))[:count]
+        slots = draw(st.permutations(range(m)))[:count]
+        wires = [const(draw(st.integers(0, 1))) for _ in range(m)]
+        for i, slot in zip(parents, slots):
+            wires[slot] = var(i)
+        members.append(tuple(wires))
+    inputs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
+    return n, m, members, np.array(inputs, dtype=np.int64)
+
+
+def reference_bits(index, n):
+    return tuple(int(b) for b in format(index, f"0{n}b")) if n else ()
+
+
+def wired_input(wires, bits):
+    """A callee input by the per-bit definition of `Call.wires`."""
+    m = len(wires)
+    return sum((bits[i - 1] if kind == "var" else i) << (m - 1 - k) for k, (kind, i) in enumerate(wires))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wirings())
+# Runs that need a left shift: padding at the end, and a last parent
+# variable moved to the front.
+@example((3, 4, [(var(1), var(2), var(3), const(1))], np.array([0, 5, 7])))
+@example((3, 3, [(var(3), var(1), var(2)), (var(2), const(0), var(1))], np.array([1, 6])))
+def test_wire_runs_equal_per_bit_wires(drawn):
+    n, m, members, inputs = drawn
+    callee = Plan(family="any", n=m, params=(), root=Output(0), claimed_queries=0, truth=lambda bits: 0)
+    calls = [Call(callee, wires) for wires in members]
+    expected = [[wired_input(wires, reference_bits(x, n)) for x in inputs.tolist()] for wires in members]
+    for call, want in zip(calls, expected):
+        assert _sub_inputs(call, inputs, n).tolist() == want
+    runs = _runs(calls, n)
+    assert _route(inputs, runs).tolist() == expected
+    # No more runs than callee bits, so no more ops than a loop over them.
+    assert len(runs[1]) <= m
 
 
 def complex_gadget_plan():
