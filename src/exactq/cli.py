@@ -1,4 +1,13 @@
-"""Command-line front end: build, verify, and report on plan families."""
+"""Command-line front end: build, verify, and report on plan families.
+
+Each subparser names its handler with `set_defaults(run=cmd_...)`, and the
+handler reads its flags straight off the parsed `argparse.Namespace`. `main`
+first resolves `tol` (`--tol`, then `EXACTQ_TOL`, then `DEFAULT_TOL`) and
+`branch_tol` (`--branch-tol`, else `DEFAULT_BRANCH_TOL`) on the namespace.
+Exit codes: 0 pass, 1 failed check or diverged chain, 2 invalid parameters.
+Builders and verifier functions are looked up as module globals at call time,
+so wrappers set on this module with `setattr` see every call.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +17,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .algorithms import (
@@ -39,43 +47,18 @@ from .verifier import (
 FORMATS = ("json", "csv", "text")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: one command, its parameters, and output options."""
-
-    command: str
-    family: str | None = None
-    n: int | None = None
-    k: int | None = None
-    l: int | None = None
-    d: int | None = None
-    u: int | None = None
-    w: int | None = None
-    a: str | None = None
-    g: int | None = None
-    strategy: str = TWO_SIDED
-    k0: int | None = None
-    gamma0: float | None = None
-    n_max: int = 41
-    appendix_a: bool = False
-    tol: float = DEFAULT_TOL
-    branch_tol: float = DEFAULT_BRANCH_TOL
-    format: str = "json"
-    out: str | None = None
-    verbose: bool = False
-
-
-def _require(config: RunConfig, *names: str) -> list:
+def _require(config: argparse.Namespace, *names: str) -> list:
+    owner = f"family {config.family!r}" if "family" in config else f"the {config.command} command"
     values = []
     for name in names:
         value = getattr(config, name)
         if value is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required for family {config.family!r}")
+            raise ValueError(f"--{name.replace('_', '-')} is required for {owner}")
         values.append(value)
     return values
 
 
-def build_family(config: RunConfig) -> Plan:
+def build_family(config: argparse.Namespace) -> Plan:
     family = config.family
     if family == "unb":
         n, d = _require(config, "n", "d")
@@ -104,7 +87,7 @@ def build_family(config: RunConfig) -> Plan:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _emit(config: RunConfig, text: str) -> None:
+def _emit(config: argparse.Namespace, text: str) -> None:
     if config.out is None or config.out == "-":
         sys.stdout.write(text)
     else:
@@ -124,7 +107,7 @@ def _params_cell(params: dict) -> str:
     return ";".join(f"{k}={v}" for k, v in params.items())
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     plan = build_family(config)
     report = verify_exactness(plan, limit=20, tol=config.tol, branch_tol=config.branch_tol)
     payload = report.as_dict(verbose=config.verbose)
@@ -145,9 +128,7 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_gamma(config: RunConfig) -> int:
-    if config.d is None:
-        raise ValueError("--d is required for the gamma command")
+def cmd_gamma(config: argparse.Namespace) -> int:
     chain = gamma_chain(config.d, config.k0, config.gamma0, n_max=config.n_max)
     rows = [(n, g, bool(g <= 1.0 / n + 1e-15)) for n, g in chain.entries]
     if config.format == "json":
@@ -167,7 +148,7 @@ def cmd_gamma(config: RunConfig) -> int:
     return 0 if chain.valid else 1
 
 
-def cmd_poly(config: RunConfig) -> int:
+def cmd_poly(config: argparse.Namespace) -> int:
     plan = build_family(config)
     if plan.n > 14:
         raise ValueError(f"polynomial extraction needs n <= 14, got {plan.n}")
@@ -200,7 +181,7 @@ def cmd_poly(config: RunConfig) -> int:
     return 0 if audit_ok else 1
 
 
-def cmd_constants(config: RunConfig) -> int:
+def cmd_constants(config: argparse.Namespace) -> int:
     if config.appendix_a:
         constants = appendix_a_constants()
         residuals = appendix_a_residuals(constants)
@@ -275,9 +256,11 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--verbose", action="store_true")
 
     p_verify = sub.add_parser("verify", help="exhaustively verify a plan")
+    p_verify.set_defaults(run=cmd_verify)
     add_common(p_verify, with_family=True)
 
     p_gamma = sub.add_parser("gamma", help="print a coefficient chain table")
+    p_gamma.set_defaults(run=cmd_gamma)
     p_gamma.add_argument("--d", type=int, required=True)
     p_gamma.add_argument("--k0", type=int, default=None)
     p_gamma.add_argument("--gamma0", type=float, default=None)
@@ -285,9 +268,11 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p_gamma, with_family=False)
 
     p_poly = sub.add_parser("poly", help="dump acceptance polynomial and degree audit")
+    p_poly.set_defaults(run=cmd_poly)
     add_common(p_poly, with_family=True)
 
     p_constants = sub.add_parser("constants", help="print step constants and residuals")
+    p_constants.set_defaults(run=cmd_constants)
     p_constants.add_argument("--appendix-a", action="store_true",
                              help="print the hand-tuned base-plan constant table")
     p_constants.add_argument("--n", type=int)
@@ -296,55 +281,15 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_tol(flag: float | None) -> float:
-    if flag is not None:
-        return flag
-    env = os.environ.get("EXACTQ_TOL")
-    if env:
-        return float(env)
-    return DEFAULT_TOL
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    tol = _resolve_tol(getattr(args, "tol", None))
-    branch = getattr(args, "branch_tol", None)
-    return RunConfig(
-        command=args.command,
-        family=getattr(args, "family", None),
-        n=getattr(args, "n", None),
-        k=getattr(args, "k", None),
-        l=getattr(args, "l", None),
-        d=getattr(args, "d", None),
-        u=getattr(args, "u", None),
-        w=getattr(args, "w", None),
-        a=getattr(args, "a", None),
-        g=getattr(args, "g", None),
-        strategy=getattr(args, "strategy", TWO_SIDED),
-        k0=getattr(args, "k0", None),
-        gamma0=getattr(args, "gamma0", None),
-        n_max=getattr(args, "n_max", 41),
-        appendix_a=getattr(args, "appendix_a", False),
-        tol=tol,
-        branch_tol=branch if branch is not None else DEFAULT_BRANCH_TOL,
-        format=getattr(args, "format", "json"),
-        out=getattr(args, "out", None),
-        verbose=getattr(args, "verbose", False),
-    )
-
-
-_COMMANDS = {
-    "verify": cmd_verify,
-    "gamma": cmd_gamma,
-    "poly": cmd_poly,
-    "constants": cmd_constants,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    config = config_from_args(args)
+    if args.tol is None:
+        env = os.environ.get("EXACTQ_TOL")
+        args.tol = float(env) if env else DEFAULT_TOL
+    if args.branch_tol is None:
+        args.branch_tol = DEFAULT_BRANCH_TOL
     try:
-        return _COMMANDS[config.command](config)
+        return args.run(args)
     except DivergedChain as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

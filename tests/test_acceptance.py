@@ -17,6 +17,7 @@ from exactq import (
     ConstraintViolation,
     DECAY_START,
     OUTWARD,
+    STRATEGIES,
     SymSpec,
     TWO_SIDED,
     audit_leaf_degrees,
@@ -27,12 +28,14 @@ from exactq import (
     build_unb,
     build_unbr,
     chain_gamma_at,
+    exact_kl_claimed_queries,
     extract_multilinear,
     gamma_chain,
     quartic_decay,
     root_count_lower_bound,
     run_on_input,
     solve_step_constants,
+    sym_claimed_queries,
     symmetrize_to_univariate,
     u_gadget,
     verify_exactness,
@@ -299,5 +302,45 @@ def test_criterion_8_property_and_mutation_suite():
         f"unitarity residual {worst_unitarity:.2e} < 1e-12 for n <= 20, norms "
         "conserved at every measurement, all single-constant 1e-3 mutations "
         "rejected at build or refuted by simulation"
+        + (f"; failures {failures}" if failures else ""),
+    )
+
+
+def test_criterion_9_claims_grid():
+    failures = []
+    exact_plans = 0
+    for n in range(1, 9):
+        for k in range(n + 1):
+            for l in range(k, n + 1):
+                exact_plans += 1
+                report = verify_exactness(build_exact_kl(n, k, l))
+                q = report.worst_case_queries
+                claimed = exact_kl_claimed_queries(n, k, l)
+                hi = max(n - k, l)
+                if not (report.exact and q == report.claimed_bound == claimed):
+                    failures.append(("exactkl", n, k, l, report.exact, q, claimed))
+                elif not hi - 1 <= q <= hi + 1:
+                    failures.append(("outside max{n-k,l} +- 1", n, k, l, q))
+                elif l - k in (2, 3) and q != hi - 1:
+                    failures.append(("gap 2/3 not max{n-k,l}-1", n, k, l, q))
+                elif l == k + 1 and n == 2 * k + 1 and k >= 1 and q != k + 1:
+                    failures.append(("balanced gap 1 not k+1", n, k, l, q))
+    # Every value vector of length 1..5 (n = 0..4), under both strategies.
+    specs = [SymSpec("".join(bits), None, strategy)
+             for n in range(5)
+             for bits in itertools.product("01", repeat=n + 1)
+             for strategy in STRATEGIES]
+    for spec in specs:
+        report = verify_exactness(build_sym(spec))
+        if not (report.exact and report.worst_case_queries <= sym_claimed_queries(spec)):
+            failures.append(("sym", spec.a, spec.strategy, report.exact, report.worst_case_queries))
+    report_line(
+        "criterion 9 (claims grid)",
+        not failures,
+        f"{exact_plans} EXACT_kl plans (n <= 8, 0 <= k <= l <= n) exact with the claimed "
+        "count, within max{n-k,l} +- 1, max{n-k,l}-1 at gaps 2 and 3, k+1 at l=k+1=n-k "
+        f"(k >= 1); {len(specs)} symmetric plans (n <= 4) exact within their claims. "
+        "Simulation certifies these counts as upper bounds only; the lower bounds "
+        "stay on paper"
         + (f"; failures {failures}" if failures else ""),
     )

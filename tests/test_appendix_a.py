@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from exactq import build_appendix_a, run_on_input, verify_exactness
+from exactq import algorithms, build_appendix_a, run_on_input, verify_exactness
 from exactq.algorithms import (
     APPENDIX_A_SIGNS,
     appendix_a_angles,
@@ -65,6 +65,40 @@ class TestConstantTable:
             c = dict(appendix_a_constants())
             c[i] += 1e-3
             assert max(appendix_a_residuals(c).values()) > 1e-6, f"c{i}"
+
+
+class TestExactCertificate:
+    """The eighteen identities in exact arithmetic, over Q(sqrt 3, sqrt 5, sqrt 7)."""
+
+    @staticmethod
+    def exact_constants(sympy):
+        sq, r = sympy.sqrt, sympy.Rational
+        printed = {
+            1: 1 / (4 * sq(7)), 2: r(17, 16) / sq(5), 3: r(12, 17), 4: sq(r(3, 7)) / 16,
+            5: r(17, 40), 6: r(30, 17), 7: 2 * sq(r(2, 7)) / 5, 8: 1 / (16 * sq(7)),
+            9: 1 / (8 * sq(5)), 10: sympy.Integer(5), 11: sympy.Integer(6),
+            12: 3 * sq(r(3, 7)) / 16, 13: r(2, 3), 14: r(3, 8), 15: r(2, 3),
+            16: 1 / (2 * sq(7)), 17: sympy.Integer(1), 18: 3 / (16 * sq(7)),
+        }
+        return {i: int(APPENDIX_A_SIGNS.get(i, 1)) * v for i, v in printed.items()}
+
+    def test_residuals_vanish_exactly(self, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        exact = self.exact_constants(sympy)
+        # Run the library's own residual formulas with an exact square root.
+        monkeypatch.setattr(algorithms, "_SQ", sympy.sqrt)
+        residuals = appendix_a_residuals(exact)
+        assert len(residuals) == 18
+        for name, residual in residuals.items():
+            assert sympy.simplify(residual) == 0, name
+
+    def test_float_table_matches_exact_values(self):
+        sympy = pytest.importorskip("sympy")
+        exact = self.exact_constants(sympy)
+        constants = appendix_a_constants()
+        assert set(constants) == set(exact)
+        for i, value in exact.items():
+            assert abs(constants[i] - float(value)) <= 1e-15, f"c{i}"
 
 
 class TestAngles:

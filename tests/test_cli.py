@@ -97,6 +97,16 @@ class TestVerifyCommand:
         assert main(["verify", "--family", "equality", "--n", "2"]) == 0
         capsys.readouterr()
 
+    def test_text_lists_sorted_report_keys(self, capsys):
+        code, out = run(capsys, "verify", "--family", "equality", "--n", "3",
+                        "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines == sorted(lines)
+        assert "exact: True" in lines
+        assert "worst_case_queries: 2" in lines
+        assert f"tool_version: {__version__}" in lines
+
 
 class TestGammaCommand:
     def test_gap_one_table(self, capsys):
@@ -135,6 +145,29 @@ class TestGammaCommand:
         assert rows[0] == ["n", "gamma", "decayed"]
         assert float(rows[-1][1]) == pytest.approx(1 / 126)
 
+    def test_text_table(self, capsys):
+        code, out = run(capsys, "gamma", "--d", "1", "--n-max", "5", "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "d=1 k0=0 valid=True decays=True"
+        assert lines[1:] == [
+            "  n=  1  gamma=0  decayed=True",
+            "  n=  3  gamma=0.015625  decayed=True",
+            "  n=  5  gamma=0.00793650793651  decayed=True",
+        ]
+
+    def test_out_file(self, capsys, tmp_path):
+        target = tmp_path / "gamma.csv"
+        code, out = run(capsys, "gamma", "--d", "1", "--n-max", "5", "--format", "csv",
+                        "--out", str(target))
+        assert code == 0
+        assert out == ""
+        text = target.read_bytes().decode("utf-8")
+        assert text.count("\r\n") == 4
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["n", "gamma", "decayed"]
+        assert [int(r[0]) for r in rows[1:]] == [1, 3, 5]
+
 
 class TestPolyCommand:
     def test_audit_reported(self, capsys):
@@ -147,6 +180,26 @@ class TestPolyCommand:
 
     def test_large_n_exits_2(self, capsys):
         assert main(["poly", "--family", "equality", "--n", "15"]) == 2
+
+    def test_text_report(self, capsys):
+        code, out = run(capsys, "poly", "--family", "unbr", "--n", "3", "--d", "1",
+                        "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:3] == ["family: unbr", "degree: 2", "  alpha[empty] = 0.75"]
+        assert "  alpha[1 2] = -0.25" in lines
+        assert lines[-2] == "q values: 0 1 1 0"
+        assert lines[-1].startswith("leaf degree audit: ")
+        assert lines[-1].endswith(" records, ok=True")
+
+    def test_csv_coefficients(self, capsys):
+        code, out = run(capsys, "poly", "--family", "unbr", "--n", "3", "--d", "1",
+                        "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["subset", "coefficient"]
+        coeffs = {subset: float(value) for subset, value in rows[1:]}
+        assert coeffs == pytest.approx({"": 0.75, "1 2": -0.25, "1 3": -0.25, "2 3": -0.25})
 
 
 class TestConstantsCommand:
@@ -168,3 +221,51 @@ class TestConstantsCommand:
 
     def test_degenerate_point_exits_2(self, capsys):
         assert main(["constants", "--n", "3", "--d", "3"]) == 2
+
+    def test_missing_n_names_the_command(self, capsys):
+        assert main(["constants", "--d", "3"]) == 2
+        assert capsys.readouterr().err == "error: --n is required for the constants command\n"
+
+    def test_step_constants_text(self, capsys):
+        code, out = run(capsys, "constants", "--n", "3", "--d", "1", "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 13
+        assert lines[0] == "  c1 = -0.125"
+        assert lines[11] == "  gamma = 0.015625"
+        assert lines[12].startswith("max residual: ")
+
+    def test_step_constants_csv(self, capsys):
+        code, out = run(capsys, "constants", "--n", "3", "--d", "1", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["name", "value"]
+        assert [r[0] for r in rows[1:]] == [f"c{i}" for i in range(1, 12)] + ["gamma"]
+        assert float(rows[1][1]) == pytest.approx(-1 / 8)
+
+    def test_printed_table_text(self, capsys):
+        code, out = run(capsys, "constants", "--appendix-a", "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split(" = ")[0] for line in lines[:18]] == [f"  c{i}" for i in range(1, 19)]
+        assert float(lines[0].split(" = ")[1]) == pytest.approx(1 / 112 ** 0.5, rel=1e-11)
+        assert lines[18].startswith("max residual: ")
+        assert len(lines) == 19
+
+    def test_printed_table_csv(self, capsys):
+        code, out = run(capsys, "constants", "--appendix-a", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["index", "value"]
+        assert [int(r[0]) for r in rows[1:]] == list(range(1, 19))
+        assert float(rows[1][1]) == pytest.approx(1 / 112 ** 0.5, abs=1e-15)
+
+    def test_tol_flag_wins_over_environment(self, capsys, monkeypatch):
+        # The step-constant residual at (5, 1) is about 5.6e-17, so the
+        # exit code shows which tolerance was applied.
+        monkeypatch.setenv("EXACTQ_TOL", "1e-20")
+        assert main(["constants", "--n", "5", "--d", "1"]) == 1
+        assert main(["constants", "--n", "5", "--d", "1", "--tol", "1e-9"]) == 0
+        monkeypatch.setenv("EXACTQ_TOL", "1e-9")
+        assert main(["constants", "--n", "5", "--d", "1", "--tol", "1e-20"]) == 1
+        capsys.readouterr()
