@@ -760,6 +760,7 @@ def exact_kl_claimed_queries(n: int, k: int, l: int) -> int:
     return hi + 1
 
 
+@_memoized
 def build_exact_kl(n: int, k: int, l: int) -> Plan:
     """Plan for EXACT_{k,l}^n: pad to the symmetric case, then dispatch on the
     gap d = l-k (chain family for d <= 3, ancilla test for d >= 4)."""

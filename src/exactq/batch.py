@@ -198,11 +198,7 @@ def summarize(plan: Plan, *, tol: float, branch_tol: float) -> tuple[np.ndarray,
     for start in range(0, count, width):
         block = np.arange(start, min(count, start + width))
         entered[block], part = walker.run(plan, block)
-        gapped = (part.gap != 0) & entered[block]
-        if gapped.any():
-            bits = _bits(int(block[np.argmax(gapped)]), plan.n)
-            raise PartitionGap(f"input {bits}: a branch state has a label that matches "
-                               "no measurement outcome")
+        _raise_gap((part.gap != 0) & entered[block], block, plan.n)
         sums.put(block, part)
     return entered, sums
 
@@ -275,15 +271,9 @@ class _Walker:
         in one of them is still read by the later ones, but the gap discards
         those reads, as it discards every branch of the column.
         """
-        gap_rows, clash, branches, groups = _measure_maps(node, rows, n)
-        # A label that matches two outcomes is an error of the plan, as in
-        # `measure`, once it carries amplitude.
-        for r, message in clash:
-            if amps[r].any():
-                raise ValueError(message)
+        gap, branches, groups = _split(node, rows, amps, n)
         sums = _Sums.vacuous(len(inputs))
-        if len(gap_rows):
-            sums.gap[:] = (amps[gap_rows] != 0).any(axis=0)
+        sums.gap[:] = gap
 
         folded = 0
         for k, (child, members, labels, _) in enumerate(branches):
@@ -414,10 +404,7 @@ def leaf_values(plan: Plan, path: tuple, *, branch_tol: float) -> np.ndarray:
         if not len(inputs):
             continue
         found, gap = _leaf(plan.root, rows, amps, inputs, plan.n, path, branch_tol)
-        if gap.any():
-            bits = _bits(int(inputs[np.argmax(gap)]), plan.n)
-            raise PartitionGap(f"input {bits}: a branch state has a label that matches "
-                               "no measurement outcome")
+        _raise_gap(gap, inputs, plan.n)
         values[inputs] = found
     return values
 
@@ -464,11 +451,7 @@ def _leaf_measure(node: MeasureStep, rows: tuple, amps: np.ndarray, inputs: np.n
     """`_leaf` at a measurement: the child `path[0]` names (a lone child when
     none does) is on the path, the others are walked with path None, and a
     column that gaps is skipped in later children."""
-    gap_rows, clash, branches, _ = _measure_maps(node, rows, n)
-    for r, message in clash:
-        if amps[r].any():
-            raise ValueError(message)
-    gap = (amps[gap_rows] != 0).any(axis=0) if len(gap_rows) else np.zeros(len(inputs), dtype=bool)
+    gap, branches, _ = _split(node, rows, amps, n)
     target, rest = None, None
     if path:
         target = next((k for k, (oid, _, _) in enumerate(node.children) if oid == path[0]), None)
@@ -565,15 +548,8 @@ def _exits(node, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n: int,
     or Call exit below `node`. The walk owns `amps`."""
     while not isinstance(node, (Output, Call)):
         if isinstance(node, MeasureStep):
-            gap_rows, clash, branches, _ = _measure_maps(node, rows, n)
-            for r, message in clash:
-                if amps[r].any():
-                    raise ValueError(message)
-            for r in gap_rows:
-                if amps[r].any():
-                    bits = _bits(int(inputs[np.flatnonzero(amps[r])[0]]), n)
-                    raise PartitionGap(f"input {bits}: label {rows[r]!r} matches no "
-                                       "measurement outcome")
+            gap, branches, _ = _split(node, rows, amps, n)
+            _raise_gap(gap, inputs, n)
             for (oid, _, _), branch in zip(node.children, branches):
                 yield from _exits(branch[0], branch[2], _branch(branch, amps, None), inputs, n,
                                   path + (oid,), queries)
@@ -843,6 +819,28 @@ def _measure_maps(node: MeasureStep, rows: tuple, n: int):
                          _runs([branches[k][0] for k in ks], n))
     maps = cache[(n, rows)] = (np.array(gap, dtype=np.intp), clash, branches, groups)
     return maps
+
+
+def _split(node: MeasureStep, rows: tuple, amps: np.ndarray, n: int):
+    """`_measure_maps` on a block: per column, whether a label that matches
+    no outcome carries amplitude (a gap), and the children's branches and
+    call groups. A label that matches two outcomes is an error of the plan,
+    as in `measure`, once it carries amplitude: it raises ValueError."""
+    gap_rows, clash, branches, groups = _measure_maps(node, rows, n)
+    for r, message in clash:
+        if amps[r].any():
+            raise ValueError(message)
+    if len(gap_rows):
+        return (amps[gap_rows] != 0).any(axis=0), branches, groups
+    return np.zeros(amps.shape[1], dtype=bool), branches, groups
+
+
+def _raise_gap(gap: np.ndarray, inputs: np.ndarray, n: int) -> None:
+    """Raise PartitionGap naming the first of `inputs` whose `gap` is set."""
+    if gap.any():
+        bits = _bits(int(inputs[np.argmax(gap)]), n)
+        raise PartitionGap(f"input {bits}: a branch state has a label that matches "
+                           "no measurement outcome")
 
 
 def _branch(branch: tuple, amps: np.ndarray, cols) -> np.ndarray:

@@ -4,14 +4,18 @@ A symmetric function is given by its value vector a, indexed by Hamming
 weight. The compiler pads the instance so that testable weight pairs appear,
 then sweeps the center eliminating one candidate weight (or one variable
 pair) per query until the answer is forced or a single candidate remains.
+
+The sweeps' sub-plans are memoized like every builder's default builds
+(`algorithms._memoized`), keyed on their arguments. So specs whose sweeps
+reach one value vector under one radius (two-sided) or padding budget
+(outward) share its sub-plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .algorithms import _hadamard_test_step, _memoized, _uw_test_step, build_exact_k
+from .algorithms import _hadamard_test_step, _memoized, _uw_test_step, build_exact_k, weight_truth
 from .errors import InconsistentSpec
 from .plans import Call, Output, Plan, PlanNode, const, drop_wires, identity_wires
 
@@ -45,22 +49,17 @@ def sym_claimed_queries(spec: SymSpec) -> int:
     return half + 7 * g + 1 if spec.strategy == TWO_SIDED else half + 5 * g
 
 
-def _avec_truth(avec: tuple[str, ...]) -> Callable[[tuple[int, ...]], int]:
-    def truth(bits: tuple[int, ...]) -> int:
-        return 1 if avec[sum(bits)] == "1" else 0
-    return truth
-
-
 def _star(avec: tuple[str, ...], w: int) -> tuple[str, ...]:
     return avec[:w] + ("*",) + avec[w + 1:]
 
 
 def _leaf_plan(avec: tuple[str, ...], root: PlanNode, claimed: int, strategy: str) -> Plan:
     n_cur = len(avec) - 1
+    ones = frozenset(w for w, c in enumerate(avec) if c == "1")
     return Plan(
         family="sym", n=n_cur,
         params=(("a", "".join(avec)), ("strategy", strategy)),
-        root=root, claimed_queries=claimed, truth=_avec_truth(avec),
+        root=root, claimed_queries=claimed, truth=weight_truth(n_cur, ones),
     )
 
 
@@ -78,15 +77,10 @@ def _early_exit(avec: tuple[str, ...], strategy: str) -> Plan | None:
     return None
 
 
-def _build_two_sided(
-    avec: tuple[str, ...], m2: int, g: int, memo: dict,
-) -> Plan:
-    key = (avec, m2)
-    if key in memo:
-        return memo[key]
+@_memoized
+def _build_two_sided(avec: tuple[str, ...], m2: int, g: int) -> Plan:
     exit_plan = _early_exit(avec, TWO_SIDED)
     if exit_plan is not None:
-        memo[key] = exit_plan
         return exit_plan
 
     n_cur = len(avec) - 1
@@ -96,9 +90,9 @@ def _build_two_sided(
         lo = min(testable)
         hi = n_cur - lo
         d = n_cur - 2 * lo
-        dropped = _build_two_sided(avec[1:-1], m2, g, memo)
-        ruled_out_high = _build_two_sided(_star(avec, hi), m2, g, memo)
-        ruled_out_low = _build_two_sided(_star(avec, lo), m2, g, memo)
+        dropped = _build_two_sided(avec[1:-1], m2, g)
+        ruled_out_high = _build_two_sided(_star(avec, hi), m2, g)
+        ruled_out_low = _build_two_sided(_star(avec, lo), m2, g)
         root: PlanNode = _hadamard_test_step(
             n_cur, d,
             pair_child=lambda i, j: Call(dropped, drop_wires(n_cur, (i, j))),
@@ -112,23 +106,17 @@ def _build_two_sided(
             raise InconsistentSpec(
                 f"center sweep exhausted with candidates {avec!r} left; "
                 f"the radius g={g} does not cover this value vector")
-        padded = _build_two_sided(avec + ("0",), m2 + 1, g, memo)
+        padded = _build_two_sided(avec + ("0",), m2 + 1, g)
         root = Call(padded, identity_wires(n_cur) + (const(0),))
         claimed = padded.claimed_queries
 
-    plan = _leaf_plan(avec, root, claimed, TWO_SIDED)
-    memo[key] = plan
-    return plan
+    return _leaf_plan(avec, root, claimed, TWO_SIDED)
 
 
-def _build_outward(
-    avec: tuple[str, ...], budget: int, memo: dict,
-) -> Plan:
-    if avec in memo:
-        return memo[avec]
+@_memoized
+def _build_outward(avec: tuple[str, ...], budget: int) -> Plan:
     exit_plan = _early_exit(avec, OUTWARD)
     if exit_plan is not None:
-        memo[avec] = exit_plan
         return exit_plan
 
     n_cur = len(avec) - 1
@@ -138,9 +126,9 @@ def _build_outward(
     if below and above:
         lo, hi = min(below), max(above)
         u, w = n_cur - 2 * lo, 2 * hi - n_cur
-        dropped = _build_outward(avec[1:-1], budget, memo)
-        ruled_out_low = _build_outward(_star(avec, lo), budget, memo)
-        ruled_out_high = _build_outward(_star(avec, hi), budget, memo)
+        dropped = _build_outward(avec[1:-1], budget)
+        ruled_out_low = _build_outward(_star(avec, lo), budget)
+        ruled_out_high = _build_outward(_star(avec, hi), budget)
         root: PlanNode = _uw_test_step(
             n_cur, u, w,
             pair_child=lambda i, j: Call(dropped, drop_wires(n_cur, (i, j))),
@@ -154,16 +142,14 @@ def _build_outward(
             raise InconsistentSpec(
                 f"padding budget exhausted with candidates {avec!r} left")
         if max(ones) * 2 <= n_cur:
-            padded = _build_outward(("0",) + avec, budget, memo)
+            padded = _build_outward(("0",) + avec, budget)
             root = Call(padded, identity_wires(n_cur) + (const(1),))
         else:
-            padded = _build_outward(avec + ("0",), budget, memo)
+            padded = _build_outward(avec + ("0",), budget)
             root = Call(padded, identity_wires(n_cur) + (const(0),))
         claimed = padded.claimed_queries
 
-    plan = _leaf_plan(avec, root, claimed, OUTWARD)
-    memo[avec] = plan
-    return plan
+    return _leaf_plan(avec, root, claimed, OUTWARD)
 
 
 @_memoized
@@ -184,10 +170,10 @@ def build_sym(spec: SymSpec) -> Plan:
     avec = tuple(spec.a)
     if spec.strategy == TWO_SIDED:
         start = ("0",) * (2 * g) + avec
-        inner = _build_two_sided(start, 0, g, {})
+        inner = _build_two_sided(start, 0, g)
         wires = identity_wires(n) + tuple(const(1) for _ in range(2 * g))
     else:
-        inner = _build_outward(avec, len(avec) + 6 * g + 16, {})
+        inner = _build_outward(avec, len(avec) + 6 * g + 16)
         wires = identity_wires(n)
 
     return Plan(
@@ -195,5 +181,5 @@ def build_sym(spec: SymSpec) -> Plan:
         params=(("a", spec.a), ("g", g), ("strategy", spec.strategy)),
         root=Call(inner, wires),
         claimed_queries=sym_claimed_queries(SymSpec(spec.a, g, spec.strategy)),
-        truth=_avec_truth(avec),
+        truth=weight_truth(n, frozenset(w for w, c in enumerate(spec.a) if c == "1")),
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -237,16 +237,19 @@ def verify_exactness(
         raise ValueError(f"n={plan.n} exceeds the enumeration limit {limit}")
     truth_fn = truth if truth is not None else plan.truth
     entered, sums = _summarize(plan, tol=tol, branch_tol=branch_tol)
-    inputs = list(product((0, 1), repeat=plan.n))
+    from .batch import _bits  # imported by _summarize
     checked = np.flatnonzero(entered)
     worst = int(sums.maxq[checked].max(initial=0))
     lost = np.abs(sums.total[:, checked].sum(axis=0) - 1.0)
     max_residual = float(max(lost.max(initial=0.0), sums.resid[checked].max(initial=0.0)))
+    # The checked inputs' bits are generated in order and not kept; a
+    # counterexample's bits come from its input index.
+    truths = [truth_fn(bits) for bits in compress(product((0, 1), repeat=plan.n), entered.tolist())]
     # wrong[r, c]: output r - 1 disagrees with the truth on checked input c
-    wrong = np.arange(-1, 2)[:, None] != np.array([truth_fn(inputs[p]) for p in checked], dtype=int)
+    wrong = np.arange(-1, 2)[:, None] != np.array(truths, dtype=int)
     wrong_mass = float(np.where(wrong, sums.total[:, checked], 0.0).sum(axis=0).max(initial=0.0))
     heavy = np.where(wrong, sums.heavy[:, checked], 0.0)
-    counterexamples = [(inputs[checked[c]], r - 1, float(heavy[r, c]))
+    counterexamples = [(_bits(int(checked[c]), plan.n), r - 1, float(heavy[r, c]))
                        for c, r in np.argwhere(heavy.T > tol).tolist()]
     return VerificationReport(
         family=plan.family,
@@ -257,7 +260,7 @@ def verify_exactness(
         claimed_bound=plan.claimed_queries,
         max_norm_residual=max_residual,
         counterexamples=tuple(counterexamples),
-        inputs_checked=len(inputs),
+        inputs_checked=1 << plan.n,
     )
 
 

@@ -264,6 +264,9 @@ class TestExactKl:
         with pytest.raises(ValueError):
             build_exact_kl(5, 1, 6)
 
+    def test_default_builds_are_shared(self):
+        assert build_exact_kl(5, 1, 3) is build_exact_kl(5, 1, 3)
+
     def test_truth_tables(self):
         plan = build_exact_kl(5, 1, 3)
         for bits in itertools.product((0, 1), repeat=5):

@@ -91,10 +91,22 @@ class TestVerifyCommand:
 
     def test_env_tolerance_is_honored(self, capsys, monkeypatch):
         monkeypatch.setenv("EXACTQ_TOL", "not-a-float")
-        with pytest.raises(ValueError):
-            main(["verify", "--family", "equality", "--n", "2"])
+        assert main(["verify", "--family", "equality", "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "EXACTQ_TOL" in captured.err
+        # The flag wins, so the environment is not read.
+        assert main(["verify", "--family", "equality", "--n", "2", "--tol", "1e-9"]) == 0
         monkeypatch.setenv("EXACTQ_TOL", "1e-6")
         assert main(["verify", "--family", "equality", "--n", "2"]) == 0
+        capsys.readouterr()
+
+    def test_branch_tol_flag_is_read(self, capsys):
+        # Pruning every branch of weight at most 0.5 loses mass on
+        # unb(5,1), so the check fails only when the flag is applied.
+        argv = ["verify", "--family", "unb", "--n", "5", "--d", "1"]
+        assert main(argv) == 0
+        assert main([*argv, "--branch-tol", "0.5"]) == 1
         capsys.readouterr()
 
     def test_text_lists_sorted_report_keys(self, capsys):
@@ -106,6 +118,22 @@ class TestVerifyCommand:
         assert "exact: True" in lines
         assert "worst_case_queries: 2" in lines
         assert f"tool_version: {__version__}" in lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--d", "1", "--n-max", "5", "--tol", "1e-300"],
+    ["gamma", "--d", "1", "--n-max", "5", "--branch-tol", "0.5"],
+    ["gamma", "--d", "1", "--n-max", "5", "--verbose"],
+    ["constants", "--n", "3", "--d", "1", "--branch-tol", "0.5"],
+    ["constants", "--n", "3", "--d", "1", "--verbose"],
+    ["poly", "--family", "unbr", "--n", "3", "--d", "1", "--verbose"],
+], ids=["gamma-tol", "gamma-branch-tol", "gamma-verbose", "constants-branch-tol",
+        "constants-verbose", "poly-verbose"])
+def test_flag_the_command_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestGammaCommand:

@@ -13,6 +13,7 @@ from exactq import (
     sym_claimed_queries,
     verify_exactness,
 )
+from exactq.verifier import _collect_plans
 
 # (value vector, g) -> measured worst-case queries per strategy, recorded
 # from exhaustive simulation.
@@ -86,6 +87,14 @@ class TestBuildSymMemo:
         assert len({id(plan) for plan in plans}) == 4
         assert {(plan.params_dict()["g"], plan.params_dict()["strategy"]) for plan in plans} == {
             (g, strategy) for g in (1, 2) for strategy in (TWO_SIDED, OUTWARD)}
+
+    def test_specs_share_sub_plans(self):
+        # Dropping a pair from 001100 leaves 0110, so the two sweeps (both
+        # of radius 1) reach the same value vectors.
+        def sym_sub_plans(spec):
+            return {id(p): p for p in _collect_plans(build_sym(spec)) if p.family == "sym"}
+        shared = sym_sub_plans(SymSpec("0110")).keys() & sym_sub_plans(SymSpec("001100")).keys()
+        assert shared
 
     def test_inconsistent_spec_raises_on_every_call(self):
         for _ in range(2):
