@@ -5,6 +5,12 @@ Families: the pair-elimination subroutine with a precomputed input state
 the one-ancilla test for symmetric weight pairs (build_general_unbalance,
 build_uw_step), the padding dispatcher (build_exact_kl), and the hand-tuned
 two-query base plan at n=5 (build_appendix_a).
+
+The builders assemble their steps from five shared pieces: `_measure` (one
+measurement from one entry list), `_rotation_pass` (a rotation on every
+pair), `_u_stages` (the U_n/U_{n-2} applications), `_round` (one
+pair-elimination query: split, U stages inverted, query, U stages forward,
+merge) and `_uniform_start` (uniform preparation, query and U_n).
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .plans import (
 from .recurrence import CHAIN_BASES, chain_gamma_at, solve_step_constants, StepConstants
 from .state_core import (
     Binding,
+    Label,
     LabeledState,
     MeasurementPartition,
     S_LABEL,
@@ -96,11 +103,12 @@ def _memoized(build: Callable[..., _Built]) -> Callable[..., _Built]:
 
     A call that passes any keyword argument (the override knobs) builds a
     new Plan. It builds afresh only the steps its knobs set; every other
-    step comes from a memoized helper (`_unbr_shared`, `_unb_shared`,
-    `_appendix_a_shared`) that the default build of the same shape uses
-    too. So the override plans of one shape share those nodes, and the maps
-    the batched walker compiles on them, with the default plan. Nothing is
-    memoized per knob value.
+    step comes from a memoized helper that the default build of the same
+    shape uses too: `_unbr_shared` and `_appendix_a_shared` hold the U
+    stages and the measurement, `_unb_shared` only the measurement. So the
+    override plans of one shape share those nodes, and the maps the batched
+    walker compiles on them, with the default plan. Nothing is memoized per
+    knob value.
     """
     @functools.wraps(build)
     def cached(*args, **overrides):
@@ -114,6 +122,10 @@ def _memoized(build: Callable[..., _Built]) -> Callable[..., _Built]:
     return cached
 
 
+def _pairs(n: int) -> list[tuple[int, int]]:
+    return list(combinations(range(1, n + 1), 2))
+
+
 def _split_binding(gadget, i: int, j: int) -> Binding:
     """Bind the 3-label rotation space onto pair (i,j) and its tagged arms."""
     p = pair(i, j)
@@ -123,6 +135,67 @@ def _split_binding(gadget, i: int, j: int) -> Binding:
 def _rest_renumber(n: int, i: int, j: int) -> dict[int, int]:
     rest = [m for m in range(1, n + 1) if m not in (i, j)]
     return {m: t + 1 for t, m in enumerate(rest)}
+
+
+def _quad_renames(n: int, i: int, j: int) -> dict:
+    """Each quad label of pair (i,j) renamed to the sub-instance's pair label."""
+    r = _rest_renumber(n, i, j)
+    return {quad(i, j, u, v): pair(r[u], r[v]) for u, v in combinations(sorted(r), 2)}
+
+
+def _measure(branches) -> MeasureStep:
+    """A measurement from (outcome id, predicate, rewrite or None, child)
+    entries, one per outcome in order."""
+    partition = MeasurementPartition(tuple((oid, pred) for oid, pred, _, _ in branches))
+    return MeasureStep(partition, tuple((oid, rewrite, child) for oid, _, rewrite, child in branches))
+
+
+def _rotation_pass(angle: float, n: int, inverse: bool) -> _Apps:
+    """One rotation by `angle` on every pair of n indices: a split, or with
+    `inverse` a merge."""
+    gadget = r_rotation(angle)
+    return tuple((_split_binding(gadget, i, j), inverse) for i, j in _pairs(n))
+
+
+def _u_stages(n: int, index: Callable[[int], Label],
+              sub_index: Callable[[Label, int], Label]) -> tuple[_Apps, _Apps]:
+    """U_n on the labels index(i), and U_{n-2} per pair p on its right arm,
+    the labels sub_index(p, k) of its remaining indices k, and its quads:
+    the applications inverted, then forward."""
+    pairs = _pairs(n)
+    bindings = [bind(u_gadget(n), {
+        S_LABEL: S_LABEL,
+        **{index(i): idx(i) for i in range(1, n + 1)},
+        **{tag("L", pair(i, j)): pair(i, j) for i, j in pairs},
+    })]
+    for i, j in pairs:
+        p, r = pair(i, j), _rest_renumber(n, i, j)
+        bindings.append(bind(u_gadget(n - 2), {
+            tag("R", p): S_LABEL,
+            **{sub_index(p, k): idx(r[k]) for k in r},
+            **_quad_renames(n, i, j),
+        }))
+    return tuple((b, True) for b in bindings), tuple((b, False) for b in bindings)
+
+
+def _round(split: _Apps, inverses: _Apps, extractor: Callable[[Label], int | None],
+           forwards: _Apps, merge: _Apps, child: PlanNode) -> PlanNode:
+    """One pair-elimination query: split, U stages inverted, query, U stages
+    forward, merge, then `child`."""
+    return GadgetStep(split,
+            GadgetStep(inverses,
+             QueryStep(extractor,
+              GadgetStep(forwards,
+               GadgetStep(merge, child)))))
+
+
+def _uniform_start(n: int, child: PlanNode) -> PlanNode:
+    """Uniform superposition over the n index labels, the trailing-index
+    query, and U_n, then `child`."""
+    uniform = LabeledState({idx(i): 1.0 / math.sqrt(n) for i in range(1, n + 1)})
+    return PrepareState(uniform,
+            QueryStep(extract_trailing_index,
+             GadgetStep(((identity_binding(u_gadget(n)), False),), child)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +249,9 @@ def _build_unbr_base(d: int) -> Plan:
     if d == 2:
         # Two variables, gamma = 0: the contract is (xhat_1+xhat_2)|S>,
         # nonzero exactly when the bits agree.
-        p = pair(1, 2)
-        partition = MeasurementPartition((
-            (("s",), lambda l: l == S_LABEL),
-            (("pair", 1, 2), lambda l: l != S_LABEL),
-        ))
-        root = MeasureStep(partition, (
-            (("s",), None, Output(1)),
-            (("pair", 1, 2), None, Output(0)),
+        root = _measure((
+            (("s",), lambda l: l == S_LABEL, None, Output(1)),
+            (("pair", 1, 2), lambda l: l != S_LABEL, None, Output(0)),
         ))
         return Plan(
             family="unbr", n=2, params=(("n", 2), ("d", 2)),
@@ -200,31 +268,9 @@ def _unbr_shared(n: int, d: int) -> tuple[_Apps, _Apps, MeasureStep]:
     U_n/U_{n-2} applications inverted and forward, and the measurement
     whose pair outcomes call build_unbr(n-2, d)."""
     sub = build_unbr(n - 2, d)
-    m = n - 2
-    pairs = list(combinations(range(1, n + 1), 2))
-
-    un = u_gadget(n)
-    big_binding = bind(un, {
-        S_LABEL: S_LABEL,
-        **{idx(i): idx(i) for i in range(1, n + 1)},
-        **{tag("L", pair(i, j)): pair(i, j) for i, j in pairs},
-    })
-    um = u_gadget(m)
-    sub_bindings = []
-    for i, j in pairs:
-        r = _rest_renumber(n, i, j)
-        mapping = {tag("R", pair(i, j)): S_LABEL}
-        for k in r:
-            mapping[comp(pair(i, j), idx(k))] = idx(r[k])
-        for u, v in combinations(sorted(r), 2):
-            mapping[quad(i, j, u, v)] = pair(r[u], r[v])
-        sub_bindings.append(bind(um, mapping))
-    inverses = ((big_binding, True),) + tuple((b, True) for b in sub_bindings)
-    forwards = ((big_binding, False),) + tuple((b, False) for b in sub_bindings)
-
-    outcomes: list = [(("s",), lambda l: l == S_LABEL)]
-    children: list = [(("s",), None, Output(0))]
-    for i, j in pairs:
+    inverses, forwards = _u_stages(n, idx, lambda p, k: comp(p, idx(k)))
+    branches: list = [(("s",), lambda l: l == S_LABEL, None, Output(0))]
+    for i, j in _pairs(n):
         p = pair(i, j)
 
         def in_group(label, p=p, i=i, j=j):
@@ -234,15 +280,9 @@ def _unbr_shared(n: int, d: int) -> tuple[_Apps, _Apps, MeasureStep]:
                 return True
             return label[0] == "Q" and label[1] == i and label[2] == j
 
-        r = _rest_renumber(n, i, j)
-        rewrite = {p: S_LABEL}
-        for u, v in combinations(sorted(r), 2):
-            rewrite[quad(i, j, u, v)] = pair(r[u], r[v])
-        outcomes.append(((("pair", i, j)), in_group))
-        children.append((("pair", i, j), rewrite, Call(sub, drop_wires(n, (i, j)))))
-
-    measure = MeasureStep(MeasurementPartition(tuple(outcomes)), tuple(children))
-    return inverses, forwards, measure
+        branches.append((("pair", i, j), in_group, {p: S_LABEL, **_quad_renames(n, i, j)},
+                         Call(sub, drop_wires(n, (i, j)))))
+    return inverses, forwards, _measure(branches)
 
 
 def _build_unbr_step(n: int, d: int, *, constants: StepConstants | None, validate: bool) -> Plan:
@@ -252,18 +292,8 @@ def _build_unbr_step(n: int, d: int, *, constants: StepConstants | None, validat
         cs.validate()
     gamma = cs.gamma
     inverses, forwards, measure = _unbr_shared(n, d)
-    pairs = list(combinations(range(1, n + 1), 2))
-
-    split_gadget = r_rotation(math.atan2(cs.c1, cs.c2))
-    merge_gadget = r_rotation(math.atan2(cs.c8, cs.c9))
-    splits = tuple((_split_binding(split_gadget, i, j), False) for i, j in pairs)
-    merges = tuple((_split_binding(merge_gadget, i, j), True) for i, j in pairs)
-
-    root = GadgetStep(splits,
-            GadgetStep(inverses,
-             QueryStep(extract_trailing_index,
-              GadgetStep(forwards,
-               GadgetStep(merges, measure)))))
+    root = _round(_rotation_pass(math.atan2(cs.c1, cs.c2), n, False), inverses, extract_trailing_index,
+                  forwards, _rotation_pass(math.atan2(cs.c8, cs.c9), n, True), measure)
 
     k, l = (n - d) // 2, (n + d) // 2
     return Plan(
@@ -339,29 +369,9 @@ def _appendix_a_shared() -> tuple[_Apps, _Apps, MeasureStep]:
     """The steps of build_appendix_a that no angle or gamma sets: the
     U_5/U_3 applications inverted and forward, and the final measurement."""
     n = 5
-    pairs = list(combinations(range(1, n + 1), 2))
-    u5 = u_gadget(5)
-    u3 = u_gadget(3)
-    big_binding = bind(u5, {
-        S_LABEL: S_LABEL,
-        **{tag("L", pair(i, j)): pair(i, j) for i, j in pairs},
-        **{comp(idx(i), S_LABEL): idx(i) for i in range(1, n + 1)},
-    })
-    sub_bindings = []
-    for i, j in pairs:
-        r = _rest_renumber(n, i, j)
-        mapping = {tag("R", pair(i, j)): S_LABEL}
-        for k in r:
-            mapping[comp(idx(k), pair(i, j))] = idx(r[k])
-        for u, v in combinations(sorted(r), 2):
-            mapping[quad(i, j, u, v)] = pair(r[u], r[v])
-        sub_bindings.append(bind(u3, mapping))
-    inverses = ((big_binding, True),) + tuple((b, True) for b in sub_bindings)
-    forwards = ((big_binding, False),) + tuple((b, False) for b in sub_bindings)
-
-    outcomes: list = [(("s",), lambda l: l == S_LABEL)]
-    children: list = [(("s",), None, Output(0))]
-    for i, j in pairs:
+    inverses, forwards = _u_stages(n, lambda i: comp(idx(i), S_LABEL), lambda p, k: comp(idx(k), p))
+    branches: list = [(("s",), lambda l: l == S_LABEL, None, Output(0))]
+    for i, j in _pairs(n):
         p = pair(i, j)
 
         def in_group(label, p=p):
@@ -369,17 +379,11 @@ def _appendix_a_shared() -> tuple[_Apps, _Apps, MeasureStep]:
                 return True
             return label[0] == "T" and len(label) == 3 and label[2] == p
 
-        outcomes.append((("pair", i, j), in_group))
-        children.append((("pair", i, j), None, Output(1)))
-    for i, j in pairs:
-        rest = [m for m in range(1, n + 1) if m not in (i, j)]
-        for u, v in combinations(rest, 2):
-            q = quad(i, j, u, v)
-            outcomes.append((("quad", i, j, u, v), lambda l, q=q: l == q))
-            children.append((("quad", i, j, u, v), None, Output(0)))
-
-    measure = MeasureStep(MeasurementPartition(tuple(outcomes)), tuple(children))
-    return inverses, forwards, measure
+        branches.append((("pair", i, j), in_group, None, Output(1)))
+    for i, j in _pairs(n):
+        for q in _quad_renames(n, i, j):
+            branches.append((("quad",) + q[1:], lambda l, q=q: l == q, None, Output(0)))
+    return inverses, forwards, _measure(branches)
 
 
 @_memoized
@@ -405,27 +409,13 @@ def build_appendix_a(
     gamma = C[1] ** 2 if gamma_override is None else gamma_override
 
     inverses, forwards, measure = _appendix_a_shared()
-    pairs = list(combinations(range(1, 6), 2))
-
-    def rotation_pass(angle: float, inverse: bool) -> _Apps:
-        gadget = r_rotation(angle)
-        return tuple((_split_binding(gadget, i, j), inverse) for i, j in pairs)
-
-    node: PlanNode = measure
-    node = GadgetStep(rotation_pass(angles["merge2"], True), node)
-    node = GadgetStep(forwards, node)
-    node = QueryStep(extract_leading_index, node)
-    node = GadgetStep(inverses, node)
-    node = GadgetStep(rotation_pass(angles["split2"], False), node)
-    node = GadgetStep(rotation_pass(angles["merge1"], True), node)
-    node = GadgetStep(forwards, node)
-    node = QueryStep(extract_leading_index, node)
-    node = GadgetStep(inverses, node)
-    node = GadgetStep(rotation_pass(angles["split1"], False), node)
-
+    second = _round(_rotation_pass(angles["split2"], 5, False), inverses, extract_leading_index,
+                    forwards, _rotation_pass(angles["merge2"], 5, True), measure)
+    root = _round(_rotation_pass(angles["split1"], 5, False), inverses, extract_leading_index,
+                  forwards, _rotation_pass(angles["merge1"], 5, True), second)
     return Plan(
         family="unbr", n=5, params=(("n", 5), ("d", 3)),
-        root=node, claimed_queries=2,
+        root=root, claimed_queries=2,
         truth=weight_truth(5, frozenset({1, 4})),
         contract=precomputed_state(5, gamma), contract_gamma=gamma,
     )
@@ -441,28 +431,21 @@ def unb_claimed_queries(n: int, d: int) -> int:
 
 
 @_memoized
-def _unb_shared(n: int, d: int) -> tuple[_Apps, MeasureStep]:
-    """The steps of build_unb(n, d), n > d, that gamma does not set: the U_n
-    application, and the measurement that calls build_unb(n-2, d) on each
-    pair outcome and build_unbr(n, d) on the rest."""
+def _unb_shared(n: int, d: int) -> MeasureStep:
+    """The step of build_unb(n, d), n > d, that gamma does not set: the
+    measurement that calls build_unb(n-2, d) on each pair outcome and
+    build_unbr(n, d) on the rest."""
     sub_pair = build_unb(n - 2, d)
     sub_rest = build_unbr(n, d)
     if unb_claimed_queries(n, d) != 1 + max(sub_pair.claimed_queries, sub_rest.claimed_queries):
         raise InconsistentSpec(f"query count recursion broke at n={n}, d={d}")
-    pairs = list(combinations(range(1, n + 1), 2))
+    pairs = _pairs(n)
     right_arms = {tag("R", pair(i, j)) for i, j in pairs}
-    outcomes: list = []
-    children: list = []
-    for i, j in pairs:
-        arm = tag("R", pair(i, j))
-        outcomes.append((("pair", i, j), lambda l, arm=arm: l == arm))
-        children.append((("pair", i, j), None, Call(sub_pair, drop_wires(n, (i, j)))))
-    outcomes.append((("rest",), lambda l: l not in right_arms))
+    branches: list = [(("pair", i, j), lambda l, arm=tag("R", pair(i, j)): l == arm, None,
+                       Call(sub_pair, drop_wires(n, (i, j)))) for i, j in pairs]
     rewrite = {tag("L", pair(i, j)): pair(i, j) for i, j in pairs}
-    children.append((("rest",), rewrite, Call(sub_rest, identity_wires(n))))
-
-    measure = MeasureStep(MeasurementPartition(tuple(outcomes)), tuple(children))
-    return ((identity_binding(u_gadget(n)), False),), measure
+    branches.append((("rest",), lambda l: l not in right_arms, rewrite, Call(sub_rest, identity_wires(n))))
+    return _measure(branches)
 
 
 @_memoized
@@ -470,45 +453,30 @@ def build_unb(n: int, d: int, *, gamma_override: float | None = None) -> Plan:
     """Full plan deciding whether the weight is (n-d)/2 or (n+d)/2.
 
     `gamma_override` replaces the split angle's gamma (for sensitivity
-    experiments). An override build makes only its split rotations, its
-    state preparation and its Plan; the U_n stage and the measurement are
-    the default build's (`_unb_shared`). At n = d the plan calls EQUALITY
-    and has no gamma, so an override there raises DegenerateCase.
+    experiments). An override build makes its uniform start, its split
+    rotations and its Plan; the measurement is the default build's
+    (`_unb_shared`). At n = d the plan calls EQUALITY and has no gamma, so
+    an override there raises DegenerateCase.
     """
     if d not in CHAIN_BASES:
         raise NoChain(f"d={d} is outside the chain family (supported: 1, 2, 3); "
                       f"use build_general_unbalance for larger gaps")
     if n < d or (n - d) % 2 != 0:
         raise ValueError(f"need n >= d with n = d (mod 2), got n={n}, d={d}")
-    k, l = (n - d) // 2, (n + d) // 2
-    truth = weight_truth(n, frozenset({k, l}))
-    claimed = unb_claimed_queries(n, d)
     if n == d:
         if gamma_override is not None:
             raise DegenerateCase(f"build_unb({n}, {d}) calls EQUALITY and has no gamma: "
                                  f"gamma_override would be ignored")
-        plan = Plan(
-            family="unb", n=n, params=(("n", n), ("d", d)),
-            root=Call(build_equality(n), identity_wires(n)),
-            claimed_queries=claimed, truth=truth,
-        )
+        root: PlanNode = Call(build_equality(n), identity_wires(n))
     else:
         gamma = chain_gamma_at(d, n) if gamma_override is None else gamma_override
-        u_apps, measure = _unb_shared(n, d)
-        pairs = list(combinations(range(1, n + 1), 2))
-        beta = math.asin(math.sqrt(gamma))
-        split_gadget = r_rotation(beta)
-        splits = tuple((_split_binding(split_gadget, i, j), False) for i, j in pairs)
-        uniform = LabeledState({idx(i): 1.0 / math.sqrt(n) for i in range(1, n + 1)})
-        root = PrepareState(uniform,
-                QueryStep(extract_trailing_index,
-                 GadgetStep(u_apps,
-                  GadgetStep(splits, measure))))
-        plan = Plan(
-            family="unb", n=n, params=(("n", n), ("d", d)),
-            root=root, claimed_queries=claimed, truth=truth,
-        )
-    return plan
+        splits = _rotation_pass(math.asin(math.sqrt(gamma)), n, False)
+        root = _uniform_start(n, GadgetStep(splits, _unb_shared(n, d)))
+    k, l = (n - d) // 2, (n + d) // 2
+    return Plan(
+        family="unb", n=n, params=(("n", n), ("d", d)),
+        root=root, claimed_queries=unb_claimed_queries(n, d), truth=weight_truth(n, frozenset({k, l})),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -521,27 +489,18 @@ def build_equality(n: int) -> Plan:
     """Plan for EQUALITY_n (all bits agree), n-1 queries by pairwise parity."""
     if n < 1:
         raise ValueError(f"EQUALITY needs n >= 1, got {n}")
-    truth = weight_truth(n, frozenset({0, n}))
     if n == 1:
-        plan = Plan(family="equality", n=1, params=(("n", 1),),
-                    root=Output(1), claimed_queries=0, truth=truth)
+        root: PlanNode = Output(1)
     else:
         sub = build_equality(n - 1)
-        partition = MeasurementPartition((
-            (("s",), lambda l: l == S_LABEL),
-            (("pair",), lambda l: l != S_LABEL),
-        ))
-        measure = MeasureStep(partition, (
-            (("s",), None, Call(sub, tuple(var(i) for i in range(2, n + 1)))),
-            (("pair",), None, Output(0)),
-        ))
-        prep = LabeledState({idx(1): 1.0 / math.sqrt(2.0), idx(2): 1.0 / math.sqrt(2.0)})
-        root = PrepareState(prep,
-                QueryStep(extract_trailing_index,
-                 GadgetStep(((identity_binding(u_gadget(2)), False),), measure)))
-        plan = Plan(family="equality", n=n, params=(("n", n),),
-                    root=root, claimed_queries=n - 1, truth=truth)
-    return plan
+        # Query x_1 and x_2 from the uniform start on two indices: |S>
+        # survives exactly when they agree.
+        root = _uniform_start(2, _measure((
+            (("s",), lambda l: l == S_LABEL, None, Call(sub, tuple(var(i) for i in range(2, n + 1)))),
+            (("pair",), lambda l: l != S_LABEL, None, Output(0)),
+        )))
+    return Plan(family="equality", n=n, params=(("n", n),),
+                root=root, claimed_queries=n - 1, truth=weight_truth(n, frozenset({0, n})))
 
 
 @_memoized
@@ -549,27 +508,16 @@ def _build_balanced_exact(m: int) -> Plan:
     """Plan for the balanced case: weight == m/2 on m variables, m/2 queries."""
     if m % 2 != 0 or m < 0:
         raise ValueError(f"balanced instance needs even m >= 0, got {m}")
-    truth = weight_truth(m, frozenset({m // 2}))
     if m == 0:
-        plan = Plan(family="exact", n=0, params=(("n", 0), ("k", 0)),
-                    root=Output(1), claimed_queries=0, truth=truth)
+        root: PlanNode = Output(1)
     else:
         sub = _build_balanced_exact(m - 2)
-        pairs = list(combinations(range(1, m + 1), 2))
-        outcomes: list = [(("s",), lambda l: l == S_LABEL)]
-        children: list = [(("s",), None, Output(0))]
-        for i, j in pairs:
-            p = pair(i, j)
-            outcomes.append((("pair", i, j), lambda l, p=p: l == p))
-            children.append((("pair", i, j), None, Call(sub, drop_wires(m, (i, j)))))
-        measure = MeasureStep(MeasurementPartition(tuple(outcomes)), tuple(children))
-        prep = LabeledState({idx(i): 1.0 / math.sqrt(m) for i in range(1, m + 1)})
-        root = PrepareState(prep,
-                QueryStep(extract_trailing_index,
-                 GadgetStep(((identity_binding(u_gadget(m)), False),), measure)))
-        plan = Plan(family="exact", n=m, params=(("n", m), ("k", m // 2)),
-                    root=root, claimed_queries=m // 2, truth=truth)
-    return plan
+        root = _uniform_start(m, _measure([(("s",), lambda l: l == S_LABEL, None, Output(0))] + [
+            (("pair", i, j), lambda l, p=pair(i, j): l == p, None, Call(sub, drop_wires(m, (i, j))))
+            for i, j in _pairs(m)
+        ]))
+    return Plan(family="exact", n=m, params=(("n", m), ("k", m // 2)),
+                root=root, claimed_queries=m // 2, truth=weight_truth(m, frozenset({m // 2})))
 
 
 @_memoized
@@ -596,7 +544,7 @@ def build_exact_k(n: int, k: int) -> Plan:
 def _ancilla_test_step(
     n: int,
     prep_zero_amp: float,
-    s_gadget_apps: tuple[tuple[Binding, bool], ...],
+    s_gadget_apps: _Apps,
     pair_child: Callable[[int, int], PlanNode],
     s0_child: PlanNode,
     s1_child: PlanNode,
@@ -610,20 +558,14 @@ def _ancilla_test_step(
     })
     ug = u_gadget(n)
     spread = bind(ug, {comp(anc(1), l): l for l in ug.space})
-    pairs = list(combinations(range(1, n + 1), 2))
-
-    outcomes: list = []
-    children: list = []
-    for i, j in pairs:
-        p = pair(i, j)
-        outcomes.append((("pair", i, j), lambda l, p=p: l[0] == "C" and l[2] == p))
-        children.append((("pair", i, j), None, pair_child(i, j)))
     s0, s1 = comp(anc(0), S_LABEL), comp(anc(1), S_LABEL)
-    outcomes.append((("s", 0), lambda l: l == s0))
-    children.append((("s", 0), None, s0_child))
-    outcomes.append((("s", 1), lambda l: l == s1))
-    children.append((("s", 1), None, s1_child))
-    measure = MeasureStep(MeasurementPartition(tuple(outcomes)), tuple(children))
+    measure = _measure([
+        (("pair", i, j), lambda l, p=pair(i, j): l[0] == "C" and l[2] == p, None, pair_child(i, j))
+        for i, j in _pairs(n)
+    ] + [
+        (("s", 0), lambda l: l == s0, None, s0_child),
+        (("s", 1), lambda l: l == s1, None, s1_child),
+    ])
 
     return PrepareState(prep,
             GadgetStep(((spread, True),),
@@ -667,30 +609,25 @@ def build_general_unbalance(n: int, k: int) -> Plan:
     """Plan for EXACT_{k,n-k}^n via the one-ancilla sign test, n-k+1 queries."""
     if k < 0 or 2 * k >= n:
         raise ValueError(f"need 0 <= k < n/2, got k={k}, n={n}")
-    truth = weight_truth(n, frozenset({k, n - k}))
     if k == 0:
         # EXACT_{0,n}^n is EQUALITY; delegate and keep its tighter bound.
-        plan = Plan(
-            family="general", n=n, params=(("n", n), ("k", k)),
-            root=Call(build_equality(n), identity_wires(n)),
-            claimed_queries=n - 1, truth=truth,
-        )
+        root: PlanNode = Call(build_equality(n), identity_wires(n))
+        claimed = n - 1
     else:
-        d = n - 2 * k
         sub = build_general_unbalance(n - 2, k - 1)
         test_low = build_exact_k(n, k)
         test_high = build_exact_k(n, n - k)
         root = _hadamard_test_step(
-            n, d,
+            n, n - 2 * k,
             pair_child=lambda i, j: Call(sub, drop_wires(n, (i, j))),
             s0_child=Call(test_low, identity_wires(n)),
             s1_child=Call(test_high, identity_wires(n)),
         )
-        plan = Plan(
-            family="general", n=n, params=(("n", n), ("k", k)),
-            root=root, claimed_queries=n - k + 1, truth=truth,
-        )
-    return plan
+        claimed = n - k + 1
+    return Plan(
+        family="general", n=n, params=(("n", n), ("k", k)),
+        root=root, claimed_queries=claimed, truth=weight_truth(n, frozenset({k, n - k})),
+    )
 
 
 @_memoized
@@ -707,34 +644,26 @@ def build_uw_step(n: int, u: int, w: int) -> Plan:
     k, l = (n - u) // 2, (n + w) // 2
     truth = weight_truth(n, frozenset({k, l}))
 
+    # A pair outcome leaves n-2 variables: iterate while both test values
+    # fit, test the one weight left, or answer 0 when neither is possible.
     n2 = n - 2
+    sub: Plan | None = None
     if u <= n2 and w <= n2:
-        sub: Plan | None = build_uw_step(n2, u, w)
-        pair_node: Callable[[int, int], PlanNode] = lambda i, j: Call(sub, drop_wires(n, (i, j)))
-    elif u > n2 and w > n2:
-        pair_node = lambda i, j: Output(0)
-    elif u > n2:
-        high = build_exact_k(n2, (n2 + w) // 2)
-        pair_node = lambda i, j: Call(high, drop_wires(n, (i, j)))
-    else:
-        low = build_exact_k(n2, (n2 - u) // 2)
-        pair_node = lambda i, j: Call(low, drop_wires(n, (i, j)))
+        sub = build_uw_step(n2, u, w)
+    elif w <= n2:
+        sub = build_exact_k(n2, (n2 + w) // 2)
+    elif u <= n2:
+        sub = build_exact_k(n2, (n2 - u) // 2)
 
     test_high = build_exact_k(n, l)
     test_low = build_exact_k(n, k)
     root = _uw_test_step(
         n, u, w,
-        pair_child=pair_node,
+        pair_child=lambda i, j: Output(0) if sub is None else Call(sub, drop_wires(n, (i, j))),
         s0_child=Call(test_high, identity_wires(n)),
         s1_child=Call(test_low, identity_wires(n)),
     )
-
-    def _claim(node: PlanNode) -> int:
-        if isinstance(node, Output):
-            return 0
-        assert isinstance(node, Call)
-        return node.plan.claimed_queries
-    claimed = 1 + max(_claim(pair_node(1, 2)), test_high.claimed_queries, test_low.claimed_queries)
+    claimed = 1 + max(sub.claimed_queries if sub else 0, test_high.claimed_queries, test_low.claimed_queries)
     return Plan(
         family="uw", n=n, params=(("n", n), ("u", u), ("w", w)),
         root=root, claimed_queries=claimed, truth=truth,

@@ -3,9 +3,10 @@
 Each subparser declares only the flags its handler reads, names its handler
 with `set_defaults(run=cmd_...)`, and the handler reads its flags straight off
 the parsed `argparse.Namespace`. For the subcommands that take `--tol`, `main`
-first resolves it: `--tol`, then `EXACTQ_TOL`, then `DEFAULT_TOL`. Each
-handler builds its report once as a JSON payload, CSV rows and text lines,
-and `_emit` writes the format asked for.
+first resolves it: `--tol`, then `EXACTQ_TOL`, then `DEFAULT_TOL`; a value
+that is not finite and >= 0 exits 2. Each handler builds its report once
+as a JSON payload, CSV rows and text lines, and `_emit` writes the format
+asked for.
 Exit codes: 0 pass, 1 failed check or diverged chain, 2 invalid parameters.
 Builders and verifier functions are looked up as module globals at call time,
 so wrappers set on this module with `setattr` see every call.
@@ -40,6 +41,7 @@ from .sym import STRATEGIES, SymSpec, TWO_SIDED, build_sym
 from .verifier import (
     DEFAULT_BRANCH_TOL,
     DEFAULT_TOL,
+    _check_tol,
     audit_leaf_degrees,
     extract_multilinear,
     symmetrize_to_univariate,
@@ -246,16 +248,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _tol(flag: float | None) -> float:
-    """`--tol`, else `EXACTQ_TOL`, else `DEFAULT_TOL`."""
+    """`--tol`, else `EXACTQ_TOL`, else `DEFAULT_TOL`; finite and >= 0."""
     if flag is not None:
+        _check_tol(flag, "--tol")
         return flag
     env = os.environ.get("EXACTQ_TOL")
     if not env:
         return DEFAULT_TOL
     try:
-        return float(env)
+        tol = float(env)
     except ValueError:
         raise ValueError(f"EXACTQ_TOL must be a number, got {env!r}") from None
+    _check_tol(tol, "EXACTQ_TOL")
+    return tol
 
 
 def main(argv: list[str] | None = None) -> int:

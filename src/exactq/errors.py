@@ -47,13 +47,5 @@ class InconsistentSpec(ExactQError):
     """A symmetric-function description contradicts itself."""
 
 
-class NotSymmetrizable(ExactQError):
-    """A polynomial expected to be symmetric is not, beyond tolerance.
-
-    Kept for callers that catch it; `symmetrize_to_univariate` no longer
-    raises it, as its class-averaged polynomial is symmetric by construction.
-    """
-
-
 class ZeroWitnessMissing(ExactQError):
     """Root counting requires a nonzero witness point, and it vanished."""

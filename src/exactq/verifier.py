@@ -206,6 +206,18 @@ def tree_leaves(tree: RunTree) -> list[RunTree]:
     return out
 
 
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """Reject a tolerance that is negative, infinite or NaN."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+
+
+def _check_tolerances(tol: float, branch_tol: float) -> None:
+    _check_tol(tol)
+    if not 0.0 <= branch_tol < 1.0:
+        raise ValueError(f"branch_tol must be finite and in [0, 1), got {branch_tol!r}")
+
+
 def _summarize(plan: Plan, *, tol: float, branch_tol: float):
     # The batched walker is imported at the first verification, not with the
     # package: building plans does not need it.
@@ -231,8 +243,10 @@ def verify_exactness(
     An input whose entry contract vanishes cannot reach the plan and is
     skipped. Every other input must keep its norm: the plan is exact only
     if no input's wrong outputs carry total weight above `tol`, spread over
-    branches or not, and `max_norm_residual` is at most `tol`.
+    branches or not, and `max_norm_residual` is at most `tol`. `tol` must be
+    finite and >= 0, and `branch_tol` in [0, 1).
     """
+    _check_tolerances(tol, branch_tol)
     if plan.n > limit:
         raise ValueError(f"n={plan.n} exceeds the enumeration limit {limit}")
     truth_fn = truth if truth is not None else plan.truth
@@ -354,7 +368,9 @@ def extract_multilinear(
     """Multilinear polynomial of the acceptance probability, or of one
     leaf's branch weight (selector ("leaf", outcome path)). `tol` is the
     contract-match tolerance of the acceptance walk; a leaf walk follows the
-    run tree and does not read it."""
+    run tree and does not read it. Both tolerances are checked as in
+    `verify_exactness`."""
+    _check_tolerances(tol, branch_tol)
     if plan.n > 14:
         raise ValueError(f"n={plan.n} exceeds the extraction limit 14")
     if selector == "acceptance":

@@ -199,6 +199,7 @@ class TestSharedSteps:
         default, override = build_appendix_a(), build_appendix_a(angle_overrides=angles)
         assert override is not default
         assert final_measurement(override) is final_measurement(default)
+        assert override.root.child.applications is default.root.child.applications
 
     def test_mutants_reuse_the_defaults_compiled_measurement(self):
         default = build_unbr(7, 1)
@@ -233,7 +234,29 @@ class TestGeneralUnbalance:
         assert report.claimed_bound == 3
 
 
+def uw_case(n: int, u: int, w: int) -> str:
+    """Which test values still fit once a pair outcome removes two variables."""
+    fits = (u <= n - 2, w <= n - 2)
+    return {(True, True): "both", (True, False): "low", (False, True): "high",
+            (False, False): "neither"}[fits]
+
+
+UW_INSTANCES = [(n, u, w) for n in range(1, 9) for u in range(1, n + 1) for w in range(1, n + 1)
+                if (n - u) % 2 == 0 and (n - w) % 2 == 0]
+
+
 class TestUwStep:
+    @pytest.mark.parametrize("n,u,w", UW_INSTANCES,
+                             ids=[f"{n}-{u}-{w}-{uw_case(n, u, w)}" for n, u, w in UW_INSTANCES])
+    def test_every_small_instance_is_exact(self, verified, n, u, w):
+        report = verified("uw", n, u, w)
+        assert report.exact
+        assert report.worst_case_queries <= report.claimed_bound
+
+    def test_small_instances_cover_every_pair_case(self):
+        cases = [uw_case(*args) for args in UW_INSTANCES]
+        assert {c: cases.count(c) for c in set(cases)} == {"both": 28, "low": 12, "high": 12, "neither": 8}
+
     def test_asymmetric_test_values(self, verified):
         report = verified("uw", 6, 2, 4)
         assert exact_and_tight(report)

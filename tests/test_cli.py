@@ -120,6 +120,35 @@ class TestVerifyCommand:
         assert f"tool_version: {__version__}" in lines
 
 
+EQUALITY2 = ["verify", "--family", "equality", "--n", "2"]
+
+
+@pytest.mark.parametrize("argv,env", [
+    ([*EQUALITY2, "--tol", "nan"], None),
+    ([*EQUALITY2, "--tol", "-1"], None),
+    ([*EQUALITY2, "--tol", "inf"], None),
+    ([*EQUALITY2, "--branch-tol", "2"], None),
+    ([*EQUALITY2, "--branch-tol", "-0.5"], None),
+    (EQUALITY2, "nan"),
+    (["constants", "--n", "3", "--d", "1", "--tol", "nan"], None),
+    (["poly", "--family", "unbr", "--n", "3", "--d", "1", "--branch-tol", "1"], None),
+], ids=["tol-nan", "tol-negative", "tol-inf", "branch-tol-2", "branch-tol-negative", "env-nan",
+        "constants-tol-nan", "poly-branch-tol-1"])
+def test_meaningless_tolerance_exits_2(argv, env, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("EXACTQ_TOL", env)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "tol" in captured.err.lower()
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--branch-tol"])
+def test_zero_tolerance_runs(flag, capsys):
+    assert main([*EQUALITY2, flag, "0"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["exact"] in (True, False)
+
+
 @pytest.mark.parametrize("argv", [
     ["gamma", "--d", "1", "--n-max", "5", "--tol", "1e-300"],
     ["gamma", "--d", "1", "--n-max", "5", "--branch-tol", "0.5"],

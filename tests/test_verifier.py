@@ -24,6 +24,7 @@ from exactq import (
     build_unb,
     build_unbr,
     chain_gamma_at,
+    extract_multilinear,
     run_on_input,
     solve_step_constants,
     tree_leaves,
@@ -193,6 +194,17 @@ class TestLostNorm:
 
 
 class TestErrorSemantics:
+    @pytest.mark.parametrize("knobs", [
+        {"tol": math.nan}, {"tol": -1.0}, {"tol": math.inf},
+        {"branch_tol": math.nan}, {"branch_tol": -0.5}, {"branch_tol": 1.0}, {"branch_tol": 2.0},
+    ], ids=["tol-nan", "tol-negative", "tol-inf", "branch-tol-nan", "branch-tol-negative",
+            "branch-tol-1", "branch-tol-2"])
+    @pytest.mark.parametrize("check", [verify_exactness, extract_multilinear], ids=["verify", "extract"])
+    def test_meaningless_tolerance_is_refused(self, check, knobs):
+        (name, _), = knobs.items()
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            check(build_equality(2), **knobs)
+
     def test_top_level_measurement_missing_a_label_raises(self):
         state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
         with pytest.raises(PartitionGap):
