@@ -39,6 +39,7 @@ from .plans import (
     PlanNode,
     PrepareState,
     QueryStep,
+    WeightTruth,
     const,
     drop_wires,
     identity_wires,
@@ -63,11 +64,9 @@ from .state_core import (
 )
 
 
-def weight_truth(n: int, weights: frozenset[int]) -> Callable[[tuple[int, ...]], int]:
+def weight_truth(n: int, weights: frozenset[int]) -> WeightTruth:
     """Truth function: 1 iff the Hamming weight lies in `weights`."""
-    def truth(bits: tuple[int, ...]) -> int:
-        return 1 if sum(bits) in weights else 0
-    return truth
+    return WeightTruth(frozenset(weights))
 
 
 def precomputed_state(n: int, gamma: float) -> Contract:

@@ -8,6 +8,10 @@ that is not finite and >= 0 exits 2. Each handler builds its report once
 as a JSON payload, CSV rows and text lines, and `_emit` writes the format
 asked for.
 Exit codes: 0 pass, 1 failed check or diverged chain, 2 invalid parameters.
+The parser is built at the first `main` call in a process, not at import,
+and binds the handlers then; later calls in the same process reuse it. Only
+callers that call `main` several times in one process gain from that: the
+`exactq` command calls it once. `EXACTQ_TOL` is read on every call.
 Builders and verifier functions are looked up as module globals at call time,
 so wrappers set on this module with `setattr` see every call.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -206,6 +211,7 @@ def cmd_constants(config: argparse.Namespace) -> int:
     return 0 if worst <= config.tol else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exactq",

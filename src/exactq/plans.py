@@ -142,6 +142,20 @@ class Contract:
 PlanNode = Union[Output, PrepareState, GadgetStep, QueryStep, MeasureStep, Call]
 
 
+@dataclass(frozen=True)
+class WeightTruth:
+    """Truth function: 1 iff the Hamming weight of the input lies in `weights`.
+
+    `verify_exactness` reads a `WeightTruth` on every input from a table by
+    weight instead of calling it.
+    """
+
+    weights: frozenset[int]
+
+    def __call__(self, bits: tuple[int, ...]) -> int:
+        return 1 if sum(bits) in self.weights else 0
+
+
 @dataclass(frozen=True, eq=False)
 class Plan:
     """A complete branching program for one function family instance.

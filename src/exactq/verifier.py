@@ -35,6 +35,7 @@ from .plans import (
     PlanNode,
     PrepareState,
     QueryStep,
+    WeightTruth,
 )
 from .state_core import LabeledState, ZERO_LABEL, apply_bindings, measure
 
@@ -183,7 +184,8 @@ def run_on_input(
     the cost multiplies through nested calls. One input of
     `build_exact_kl(8, 2, 6)` did not finish in 100 s on a 2-vCPU machine,
     while `verify_exactness` checks all 256 inputs of that plan in
-    milliseconds."""
+    milliseconds. `branch_tol` must be in [0, 1), as in `verify_exactness`."""
+    _check_branch_tol(branch_tol)
     bits = tuple(x)
     if len(bits) != plan.n:
         raise ValueError(f"plan has n={plan.n}, input has {len(bits)} bits")
@@ -212,10 +214,14 @@ def _check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
 
 
-def _check_tolerances(tol: float, branch_tol: float) -> None:
-    _check_tol(tol)
+def _check_branch_tol(branch_tol: float) -> None:
     if not 0.0 <= branch_tol < 1.0:
         raise ValueError(f"branch_tol must be finite and in [0, 1), got {branch_tol!r}")
+
+
+def _check_tolerances(tol: float, branch_tol: float) -> None:
+    _check_tol(tol)
+    _check_branch_tol(branch_tol)
 
 
 def _summarize(plan: Plan, *, tol: float, branch_tol: float):
@@ -245,26 +251,37 @@ def verify_exactness(
     if no input's wrong outputs carry total weight above `tol`, spread over
     branches or not, and `max_norm_residual` is at most `tol`. `tol` must be
     finite and >= 0, and `branch_tol` in [0, 1).
+
+    A `WeightTruth` (what `weight_truth` makes, and every builder uses) is
+    read from a table by Hamming weight for all inputs at once; any other
+    truth is called once per checked input, in input order, with the input's
+    bit tuple.
     """
     _check_tolerances(tol, branch_tol)
     if plan.n > limit:
         raise ValueError(f"n={plan.n} exceeds the enumeration limit {limit}")
     truth_fn = truth if truth is not None else plan.truth
     entered, sums = _summarize(plan, tol=tol, branch_tol=branch_tol)
-    from .batch import _bits  # imported by _summarize
     checked = np.flatnonzero(entered)
     worst = int(sums.maxq[checked].max(initial=0))
     lost = np.abs(sums.total[:, checked].sum(axis=0) - 1.0)
     max_residual = float(max(lost.max(initial=0.0), sums.resid[checked].max(initial=0.0)))
-    # The checked inputs' bits are generated in order and not kept; a
-    # counterexample's bits come from its input index.
-    truths = [truth_fn(bits) for bits in compress(product((0, 1), repeat=plan.n), entered.tolist())]
+    if isinstance(truth_fn, WeightTruth):
+        table = np.array([w in truth_fn.weights for w in range(plan.n + 1)], dtype=int)
+        truths = table[_popcounts(plan.n)[checked]]
+    else:
+        # The checked inputs' bits are generated in order and not kept.
+        truths = np.array([truth_fn(bits) for bits in
+                           compress(product((0, 1), repeat=plan.n), entered.tolist())], dtype=int)
     # wrong[r, c]: output r - 1 disagrees with the truth on checked input c
-    wrong = np.arange(-1, 2)[:, None] != np.array(truths, dtype=int)
+    wrong = np.arange(-1, 2)[:, None] != truths
     wrong_mass = float(np.where(wrong, sums.total[:, checked], 0.0).sum(axis=0).max(initial=0.0))
     heavy = np.where(wrong, sums.heavy[:, checked], 0.0)
-    counterexamples = [(_bits(int(checked[c]), plan.n), r - 1, float(heavy[r, c]))
-                       for c, r in np.argwhere(heavy.T > tol).tolist()]
+    cols, rows = np.nonzero(heavy.T > tol)
+    # A counterexample's bits come from its input index, first bit most significant.
+    bits = (checked[cols, None] >> np.arange(plan.n - 1, -1, -1)) & 1
+    counterexamples = [(tuple(b), r - 1, w) for b, r, w in
+                       zip(bits.tolist(), rows.tolist(), heavy[rows, cols].tolist())]
     return VerificationReport(
         family=plan.family,
         params=plan.params,
@@ -324,8 +341,9 @@ class MultilinearPoly:
         """Fourier inversion: alpha_S = 2^-n sum_x A(x) prod_{i in S} xhat_i.
 
         `values` is indexed by inputs in lexicographic bit order (first bit
-        most significant).
+        most significant). `tol` must be finite and >= 0.
         """
+        _check_tol(tol)
         if len(values) != 1 << n:
             raise ValueError(f"need {1 << n} values, got {len(values)}")
         coeffs = _fourier(np.array(values, dtype=float).reshape(1, 1 << n), n)[0]
@@ -429,8 +447,10 @@ def audit_leaf_degrees(plan: Plan, *, coeff_tol: float = 1e-9) -> tuple[LeafDegr
     Entry degree is 0 for plans starting from a prepared state and 1 for
     plans consuming the precomputed input family (its amplitudes are linear
     in xhat). Together with linearity of every step this bounds each composed
-    leaf amplitude's degree by its full path query count.
+    leaf amplitude's degree by its full path query count. `coeff_tol` must
+    be finite and >= 0.
     """
+    _check_tol(coeff_tol, "coeff_tol")
     # The batched walker is imported at the first audit, as in _summarize.
     from .batch import exit_amplitudes
     records: list[LeafDegreeRecord] = []

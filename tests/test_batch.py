@@ -41,11 +41,12 @@ from exactq import (
     isometry_from_columns,
     solve_step_constants,
     verify_exactness,
+    weight_truth,
 )
 from exactq.batch import (_Bindings, _Sums, _Walker, _route, _runs, _sub_inputs, exit_amplitudes,
                           leaf_values, summarize)
 from exactq.gadgets import OracleSpec, extract_trailing_index
-from exactq.plans import const, identity_wires, var
+from exactq.plans import WeightTruth, const, identity_wires, var
 from exactq.state_core import S_LABEL, ZERO_LABEL, idx
 from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _collect_plans, _enter, _entry_state, _step
 import reference
@@ -644,3 +645,83 @@ def test_leaf_walk_overlapping_outcomes():
     plan = test_verifier.TestErrorSemantics.overlap_plan((0.6, -0.6, math.sqrt(0.28)))
     assert leaf_values_both(plan, (("all",), ("a",))) == (
         [pytest.approx(0.28)] * 2, [pytest.approx(0.28)] * 2)
+
+
+# ---------------------------------------------------------------------------
+# Verdicts: weight-table truths against per-input truth calls
+# ---------------------------------------------------------------------------
+
+
+def per_input_report(plan):
+    """The report under a truth without a weight set, which `verify_exactness`
+    calls once per checked input."""
+    return verify_exactness(plan, truth=lambda bits: plan.truth(bits)).as_dict(verbose=True)
+
+
+DISPATCH_PLANS = {
+    "exact105": lambda: build_exact_k(10, 5),
+    "equality12": lambda: build_equality(12),
+    "exactkl826": lambda: build_exact_kl(8, 2, 6),
+    "sym0011100": lambda: build_sym(SymSpec("0011100")),
+    "general82": lambda: build_general_unbalance(8, 2),
+}
+
+
+@pytest.mark.parametrize("name", DISPATCH_PLANS)
+def test_weight_table_verdict_equals_per_input_truths(name):
+    plan = DISPATCH_PLANS[name]()
+    assert isinstance(plan.truth, WeightTruth)
+    assert verify_exactness(plan).as_dict(verbose=True) == per_input_report(plan)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from(((5, 1), (6, 2))), st.sampled_from(STEP_FIELDS), deltas)
+def test_mutant_verdict_equals_per_input_truths(nd, name, delta):
+    plan = mutated_unbr(*nd, name, abs(delta) if name == "gamma" else delta)
+    report = verify_exactness(plan).as_dict(verbose=True)
+    assert report == per_input_report(plan)
+
+
+def test_verdict_on_a_vanishing_contract_equals_per_input_truths():
+    # The contract (xhat_1 + xhat_2)|S> vanishes unless x_1 = x_2, so only
+    # 000, 001, 110 and 111 are checked, and the last two have weight 2 and 3.
+    contract = Contract(3, (S_LABEL,), (0.0,), ((1.0, 1.0, 0.0),))
+    plan = replace(small_plan(s_only_measure(), n=3, contract=contract),
+                   truth=weight_truth(3, frozenset({0, 1})))
+    report = verify_exactness(plan).as_dict(verbose=True)
+    assert report == per_input_report(plan)
+    assert [c["input"] for c in report["counterexamples"]] == ["110", "111"]
+    seen = []
+    verify_exactness(plan, truth=lambda bits: seen.append(bits) or 1)
+    assert seen == [(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)]
+
+
+def test_custom_truth_is_called_once_per_input_in_order():
+    seen = []
+
+    def first_bit(bits):
+        seen.append(bits)
+        return bits[0]
+
+    report = verify_exactness(build_equality(4), truth=first_bit)
+    assert seen == list(itertools.product((0, 1), repeat=4))
+    assert not report.exact and report.counterexamples
+
+
+def test_truth_with_a_weights_attribute_is_still_called():
+    # Only a `WeightTruth` is read from the weight table; an unrelated
+    # `weights` attribute on a callable does not switch the table on.
+    class Model:
+        weights = frozenset({0, 4})
+
+        def __init__(self):
+            self.seen = []
+
+        def __call__(self, bits):
+            self.seen.append(bits)
+            return bits[0]
+
+    model = Model()
+    report = verify_exactness(build_equality(4), truth=model)
+    assert model.seen == list(itertools.product((0, 1), repeat=4))
+    assert not report.exact

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -13,13 +14,26 @@ from pathlib import Path
 import pytest
 
 import exactq
-from exactq import __version__
+from exactq import __version__, cli
 from exactq.cli import main
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def module_env(**changes: str | None) -> dict[str, str]:
+    """The environment for `python -m exactq` from this checkout, with
+    `changes` applied (None removes a variable)."""
+    src = str(Path(exactq.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
 
 
 class TestVerifyCommand:
@@ -43,10 +57,8 @@ class TestVerifyCommand:
     def test_module_entry_point_matches_in_process_main(self, capsys):
         argv = ["verify", "--family", "unb", "--n", "6", "--d", "2"]
         code, out = run(capsys, *argv)
-        src = str(Path(exactq.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         done = subprocess.run([sys.executable, "-m", "exactq", *argv], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+                              text=True, env=module_env(), timeout=120)
         assert (done.returncode, done.stdout) == (code, out)
 
     def test_invalid_gap_exits_2(self, capsys):
@@ -326,3 +338,72 @@ class TestConstantsCommand:
         monkeypatch.setenv("EXACTQ_TOL", "1e-9")
         assert main(["constants", "--n", "5", "--d", "1", "--tol", "1e-20"]) == 1
         capsys.readouterr()
+
+
+# (environment changes, command line): one sequence over all four
+# subcommands, run in one process and then line by line in fresh ones. OUT
+# stands for a file path.
+REUSED_PARSER_SEQUENCE = [
+    ({}, ["verify", "--family", "equality", "--n", "3", "--verbose"]),
+    ({}, ["verify", "--family", "equality", "--n", "3"]),
+    ({"COLUMNS": "40"}, ["verify", "--family", "unb", "--d", "1", "--n", "3", "--bogus"]),
+    ({}, ["verify", "--family", "unb", "--d", "2"]),
+    ({}, ["gamma", "--d", "1", "--n-max", "5", "--format", "csv"]),
+    ({}, ["gamma", "--d", "1", "--n-max", "5", "--format", "text"]),
+    ({}, ["gamma", "--d", "1", "--n-max", "5"]),
+    ({"EXACTQ_TOL": "1e-20"}, ["constants", "--n", "5", "--d", "1"]),
+    ({}, ["constants", "--n", "5", "--d", "1"]),
+    ({}, ["poly", "--family", "unbr", "--n", "3", "--d", "1", "--out", "OUT"]),
+    ({}, ["poly", "--family", "unbr", "--n", "3", "--d", "1", "--format", "text"]),
+    ({"COLUMNS": "100"}, ["constants", "--help"]),
+    ({}, ["constants", "--appendix-a", "--format", "csv"]),
+]
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "report.json"
+    base = {"EXACTQ_TOL": None, "COLUMNS": "80"}
+    in_process = []
+    for changes, argv in REUSED_PARSER_SEQUENCE:
+        argv = [str(target) if arg == "OUT" else arg for arg in argv]
+        for name, value in {**base, **changes}.items():
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = target.read_bytes() if target.exists() else None
+        target.unlink(missing_ok=True)
+        in_process.append((code, captured.out, captured.err, written))
+    assert {code for code, *_ in in_process} == {0, 1, 2}
+    monkeypatch.undo()
+    for (changes, argv), expected in zip(REUSED_PARSER_SEQUENCE, in_process):
+        argv = [str(target) if arg == "OUT" else arg for arg in argv]
+        # Bytes, so that CSV's CRLF line ends are compared as written.
+        done = subprocess.run([sys.executable, "-m", "exactq", *argv], capture_output=True,
+                              env=module_env(**{**base, **changes}), timeout=120)
+        written = target.read_bytes() if target.exists() else None
+        target.unlink(missing_ok=True)
+        assert (done.returncode, done.stdout.decode(), done.stderr.decode(), written) == expected, argv
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    argv = ["gamma", "--d", "1", "--n-max", "5"]
+    assert main(argv) == 0
+    once = len(built)
+    assert main(argv) == 0
+    assert once > 0 and len(built) == once
+    capsys.readouterr()

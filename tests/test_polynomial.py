@@ -123,6 +123,12 @@ class TestMultilinearPoly:
             xhat = [1 - 2 * b for b in bits]
             assert poly.evaluate(xhat) == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    def test_meaningless_tolerance_is_refused(self, tol):
+        # A NaN or infinite tolerance would drop every coefficient.
+        with pytest.raises(ValueError, match="^tol must be"):
+            MultilinearPoly.from_values(2, [1.0, 0.0, 0.0, 1.0], tol=tol)
+
 
 class TestAcceptancePolynomials:
     def test_balanced_gap_one_plan(self):
@@ -248,6 +254,12 @@ class TestLeafDegreeAudit:
         for r in audit_leaf_degrees(build_unb(3, 1)):
             assert r.bound == r.queries + r.entry_degree
             assert r.degree <= r.bound
+
+    @pytest.mark.parametrize("coeff_tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    def test_meaningless_coefficient_tolerance_is_refused(self, coeff_tol):
+        # A NaN or infinite tolerance would put every record at degree 0.
+        with pytest.raises(ValueError, match="^coeff_tol must be"):
+            audit_leaf_degrees(build_unbr(3, 1), coeff_tol=coeff_tol)
 
 
 class TestBatchedDegreeAudit:

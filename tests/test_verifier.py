@@ -103,6 +103,12 @@ class TestRunTree:
             outputs = {leaf.output for leaf in leaves}
             assert outputs == {plan.truth(bits)}
 
+    @pytest.mark.parametrize("branch_tol", [2.0, -0.1, math.nan], ids=["2", "negative", "nan"])
+    def test_branch_tol_out_of_range_is_refused(self, branch_tol):
+        # 2.0 would prune the root and NaN would prune nothing.
+        with pytest.raises(ValueError, match="^branch_tol must be"):
+            run_on_input(build_equality(2), (0, 1), branch_tol=branch_tol)
+
     def test_contract_plan_enters_through_contract(self):
         plan = build_unbr(3, 1)
         tree = run_on_input(plan, (0, 0, 1))
