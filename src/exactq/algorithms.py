@@ -6,11 +6,13 @@ the one-ancilla test for symmetric weight pairs (build_general_unbalance,
 build_uw_step), the padding dispatcher (build_exact_kl), and the hand-tuned
 two-query base plan at n=5 (build_appendix_a).
 
-The builders assemble their steps from five shared pieces: `_measure` (one
-measurement from one entry list), `_rotation_pass` (a rotation on every
-pair), `_u_stages` (the U_n/U_{n-2} applications), `_round` (one
-pair-elimination query: split, U stages inverted, query, U stages forward,
-merge) and `_uniform_start` (uniform preparation, query and U_n).
+The builders assemble their steps from four shared pieces: `_rotation_pass`
+(a rotation on every pair), `_u_stages` (the U_n/U_{n-2} applications),
+`_round` (one pair-elimination query: split, U stages inverted, query, U
+stages forward, merge) and `_uniform_start` (uniform preparation, query and
+U_n). Each measurement is one `MeasureStep`: an outcome function, most often
+a dict's `get` from label to outcome id, and its (id, rewrite, child)
+entries in branch order.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .state_core import (
     Binding,
     Label,
     LabeledState,
-    MeasurementPartition,
     S_LABEL,
     ZERO_LABEL,
     anc,
@@ -140,13 +141,6 @@ def _quad_renames(n: int, i: int, j: int) -> dict:
     """Each quad label of pair (i,j) renamed to the sub-instance's pair label."""
     r = _rest_renumber(n, i, j)
     return {quad(i, j, u, v): pair(r[u], r[v]) for u, v in combinations(sorted(r), 2)}
-
-
-def _measure(branches) -> MeasureStep:
-    """A measurement from (outcome id, predicate, rewrite or None, child)
-    entries, one per outcome in order."""
-    partition = MeasurementPartition(tuple((oid, pred) for oid, pred, _, _ in branches))
-    return MeasureStep(partition, tuple((oid, rewrite, child) for oid, _, rewrite, child in branches))
 
 
 def _rotation_pass(angle: float, n: int, inverse: bool) -> _Apps:
@@ -248,9 +242,9 @@ def _build_unbr_base(d: int) -> Plan:
     if d == 2:
         # Two variables, gamma = 0: the contract is (xhat_1+xhat_2)|S>,
         # nonzero exactly when the bits agree.
-        root = _measure((
-            (("s",), lambda l: l == S_LABEL, None, Output(1)),
-            (("pair", 1, 2), lambda l: l != S_LABEL, None, Output(0)),
+        root = MeasureStep(lambda l: ("s",) if l == S_LABEL else ("pair", 1, 2), (
+            (("s",), None, Output(1)),
+            (("pair", 1, 2), None, Output(0)),
         ))
         return Plan(
             family="unbr", n=2, params=(("n", 2), ("d", 2)),
@@ -268,20 +262,15 @@ def _unbr_shared(n: int, d: int) -> tuple[_Apps, _Apps, MeasureStep]:
     whose pair outcomes call build_unbr(n-2, d)."""
     sub = build_unbr(n - 2, d)
     inverses, forwards = _u_stages(n, idx, lambda p, k: comp(p, idx(k)))
-    branches: list = [(("s",), lambda l: l == S_LABEL, None, Output(0))]
+    outcomes = {S_LABEL: ("s",)}
+    children: list = [(("s",), None, Output(0))]
     for i, j in _pairs(n):
-        p = pair(i, j)
-
-        def in_group(label, p=p, i=i, j=j):
-            if label == p:
-                return True
-            if label[0] == "T" and len(label) == 3 and label[2] == p:
-                return True
-            return label[0] == "Q" and label[1] == i and label[2] == j
-
-        branches.append((("pair", i, j), in_group, {p: S_LABEL, **_quad_renames(n, i, j)},
-                         Call(sub, drop_wires(n, (i, j)))))
-    return inverses, forwards, _measure(branches)
+        p, oid = pair(i, j), ("pair", i, j)
+        rewrite = {p: S_LABEL, **_quad_renames(n, i, j)}
+        # The pair, its quads and its two rotation arms.
+        outcomes.update(dict.fromkeys((*rewrite, tag("L", p), tag("R", p)), oid))
+        children.append((oid, rewrite, Call(sub, drop_wires(n, (i, j)))))
+    return inverses, forwards, MeasureStep(outcomes.get, tuple(children))
 
 
 def _build_unbr_step(n: int, d: int, *, constants: StepConstants | None, validate: bool) -> Plan:
@@ -369,20 +358,18 @@ def _appendix_a_shared() -> tuple[_Apps, _Apps, MeasureStep]:
     U_5/U_3 applications inverted and forward, and the final measurement."""
     n = 5
     inverses, forwards = _u_stages(n, lambda i: comp(idx(i), S_LABEL), lambda p, k: comp(idx(k), p))
-    branches: list = [(("s",), lambda l: l == S_LABEL, None, Output(0))]
+    outcomes = {S_LABEL: ("s",)}
+    children: list = [(("s",), None, Output(0))]
     for i, j in _pairs(n):
-        p = pair(i, j)
-
-        def in_group(label, p=p):
-            if label == p:
-                return True
-            return label[0] == "T" and len(label) == 3 and label[2] == p
-
-        branches.append((("pair", i, j), in_group, None, Output(1)))
+        p, oid = pair(i, j), ("pair", i, j)
+        # The pair and its two rotation arms.
+        outcomes.update(dict.fromkeys((p, tag("L", p), tag("R", p)), oid))
+        children.append((oid, None, Output(1)))
     for i, j in _pairs(n):
         for q in _quad_renames(n, i, j):
-            branches.append((("quad",) + q[1:], lambda l, q=q: l == q, None, Output(0)))
-    return inverses, forwards, _measure(branches)
+            outcomes[q] = ("quad",) + q[1:]
+            children.append((outcomes[q], None, Output(0)))
+    return inverses, forwards, MeasureStep(outcomes.get, tuple(children))
 
 
 @_memoized
@@ -439,12 +426,11 @@ def _unb_shared(n: int, d: int) -> MeasureStep:
     if unb_claimed_queries(n, d) != 1 + max(sub_pair.claimed_queries, sub_rest.claimed_queries):
         raise InconsistentSpec(f"query count recursion broke at n={n}, d={d}")
     pairs = _pairs(n)
-    right_arms = {tag("R", pair(i, j)) for i, j in pairs}
-    branches: list = [(("pair", i, j), lambda l, arm=tag("R", pair(i, j)): l == arm, None,
-                       Call(sub_pair, drop_wires(n, (i, j)))) for i, j in pairs]
+    right_arms = {tag("R", pair(i, j)): ("pair", i, j) for i, j in pairs}
+    children: list = [(("pair", i, j), None, Call(sub_pair, drop_wires(n, (i, j)))) for i, j in pairs]
     rewrite = {tag("L", pair(i, j)): pair(i, j) for i, j in pairs}
-    branches.append((("rest",), lambda l: l not in right_arms, rewrite, Call(sub_rest, identity_wires(n))))
-    return _measure(branches)
+    children.append((("rest",), rewrite, Call(sub_rest, identity_wires(n))))
+    return MeasureStep(lambda l: right_arms.get(l, ("rest",)), tuple(children))
 
 
 @_memoized
@@ -494,9 +480,9 @@ def build_equality(n: int) -> Plan:
         sub = build_equality(n - 1)
         # Query x_1 and x_2 from the uniform start on two indices: |S>
         # survives exactly when they agree.
-        root = _uniform_start(2, _measure((
-            (("s",), lambda l: l == S_LABEL, None, Call(sub, tuple(var(i) for i in range(2, n + 1)))),
-            (("pair",), lambda l: l != S_LABEL, None, Output(0)),
+        root = _uniform_start(2, MeasureStep(lambda l: ("s",) if l == S_LABEL else ("pair",), (
+            (("s",), None, Call(sub, tuple(var(i) for i in range(2, n + 1)))),
+            (("pair",), None, Output(0)),
         )))
     return Plan(family="equality", n=n, params=(("n", n),),
                 root=root, claimed_queries=n - 1, truth=weight_truth(n, frozenset({0, n})))
@@ -511,10 +497,10 @@ def _build_balanced_exact(m: int) -> Plan:
         root: PlanNode = Output(1)
     else:
         sub = _build_balanced_exact(m - 2)
-        root = _uniform_start(m, _measure([(("s",), lambda l: l == S_LABEL, None, Output(0))] + [
-            (("pair", i, j), lambda l, p=pair(i, j): l == p, None, Call(sub, drop_wires(m, (i, j))))
-            for i, j in _pairs(m)
-        ]))
+        outcomes = {S_LABEL: ("s",), **{pair(i, j): ("pair", i, j) for i, j in _pairs(m)}}
+        children = [(("s",), None, Output(0))] + [
+            (("pair", i, j), None, Call(sub, drop_wires(m, (i, j)))) for i, j in _pairs(m)]
+        root = _uniform_start(m, MeasureStep(outcomes.get, tuple(children)))
     return Plan(family="exact", n=m, params=(("n", m), ("k", m // 2)),
                 root=root, claimed_queries=m // 2, truth=weight_truth(m, frozenset({m // 2})))
 
@@ -557,14 +543,16 @@ def _ancilla_test_step(
     })
     ug = u_gadget(n)
     spread = bind(ug, {comp(anc(1), l): l for l in ug.space})
-    s0, s1 = comp(anc(0), S_LABEL), comp(anc(1), S_LABEL)
-    measure = _measure([
-        (("pair", i, j), lambda l, p=pair(i, j): l[0] == "C" and l[2] == p, None, pair_child(i, j))
-        for i, j in _pairs(n)
-    ] + [
-        (("s", 0), lambda l: l == s0, None, s0_child),
-        (("s", 1), lambda l: l == s1, None, s1_child),
-    ])
+    ends = {comp(anc(0), S_LABEL): ("s", 0), comp(anc(1), S_LABEL): ("s", 1)}
+    pairs = {pair(i, j): ("pair", i, j) for i, j in _pairs(n)}
+
+    def outcome_of(label):
+        # A pair outcome holds its pair beside either ancilla bit.
+        return (ends.get(label) or pairs.get(label[2])) if label[0] == "C" else None
+
+    children = [(("pair", i, j), None, pair_child(i, j)) for i, j in _pairs(n)]
+    children += [(("s", 0), None, s0_child), (("s", 1), None, s1_child)]
+    measure = MeasureStep(outcome_of, tuple(children))
 
     return PrepareState(prep,
             GadgetStep(((spread, True),),

@@ -9,10 +9,10 @@ stay the reference:
 - a column is pruned at node entry when its weight is <= branch_tol;
 - the deepest query count counts only branches that carry mass (-1 here
   marks a column with no mass), and masses merge in branch order;
-- a label that matches no measurement outcome marks a *gap* on the columns
-  where it is nonzero. A gap propagates up to the nearest Call that walks its
-  callee directly, which reports output -1 with that call's weight; at top
-  level it raises PartitionGap;
+- a label whose outcome names no child of its measurement marks a *gap* on
+  the columns where it is nonzero. A gap propagates up to the nearest Call
+  that walks its callee directly, which reports output -1 with that call's
+  weight; at top level it raises PartitionGap;
 - a Call whose state is proportional to the callee's input contract reads
   the callee's summary from a per-plan memo, filled on demand for the
   sub-inputs the calls reach, scaled by |c|^2 ||kappa||^2. Other columns walk
@@ -32,10 +32,11 @@ path; the per-input reference keeps complex amplitudes.
 Inputs are numbered by their bits read as a binary number, first bit most
 significant, which is the order of `itertools.product((0, 1), repeat=n)`.
 
-Gadget steps are one gather, one matrix product and one scatter per group of
-bindings that share a gadget. Their index maps, like those of queries and
-measurements, are compiled once per (node, row-label tuple) and kept on the
-node, so a plan compiles at its first walk, never while it is built.
+Gadget steps, whose bindings touch disjoint labels, are one gather, one
+matrix product and one scatter per group of bindings that share a gadget.
+Their index maps, like those of queries and measurements, are compiled once
+per (node, row-label tuple) and kept on the node, so a plan compiles at its
+first walk, never while it is built.
 
 The summary of a block is one (9, columns) float64 matrix (`_Sums`): three
 rows of total mass per output, which branches merge by adding, and six rows
@@ -188,7 +189,8 @@ def summarize(plan: Plan, *, tol: float, branch_tol: float) -> tuple[np.ndarray,
 
     Returns which inputs entered the plan (those whose entry contract does
     not vanish) and their summaries. Raises PartitionGap when an input's
-    branch leaves a measurement's partition outside any directly walked call.
+    branch has a label with no outcome at a measurement outside any directly
+    walked call.
     """
     walker = _Walker(tol, branch_tol)
     count = 1 << plan.n
@@ -509,9 +511,9 @@ def exit_amplitudes(plan: Plan) -> tuple[list[tuple], dict[tuple, int], list[np.
     order first reached; the queries spent on each path; and the table of
     values, one row per key and one column per input. The table comes in
     chunks of rows of at most BLOCK_BYTES each, so that it grows without
-    being copied. Raises PartitionGap or ValueError where a populated label
-    matches no or two measurement outcomes, and ValueError for a contract
-    column whose norm exceeds _MAX_NORM.
+    being copied. Raises PartitionGap where a populated label has no outcome
+    at a measurement, and ValueError for a contract column whose norm
+    exceeds _MAX_NORM.
     """
     count = 1 << plan.n
     chunk_rows = max(1, BLOCK_BYTES // (8 * count))
@@ -664,21 +666,13 @@ def _prepare(node: PrepareState, weight: np.ndarray) -> tuple[tuple, np.ndarray]
 
 
 def _gadget(node: GadgetStep, rows: tuple, amps: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """Apply a gadget step's bindings. Bindings on pairwise disjoint labels
-    apply in one pass; otherwise one after another, as `apply_bindings`
-    does."""
+    """Apply a gadget step's bindings, which touch disjoint labels, in one
+    pass."""
     cache = _cache(node)
-    stages = cache.get("stages")
-    if stages is None:
-        apps = node.applications
-        owned = [label for binding, _ in apps for label in binding.to_gadget]
-        stages = cache["stages"] = (apps,) if len(owned) == len(set(owned)) else tuple((a,) for a in apps)
-    for k, apps in enumerate(stages):
-        maps = cache.get((k, rows))
-        if maps is None:
-            maps = cache[(k, rows)] = _Bindings(apps, rows)
-        rows, amps = maps.apply(amps)
-    return rows, amps
+    maps = cache.get(rows)
+    if maps is None:
+        maps = cache[rows] = _Bindings(node.applications, rows)
+    return maps.apply(amps)
 
 
 class _Bindings:
@@ -762,25 +756,21 @@ def _query(node: QueryStep, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n
 
 
 def _measure_maps(node: MeasureStep, rows: tuple, n: int):
-    """Rows that match no outcome; rows that match two, with the error
-    `classify` gives them; per child, its rows, its labels after the
-    rewrite, and where each row lands when the rewrite merges labels; and
-    the groups of adjacent children that call one plan without merging
-    labels, keyed by their first member, in a plan of `n` variables."""
+    """Rows whose outcome names no child; per child, its rows, its labels
+    after the rewrite, and where each row lands when the rewrite merges
+    labels; and the groups of adjacent children that call one plan without
+    merging labels, keyed by their first member, in a plan of `n`
+    variables."""
     cache = _cache(node)
     maps = cache.get((n, rows))
     if maps is not None:
         return maps
     slot = {oid: k for k, (oid, _, _) in enumerate(node.children)}
     members: list[list[int]] = [[] for _ in node.children]
-    gap, clash = [], []
+    gap = []
     for r, label in enumerate(rows):
-        try:
-            members[slot[node.partition.classify(label)]].append(r)
-        except PartitionGap:
-            gap.append(r)
-        except ValueError as error:
-            clash.append((r, str(error)))
+        k = slot.get(node.outcome_of(label))
+        (gap if k is None else members[k]).append(r)
     branches = []
     for (_, rewrite, child), idx in zip(node.children, members):
         labels = [rows[r] for r in idx]
@@ -817,19 +807,15 @@ def _measure_maps(node: MeasureStep, rows: tuple, n: int):
         starts = np.cumsum([0] + [len(branches[k][1]) + 1 for k in ks[:-1]])
         groups[ks[0]] = (branches[ks[0]][0].plan, union, len(ks), sources, order, starts,
                          _runs([branches[k][0] for k in ks], n))
-    maps = cache[(n, rows)] = (np.array(gap, dtype=np.intp), clash, branches, groups)
+    maps = cache[(n, rows)] = (np.array(gap, dtype=np.intp), branches, groups)
     return maps
 
 
 def _split(node: MeasureStep, rows: tuple, amps: np.ndarray, n: int):
-    """`_measure_maps` on a block: per column, whether a label that matches
-    no outcome carries amplitude (a gap), and the children's branches and
-    call groups. A label that matches two outcomes is an error of the plan,
-    as in `measure`, once it carries amplitude: it raises ValueError."""
-    gap_rows, clash, branches, groups = _measure_maps(node, rows, n)
-    for r, message in clash:
-        if amps[r].any():
-            raise ValueError(message)
+    """`_measure_maps` on a block: per column, whether a label whose outcome
+    names no child carries amplitude (a gap), and the children's branches
+    and call groups."""
+    gap_rows, branches, groups = _measure_maps(node, rows, n)
     if len(gap_rows):
         return (amps[gap_rows] != 0).any(axis=0), branches, groups
     return np.zeros(amps.shape[1], dtype=bool), branches, groups

@@ -16,11 +16,12 @@ class NotIsometry(ExactQError):
 
 
 class BindingConflict(ExactQError):
-    """A label binding is not a bijection onto the gadget's label space."""
+    """A label binding is not a bijection onto the gadget's label space, or
+    two bindings of one gadget step share a global label."""
 
 
 class PartitionGap(ExactQError):
-    """A measured label matched no outcome predicate."""
+    """A measured label's outcome names no child of the measurement."""
 
 
 class IndexOutOfRange(ExactQError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Mapping, Union
 
-from .state_core import Binding, Label, LabeledState, MeasurementPartition
+from .state_core import Binding, Label, LabeledState, _owners
 
 # A wire feeds one sub-plan variable: from a parent variable or a padded bit.
 Wire = tuple[str, int]
@@ -64,10 +64,17 @@ class PrepareState:
 
 @dataclass(frozen=True, eq=False)
 class GadgetStep:
-    """Apply bound gadgets in order; True in an entry means the adjoint."""
+    """Apply bound gadgets at once; True in an entry means the adjoint.
+
+    The bindings touch pairwise disjoint global labels, so their order does
+    not matter; two that share a label raise BindingConflict.
+    """
 
     applications: tuple[tuple[Binding, bool], ...]
     child: "PlanNode"
+
+    def __post_init__(self):
+        _owners(self.applications)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,19 +87,23 @@ class QueryStep:
 
 @dataclass(frozen=True, eq=False)
 class MeasureStep:
-    """Measure with a partition; children align 1:1 with partition outcomes.
+    """Measure in the label basis: `outcome_of` maps each label to the
+    outcome id of the child that receives it, so every label belongs to at
+    most one outcome.
 
-    Each child entry is (outcome_id, relabeling-or-None, node); the relabeling
-    is applied to the collapsed branch before descending.
+    Each child entry is (outcome_id, relabeling-or-None, node), in branch
+    order, with distinct ids other than None; the relabeling is applied to
+    the collapsed branch before descending. A label that carries amplitude
+    and whose id is None or names no child is a gap (PartitionGap).
     """
 
-    partition: MeasurementPartition
+    outcome_of: Callable[[Label], object]
     children: tuple[tuple[object, Mapping[Label, Label] | None, "PlanNode"], ...]
 
     def __post_init__(self):
-        got = tuple(oid for oid, _, _ in self.children)
-        if got != self.partition.outcome_ids():
-            raise ValueError(f"children {got!r} do not match partition outcomes {self.partition.outcome_ids()!r}")
+        ids = [oid for oid, _, _ in self.children]
+        if None in ids or len(set(ids)) != len(ids):
+            raise ValueError(f"measurement outcome ids must be distinct and not None, got {ids!r}")
 
 
 @dataclass(frozen=True, eq=False)

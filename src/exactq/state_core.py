@@ -289,27 +289,31 @@ def identity_binding(gadget: IsometryGadget) -> Binding:
     return bind(gadget, {l: l for l in gadget.space})
 
 
+def _owners(applications: Sequence[tuple[Binding, bool]]) -> dict[Label, int]:
+    """Which application binds each global label. Raises BindingConflict
+    when two bind the same one."""
+    owner: dict[Label, int] = {}
+    for t, (binding, _) in enumerate(applications):
+        for label in binding.to_gadget:
+            if owner.setdefault(label, t) != t:
+                raise BindingConflict(f"{binding.gadget.name}: label {label!r} is bound by two "
+                                      "applications of one gadget step")
+    return owner
+
+
 def apply_bindings(
     state: LabeledState,
     applications: Sequence[tuple[Binding, bool]],
 ) -> LabeledState:
     """Apply several (binding, inverse) pairs in one pass over the state.
 
-    Requires the bindings to touch pairwise disjoint global labels; falls
-    back to sequential application otherwise.
+    The bindings must touch pairwise disjoint global labels, as a GadgetStep
+    checks; two that share one raise BindingConflict.
     """
     if len(applications) == 1:
         binding, inverse = applications[0]
         return binding.apply(state, inverse=inverse)
-    owner: dict[Label, int] = {}
-    for t, (binding, _) in enumerate(applications):
-        for label in binding.to_gadget:
-            if label in owner:
-                out = state
-                for binding, inverse in applications:
-                    out = binding.apply(out, inverse=inverse)
-                return out
-            owner[label] = t
+    owner = _owners(applications)
     vecs = [np.zeros(binding.gadget.dim, dtype=complex) for binding, _ in applications]
     items: list[tuple[Label, complex]] = []
     for label, amp in state.items():
@@ -328,37 +332,16 @@ def apply_bindings(
     return LabeledState(items)
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementPartition:
-    """Ordered outcomes (id, predicate); predicates must partition the support."""
+def measure(state: LabeledState, outcome_of: Callable[[Label], object], ids: Iterable) -> dict:
+    """Split a state into unnormalized branches, one per outcome id in `ids`.
 
-    outcomes: tuple[tuple[object, Callable[[Label], bool]], ...]
-
-    def classify(self, label: Label):
-        cache = self.__dict__.get("_classify_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_classify_cache", cache)
-        hit = cache.get(label)
-        if hit is not None:
-            return hit
-        for oid, pred in self.outcomes:
-            if pred(label):
-                if hit is not None:
-                    raise ValueError(f"label {label!r} matches outcomes {hit!r} and {oid!r}")
-                hit = oid
-        if hit is None:
-            raise PartitionGap(f"label {label!r} matches no measurement outcome")
-        cache[label] = hit
-        return hit
-
-    def outcome_ids(self) -> tuple:
-        return tuple(oid for oid, _ in self.outcomes)
-
-
-def measure(state: LabeledState, partition: MeasurementPartition) -> dict:
-    """Split a state into unnormalized branches, one per outcome id."""
-    buckets: dict[object, list[tuple[Label, complex]]] = {oid: [] for oid, _ in partition.outcomes}
+    `outcome_of` maps each label to its outcome id. A label of the state
+    whose id is None or not in `ids` raises PartitionGap.
+    """
+    buckets: dict[object, list[tuple[Label, complex]]] = {oid: [] for oid in ids}
     for label, amp in state.items():
-        buckets[partition.classify(label)].append((label, amp))
+        bucket = buckets.get(outcome_of(label))
+        if bucket is None:
+            raise PartitionGap(f"label {label!r} matches no measurement outcome")
+        bucket.append((label, amp))
     return {oid: LabeledState(items) for oid, items in buckets.items()}

@@ -43,7 +43,6 @@ DEFAULT_TOL = 1e-9
 DEFAULT_BRANCH_TOL = 1e-9
 
 _SCRATCH = LabeledState({ZERO_LABEL: 1.0})
-_EMPTY = LabeledState(())
 
 
 @dataclass(frozen=True)
@@ -156,10 +155,10 @@ def _step(node: PlanNode, state: LabeledState, weight: float,
     if isinstance(node, QueryStep):
         return ((None, node.child, oracle_apply(state, oracle, node.extractor), 1),)
     if isinstance(node, MeasureStep):
-        parts = measure(state, node.partition)
+        parts = measure(state, node.outcome_of, [oid for oid, _, _ in node.children])
         branches = []
         for outcome_id, rewrite, child in node.children:
-            branch = parts.get(outcome_id, _EMPTY)
+            branch = parts[outcome_id]
             if rewrite is not None:
                 branch = branch.rewritten(rewrite)
             branches.append((outcome_id, child, branch, 0))

@@ -20,7 +20,6 @@ from exactq import (
     GadgetStep,
     LabeledState,
     MeasureStep,
-    MeasurementPartition,
     Output,
     PartitionGap,
     Plan,
@@ -52,7 +51,7 @@ from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _collect_plans, _en
 import reference
 import test_verifier
 from reference import Executor
-from test_verifier import s_only_measure, small_plan
+from test_verifier import GAP_OUTCOMES, s_only_measure, small_plan
 
 OUTPUTS = (-1, 0, 1)
 STEP_FIELDS = ("c1", "c2", "c8", "c9", "gamma")
@@ -151,11 +150,9 @@ def test_wrong_mass_spread_over_branches_is_not_exact():
     tol, mass = 1e-6, 0.8e-6
     state = LabeledState({S_LABEL: math.sqrt(1.0 - 2 * mass), idx(1): math.sqrt(mass),
                           idx(2): math.sqrt(mass)})
-    partition = MeasurementPartition(tuple(((label,), lambda l, label=label: l == label)
-                                           for label in (S_LABEL, idx(1), idx(2))))
-    root = MeasureStep(partition, (((S_LABEL,), None, Output(1)),
-                                   ((idx(1),), None, Output(0)),
-                                   ((idx(2),), None, Output(0))))
+    root = MeasureStep(lambda label: (label,), (((S_LABEL,), None, Output(1)),
+                                                ((idx(1),), None, Output(0)),
+                                                ((idx(2),), None, Output(0))))
     plan = Plan(family="spread", n=1, params=(), root=PrepareState(state, root),
                 claimed_queries=0, truth=lambda bits: 1)
     report = verify_exactness(plan, tol=tol)
@@ -196,6 +193,11 @@ def test_fold_equals_sequential_merges(count, width, on_some_columns, seed):
     assert folded.data.tobytes() == sequential.data.tobytes()
 
 
+def s_i_measure(on_s, on_i, k=1):
+    """Measure |S> into outcome s and |k> into outcome i."""
+    return MeasureStep({S_LABEL: ("s",), idx(k): ("i",)}.get, ((("s",), None, on_s), (("i",), None, on_i)))
+
+
 def sibling_call_plan(order):
     """A two-variable plan that measures |1>, |S> and |2>, in that order,
     into children given by `order`: "A" calls a contract-free plan that
@@ -204,19 +206,15 @@ def sibling_call_plan(order):
     r = math.sqrt(0.5)
     hadamard = isometry_from_columns("hadamard", {S_LABEL: {S_LABEL: r, idx(1): r},
                                                   idx(1): {S_LABEL: r, idx(1): -r}})
-    split = MeasurementPartition(((("s",), lambda label: label == S_LABEL),
-                                  (("i",), lambda label: label == idx(1))))
-    read = MeasureStep(split, ((("s",), None, Output(0)), (("i",), None, Output(1))))
-    interfere = GadgetStep(((identity_binding(hadamard), False),), read)
+    interfere = GadgetStep(((identity_binding(hadamard), False),), s_i_measure(Output(0), Output(1)))
     callee = Plan(family="bit", n=1, params=(), claimed_queries=1, truth=lambda bits: bits[0],
                   root=PrepareState(LabeledState({S_LABEL: r, idx(1): r}),
                                     QueryStep(extract_trailing_index, interfere)))
     calls = iter((Call(callee, (var(1),)), Call(callee, (var(2),))))
     labels = (idx(1), S_LABEL, idx(2))
-    outer = MeasurementPartition(tuple(((k,), lambda label, want=want: label == want)
-                                       for k, want in enumerate(labels)))
-    measure = MeasureStep(outer, tuple(((k,), None, next(calls) if kind == "A" else Output(1))
-                                       for k, kind in enumerate(order)))
+    measure = MeasureStep({label: (k,) for k, label in enumerate(labels)}.get,
+                          tuple(((k,), None, next(calls) if kind == "A" else Output(1))
+                                for k, kind in enumerate(order)))
     state = LabeledState({idx(1): 0.48, S_LABEL: 0.6, idx(2): 0.64})
     return small_plan(PrepareState(state, measure), n=2), measure
 
@@ -225,7 +223,7 @@ def sibling_call_plan(order):
 def test_sibling_calls_group_only_when_adjacent(order, groups):
     plan, measure = sibling_call_plan(order)
     assert_batch_matches_executor(plan)
-    compiled = [maps[3] for maps in vars(measure)["_batch_cache"].values()]
+    compiled = [maps[2] for maps in vars(measure)["_batch_cache"].values()]
     assert compiled and all({k: group[2] for k, group in found.items()} == groups for found in compiled)
 
 
@@ -262,7 +260,7 @@ def test_builder_sibling_calls_are_adjacent(name):
             node = stack.pop()
             if isinstance(node, MeasureStep):
                 stack += [child for _, _, child in node.children]
-                for _, _, branches, groups in vars(node).get("_batch_cache", {}).values():
+                for _, branches, groups in vars(node).get("_batch_cache", {}).values():
                     measured += 1
                     assert groups_by_callee(branches) == sorted(
                         list(range(k, k + group[2])) for k, group in groups.items())
@@ -276,20 +274,15 @@ def test_builder_sibling_calls_are_adjacent(name):
 # ---------------------------------------------------------------------------
 
 
-def read_plan(m, k, then=None, *, gap=False):
+def read_plan(m, k, then=None, *, gap=False, other=None):
     """A contract-free plan on `m` variables that reads x_k with one query and
     outputs it, or continues to then[x_k]. With `gap`, the label that x_k = 1
-    leaves matches no outcome, so the plan gaps on those inputs."""
+    leaves gets the outcome `other`, which names no child, so the plan gaps
+    on those inputs."""
     r = math.sqrt(0.5)
     hadamard = isometry_from_columns("hadamard", {S_LABEL: {S_LABEL: r, idx(k): r},
                                                   idx(k): {S_LABEL: r, idx(k): -r}})
-    if gap:
-        read = s_only_measure()
-    else:
-        zero, one = then or (Output(0), Output(1))
-        split = MeasurementPartition(((("s",), lambda label: label == S_LABEL),
-                                      (("i",), lambda label: label == idx(k))))
-        read = MeasureStep(split, ((("s",), None, zero), (("i",), None, one)))
+    read = s_only_measure(other) if gap else s_i_measure(*(then or (Output(0), Output(1))), k)
     truth = (lambda bits: bits[k - 1]) if then is None else \
         (lambda bits: then[bits[k - 1]].plan.truth(bits))
     return Plan(family="read", n=m, params=(("k", k),), claimed_queries=1 + (then is not None),
@@ -358,41 +351,39 @@ def test_wrapper_chains_match(kind):
 
 
 def test_gap_through_wrappers_at_top_level():
-    gapping = read_plan(2, 1, gap=True)
-    plan = wrapper(wrapper(gapping, (var(2), var(1)), 2), (var(2), var(1)), 2)
-    with pytest.raises(PartitionGap):
-        verify_exactness(plan)
-    with pytest.raises(PartitionGap):
-        Executor().run_plan(plan, (1, 0))
-    # Inputs with x1 = 0 do not gap.
-    assert Executor().run_plan(plan, (0, 1)).mass
+    for other in GAP_OUTCOMES:
+        gapping = read_plan(2, 1, gap=True, other=other)
+        plan = wrapper(wrapper(gapping, (var(2), var(1)), 2), (var(2), var(1)), 2)
+        with pytest.raises(PartitionGap):
+            verify_exactness(plan)
+        with pytest.raises(PartitionGap):
+            Executor().run_plan(plan, (1, 0))
+        # Inputs with x1 = 0 do not gap.
+        assert Executor().run_plan(plan, (0, 1)).mass
 
 
 def test_gap_through_wrappers_under_a_direct_walk():
     # The call's state is not proportional to the callee's contract |S>, so
     # the callee is walked directly. Its branch |S> calls the wrappers of a
     # plan that gaps where x2 = 1; those inputs report output -1.
-    gapping = read_plan(2, 1, gap=True)
-    wrapped = wrapper(wrapper(gapping, (var(2), var(1)), 2), identity_wires(2), 2)
-    split = MeasurementPartition(((("s",), lambda label: label == S_LABEL),
-                                  (("i",), lambda label: label == idx(1))))
-    callee = small_plan(MeasureStep(split, ((("s",), None, Call(wrapped, identity_wires(2))),
-                                            (("i",), None, Output(1)))),
-                        n=2, contract=Contract(2, (S_LABEL,), (1.0,), ((0.0, 0.0),)))
-    state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
-    plan = small_plan(PrepareState(state, Call(callee, identity_wires(2))), n=2)
-    assert_batch_matches_executor(plan)
-    entered, sums = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
-    assert sums.total[0].tolist() == [0.0, pytest.approx(1.0), 0.0, pytest.approx(1.0)]
+    for other in GAP_OUTCOMES:
+        gapping = read_plan(2, 1, gap=True, other=other)
+        wrapped = wrapper(wrapper(gapping, (var(2), var(1)), 2), identity_wires(2), 2)
+        callee = small_plan(s_i_measure(Call(wrapped, identity_wires(2)), Output(1)),
+                            n=2, contract=Contract(2, (S_LABEL,), (1.0,), ((0.0, 0.0),)))
+        state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
+        plan = small_plan(PrepareState(state, Call(callee, identity_wires(2))), n=2)
+        assert_batch_matches_executor(plan)
+        entered, sums = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
+        assert sums.total[0].tolist() == [0.0, pytest.approx(1.0), 0.0, pytest.approx(1.0)]
 
 
 @pytest.mark.parametrize("constants", [(1.0, 0.0), (0.6, 0.8)], ids=["matched", "mismatched"])
 def test_wrapper_into_a_contract_does_not_collapse(constants):
     # The wrapper enters its callee from |0>, which the callee's contract
     # matches or not: the call is a contract check, so the wrapper runs.
-    split = MeasurementPartition(((("z",), lambda label: label == ZERO_LABEL),
-                                  (("s",), lambda label: label == S_LABEL)))
-    callee = small_plan(MeasureStep(split, ((("z",), None, Output(1)), (("s",), None, Output(0)))),
+    callee = small_plan(MeasureStep({ZERO_LABEL: ("z",), S_LABEL: ("s",)}.get,
+                                    ((("z",), None, Output(1)), (("s",), None, Output(0)))),
                         n=2, contract=Contract(2, (ZERO_LABEL, S_LABEL), constants,
                                                ((0.0, 0.0), (0.0, 0.0))))
     checked = wrapper(callee, (var(2), var(1)), 2)
@@ -609,12 +600,13 @@ def leaf_values_both(plan, path):
 
 def test_leaf_walk_top_level_gap_raises():
     state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
-    plan = small_plan(PrepareState(state, s_only_measure()))
-    for path in ((), (("s",),)):
-        with pytest.raises(PartitionGap):
-            leaf_values(plan, path, branch_tol=DEFAULT_BRANCH_TOL)
-        with pytest.raises(PartitionGap):
-            reference.leaf_values(plan, path)
+    for other in GAP_OUTCOMES:
+        plan = small_plan(PrepareState(state, s_only_measure(other)))
+        for path in ((), (("s",),)):
+            with pytest.raises(PartitionGap):
+                leaf_values(plan, path, branch_tol=DEFAULT_BRANCH_TOL)
+            with pytest.raises(PartitionGap):
+                reference.leaf_values(plan, path)
 
 
 def test_leaf_walk_gap_in_a_mismatched_call():
@@ -622,29 +614,22 @@ def test_leaf_walk_gap_in_a_mismatched_call():
     # the callee runs on it. Its branch |1> gaps after its branch |S> has
     # been read: a path into the callee reads 0, and a path that ends at the
     # callee's root reads the call's weight.
-    split = MeasurementPartition(((("s",), lambda label: label == S_LABEL),
-                                  (("i",), lambda label: label == idx(1))))
-    callee = small_plan(MeasureStep(split, ((("s",), None, Output(1)), (("i",), None, s_only_measure()))),
-                        contract=Contract(1, (S_LABEL,), (1.0,), ((0.0,),)))
-    state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
-    plan = small_plan(PrepareState(state, Call(callee, (var(1),))))
-    assert leaf_values_both(plan, (None, None)) == ([1.0, 1.0], [1.0, 1.0])
-    assert leaf_values_both(plan, (("s",),)) == ([0.0, 0.0], [0.0, 0.0])
-    assert leaf_values_both(plan, (None, None, ("s",))) == ([0.0, 0.0], [0.0, 0.0])
+    for other in GAP_OUTCOMES:
+        callee = small_plan(s_i_measure(Output(1), s_only_measure(other)),
+                            contract=Contract(1, (S_LABEL,), (1.0,), ((0.0,),)))
+        state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
+        plan = small_plan(PrepareState(state, Call(callee, (var(1),))))
+        assert leaf_values_both(plan, (None, None)) == ([1.0, 1.0], [1.0, 1.0])
+        assert leaf_values_both(plan, (("s",),)) == ([0.0, 0.0], [0.0, 0.0])
+        assert leaf_values_both(plan, (None, None, ("s",))) == ([0.0, 0.0], [0.0, 0.0])
 
 
-def test_leaf_walk_overlapping_outcomes():
-    # Outcomes that overlap on a populated label are an error of the plan on
-    # any path; on a label that cancelled, they are harmless.
-    plan = test_verifier.TestErrorSemantics.overlap_plan((0.6, 0.0, 0.8))
-    for path in ((("all",), ("a",)), (("all",), ("b",))):
-        with pytest.raises(ValueError, match="matches outcomes"):
-            leaf_values(plan, path, branch_tol=DEFAULT_BRANCH_TOL)
-        with pytest.raises(ValueError, match="matches outcomes"):
-            reference.leaf_values(plan, path)
-    plan = test_verifier.TestErrorSemantics.overlap_plan((0.6, -0.6, math.sqrt(0.28)))
+def test_leaf_walk_merged_label_that_cancels():
+    # The merged |2> cancels, so outcome b reads nothing on either walk.
+    plan = test_verifier.TestErrorSemantics.merge_plan((0.6, -0.6, math.sqrt(0.28)))
     assert leaf_values_both(plan, (("all",), ("a",))) == (
         [pytest.approx(0.28)] * 2, [pytest.approx(0.28)] * 2)
+    assert leaf_values_both(plan, (("all",), ("b",))) == ([0.0, 0.0], [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from exactq.verifier import (
 )
 from reference import leaf_values, leaf_weight, output_leaf_paths
 from test_batch import STEP_FIELDS, deltas, mutated_unbr
-from test_verifier import s_only_measure, small_plan
+from test_verifier import GAP_OUTCOMES, s_only_measure, small_plan
 
 
 def exit_states(node, state, oracle, path=(), queries=0):
@@ -292,11 +292,12 @@ class TestBatchedDegreeAudit:
 
     def test_measurement_missing_a_populated_label_raises(self):
         state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
-        plan = small_plan(PrepareState(state, s_only_measure()))
-        with pytest.raises(PartitionGap):
-            audit_leaf_degrees(plan)
-        with pytest.raises(PartitionGap):
-            reference_audit(plan)
+        for other in GAP_OUTCOMES:
+            plan = small_plan(PrepareState(state, s_only_measure(other)))
+            with pytest.raises(PartitionGap):
+                audit_leaf_degrees(plan)
+            with pytest.raises(PartitionGap):
+                reference_audit(plan)
 
     def test_contract_norm_above_the_residue_bound_raises(self):
         # Gadget rows below 1e-15 are left out, which is exact only while a

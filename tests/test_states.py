@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from exactq import (
     BindingConflict,
+    GadgetStep,
     LabeledState,
-    MeasurementPartition,
+    MeasureStep,
     NotIsometry,
+    Output,
     PartitionGap,
     bind,
     identity_binding,
@@ -143,31 +145,37 @@ class TestBindings:
         sequential = right.apply(left.apply(s), inverse=True)
         assert almost_equal(batched, sequential, atol=1e-12)
 
+    def test_bindings_sharing_a_label_raise(self):
+        # Two bindings of one step that touch one label have no single-pass
+        # meaning: the step and `apply_bindings` both refuse them.
+        g = u_gadget(2)
+        shared = [(identity_binding(g), False), (identity_binding(g), True)]
+        with pytest.raises(BindingConflict):
+            GadgetStep(tuple(shared), Output(1))
+        with pytest.raises(BindingConflict):
+            apply_bindings(LabeledState({S_LABEL: 1.0}), shared)
+
 
 class TestMeasurement:
-    def _partition(self):
-        return MeasurementPartition(
-            outcomes=(
-                ("s", lambda l: l == S_LABEL),
-                ("rest", lambda l: l[0] == "I"),
-            ),
-        )
+    @staticmethod
+    def outcome_of(label):
+        return {"S": "s", "I": "rest", "P": "pair"}.get(label[0])
 
     def test_splits_mass_by_outcome(self):
-        parts = measure(LabeledState({S_LABEL: 0.6, idx(1): 0.8}), self._partition())
+        parts = measure(LabeledState({S_LABEL: 0.6, idx(1): 0.8}), self.outcome_of, ("s", "rest"))
         assert parts["s"].squared_norm() == pytest.approx(0.36)
         assert parts["rest"].squared_norm() == pytest.approx(0.64)
 
     def test_unclassifiable_label_raises(self):
-        with pytest.raises(PartitionGap):
-            measure(LabeledState({pair(1, 2): 1.0}), self._partition())
+        # A label without an outcome, and one whose outcome is not measured.
+        for label in (ZERO_LABEL, pair(1, 2)):
+            with pytest.raises(PartitionGap):
+                measure(LabeledState({label: 1.0}), self.outcome_of, ("s", "rest"))
 
-    def test_overlapping_outcomes_raise(self):
-        parts = MeasurementPartition(
-            outcomes=(("a", lambda l: True), ("b", lambda l: l == S_LABEL)),
-        )
-        with pytest.raises(ValueError):
-            measure(LabeledState({S_LABEL: 1.0}), parts)
+    @pytest.mark.parametrize("ids", [("s", "s"), ("s", None)], ids=["duplicate", "none"])
+    def test_outcome_ids_must_be_distinct_and_not_none(self, ids):
+        with pytest.raises(ValueError, match="outcome ids"):
+            MeasureStep(self.outcome_of, tuple((oid, None, Output(1)) for oid in ids))
 
 
 class TestLabels:

@@ -14,13 +14,13 @@ from exactq import (
     IndexOutOfRange,
     LabeledState,
     MeasureStep,
-    MeasurementPartition,
     Output,
     PartitionGap,
     Plan,
     PrepareState,
     QueryStep,
     build_equality,
+    build_general_unbalance,
     build_unb,
     build_unbr,
     chain_gamma_at,
@@ -33,7 +33,7 @@ from exactq import (
 from exactq.batch import summarize
 from exactq.gadgets import extract_trailing_index
 from exactq.plans import var
-from exactq.state_core import S_LABEL, idx
+from exactq.state_core import S_LABEL, anc, comp, idx, pair, tag
 from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL
 from reference import Executor
 
@@ -58,16 +58,21 @@ def lossy_plan(amps):
     rewrite merges |1> into |2>: the |1>-|2> part cancels and its norm is
     lost."""
     state = LabeledState({idx(i + 1): a for i, a in enumerate(amps)})
-    partition = MeasurementPartition(((("all",), lambda label: True),))
-    root = PrepareState(state, MeasureStep(partition, ((("all",), {idx(1): idx(2)}, Output(1)),)))
+    merge = MeasureStep(lambda label: ("all",), ((("all",), {idx(1): idx(2)}, Output(1)),))
+    root = PrepareState(state, merge)
     return Plan(family="lossy", n=1, params=(), root=root, claimed_queries=0,
                 truth=lambda bits: 1)
 
 
-def s_only_measure():
-    """Measure a single outcome that holds |S> alone."""
-    partition = MeasurementPartition(((("s",), lambda label: label == S_LABEL),))
-    return MeasureStep(partition, ((("s",), None, Output(1)),))
+# The outcome `s_only_measure` gives the labels other than |S>: None, or an
+# id that names no child. Either makes those labels gaps.
+GAP_OUTCOMES = (None, ("i",))
+
+
+def s_only_measure(other=None):
+    """Measure a single outcome that holds |S> alone; every other label gets
+    the outcome `other`, which names no child."""
+    return MeasureStep(lambda label: ("s",) if label == S_LABEL else other, ((("s",), None, Output(1)),))
 
 
 def small_plan(root, *, n=1, contract=None):
@@ -213,20 +218,43 @@ class TestErrorSemantics:
 
     def test_top_level_measurement_missing_a_label_raises(self):
         state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
-        with pytest.raises(PartitionGap):
-            verify_exactness(small_plan(PrepareState(state, s_only_measure())))
+        for other in GAP_OUTCOMES:
+            with pytest.raises(PartitionGap):
+                verify_exactness(small_plan(PrepareState(state, s_only_measure(other))))
 
     def test_mismatched_call_leaving_the_callee_partition_reports_minus_one(self):
         # The call's state is not proportional to the callee's contract |S>,
         # so the callee runs on it directly, and its measurement has no
         # outcome for |1>: the whole call's weight lands on output -1.
-        callee = small_plan(s_only_measure(), contract=Contract(1, (S_LABEL,), (1.0,), ((0.0,),)))
-        state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
-        report = verify_exactness(small_plan(PrepareState(state, Call(callee, (var(1),)))))
-        assert not report.exact
-        assert [(bits, output) for bits, output, _ in report.counterexamples] == [((0,), -1), ((1,), -1)]
-        assert [weight for _, _, weight in report.counterexamples] == pytest.approx([1.0, 1.0])
-        assert report.max_norm_residual == pytest.approx(0.8)
+        for other in GAP_OUTCOMES:
+            callee = small_plan(s_only_measure(other), contract=Contract(1, (S_LABEL,), (1.0,), ((0.0,),)))
+            state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
+            report = verify_exactness(small_plan(PrepareState(state, Call(callee, (var(1),)))))
+            assert not report.exact
+            assert [(bits, output) for bits, output, _ in report.counterexamples] == [((0,), -1), ((1,), -1)]
+            assert [weight for _, _, weight in report.counterexamples] == pytest.approx([1.0, 1.0])
+            assert report.max_norm_residual == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("make_plan,dropped", [
+        (lambda: build_equality(4), S_LABEL),
+        (lambda: build_unb(6, 2), tag("R", pair(1, 2))),
+        (lambda: build_general_unbalance(6, 1), comp(anc(0), S_LABEL)),
+    ], ids=["equality4", "unb62", "general61"])
+    def test_measurement_dropping_a_populated_label_raises(self, make_plan, dropped):
+        # A structural mutant: the root's measurement, reached through
+        # unitary steps only, gives one populated label no outcome.
+        plan = make_plan()
+        spine = [plan.root]
+        while not isinstance(spine[-1], MeasureStep):
+            spine.append(spine[-1].child)
+        measure = spine.pop()
+        node = replace(measure, outcome_of=lambda label: None if label == dropped
+                       else measure.outcome_of(label))
+        for step in reversed(spine):
+            node = replace(step, child=node)
+        assert verify_exactness(plan).exact
+        with pytest.raises(PartitionGap):
+            verify_exactness(replace(plan, root=node))
 
     def test_query_index_out_of_range_raises(self):
         root = PrepareState(LabeledState({idx(3): 1.0}), QueryStep(extract_trailing_index, Output(1)))
@@ -234,31 +262,23 @@ class TestErrorSemantics:
             verify_exactness(small_plan(root, n=2))
 
     @staticmethod
-    def overlap_plan(amps):
+    def merge_plan(amps):
         """Prepare amplitudes on |1>, |2>, |3>, merge |1> into |2>, then
-        measure outcomes that both hold |2>."""
+        measure |3> into outcome a and |2> into outcome b."""
         state = LabeledState({idx(i + 1): a for i, a in enumerate(amps) if a})
-        overlap = MeasurementPartition(((("a",), lambda label: label in (idx(2), idx(3))),
-                                        (("b",), lambda label: label == idx(2))))
-        inner = MeasureStep(overlap, ((("a",), None, Output(1)), (("b",), None, Output(0))))
-        merge = MeasurementPartition(((("all",), lambda label: True),))
-        return small_plan(PrepareState(state, MeasureStep(merge, ((("all",), {idx(1): idx(2)}, inner),))))
+        inner = MeasureStep({idx(3): ("a",), idx(2): ("b",)}.get,
+                            ((("a",), None, Output(1)), (("b",), None, Output(0))))
+        return small_plan(PrepareState(state, MeasureStep(lambda label: ("all",),
+                                                          ((("all",), {idx(1): idx(2)}, inner),))))
 
-    def test_outcomes_overlapping_on_an_empty_label_are_harmless(self):
-        # The merged |2> cancels, so no branch state holds it, and its
-        # overlap is never looked at; the lost norm refutes the plan.
-        plan = self.overlap_plan((0.6, -0.6, math.sqrt(0.28)))
+    def test_merged_label_that_cancels_loses_its_norm(self):
+        # The merged |2> cancels, so outcome b receives nothing; the lost
+        # norm refutes the plan.
+        plan = self.merge_plan((0.6, -0.6, math.sqrt(0.28)))
         report = verify_exactness(plan)
         assert not report.exact and report.counterexamples == ()
         assert report.max_norm_residual == pytest.approx(0.72)
         assert Executor().run_plan(plan, (0,)).mass == ((1, pytest.approx(0.28), pytest.approx(0.28)),)
-
-    def test_outcomes_overlapping_on_a_populated_label_raise(self):
-        plan = self.overlap_plan((0.6, 0.0, 0.8))
-        with pytest.raises(ValueError, match="matches outcomes"):
-            verify_exactness(plan)
-        with pytest.raises(ValueError, match="matches outcomes"):
-            Executor().run_plan(plan, (0,))
 
 
 class TestVacuousContracts:
