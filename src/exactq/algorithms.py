@@ -266,9 +266,11 @@ def _unbr_shared(n: int, d: int) -> tuple[_Apps, _Apps, MeasureStep]:
     children: list = [(("s",), None, Output(0))]
     for i, j in _pairs(n):
         p, oid = pair(i, j), ("pair", i, j)
-        rewrite = {p: S_LABEL, **_quad_renames(n, i, j)}
-        # The pair, its quads and its two rotation arms.
-        outcomes.update(dict.fromkeys((*rewrite, tag("L", p), tag("R", p)), oid))
+        # The pair, its quads and its two rotation arms, which go to labels
+        # that no gadget binds, so the callee never takes them for its own.
+        rewrite = {p: S_LABEL, **_quad_renames(n, i, j),
+                   tag("L", p): tag("L", ZERO_LABEL), tag("R", p): tag("R", ZERO_LABEL)}
+        outcomes.update(dict.fromkeys(rewrite, oid))
         children.append((oid, rewrite, Call(sub, drop_wires(n, (i, j)))))
     return inverses, forwards, MeasureStep(outcomes.get, tuple(children))
 

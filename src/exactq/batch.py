@@ -20,9 +20,9 @@ stay the reference:
 
 A contract-free plan whose root calls a contract-free plan (a padding or
 renaming reduction) enters it from |0> with weight 1.0 and no queries, so it
-shares its callee's memo; the leaf and exit walks still walk such plans. A
-call's wires compile once into bit runs: a callee input takes one shift, mask
-and or per run.
+shares its callee's memo; the exit walk still walks such plans. A call's
+wires compile once into bit runs: a callee input takes one shift, mask and or
+per run.
 
 Every amplitude the builders make is real, so the walk is real too: gadget
 matrices, prepared states and contract matrices compile to float64 (`_real`),
@@ -51,21 +51,21 @@ block are one product of its matrix over (1, xhat), compiled at the first
 walk and kept on the contract, with the block's +-1 encodings; they are
 evaluated wherever a block needs them, and nothing is kept per input. The
 memos belong to one `summarize` call and are freed when it returns; the
-compiled maps stay on plan nodes, which plans of one shape share.
+compiled maps and the leaf walk's null copies stay on plan nodes, which
+plans of one shape share.
 
 `exit_amplitudes` takes the same steps for the degree audit, but stops at a
 plan's exits: it starts from the raw contract states, prunes nothing and
 never enters a callee.
 
-`leaf_values` takes them for a leaf polynomial: per input, the weight at the
-end of one outcome path of the run tree, as the reference leaf walk of
-tests/reference.py reads it. It steps every child of the current plan that
-has rows, so that a gap anywhere in it surfaces, but enters only the Call on
-the path, and it keeps no memo.
+`leaf_values` reads a leaf polynomial, the weight at the end of one outcome
+path of the run tree, as the output-1 mass of `summarize`, memos and
+contract matching included, on the plan marked along the path (`_mark`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from itertools import compress, groupby, zip_longest
 
 import numpy as np
@@ -213,13 +213,20 @@ class _Walker:
         self.memos: dict[int, tuple[Plan, _Memo]] = {}
 
     def run(self, plan: Plan, inputs: np.ndarray) -> tuple[np.ndarray, _Sums]:
-        """Walk `plan` from its entry state on a block of its inputs."""
-        entered, rows, amps = _entry(plan, inputs, self.branch_tol)
-        if entered.all():
-            return entered, self.walk(plan.root, rows, amps, inputs, plan.n, 0)
+        """Walk `plan` on a block of its inputs from its entry state, the
+        normalized contract state or |0> without a contract, and return
+        which inputs enter it: those whose contract state does not vanish."""
+        if plan.contract is None:
+            rows, amps = (ZERO_LABEL,), np.ones((1, len(inputs)), dtype=_DTYPE)
+            return np.ones(len(inputs), dtype=bool), self.walk(plan.root, rows, amps, inputs, plan.n, 0)
+        kappa, norm_sq = contract_columns(plan.contract, inputs)
+        entered = norm_sq > self.branch_tol
+        # Times the reciprocal norm, as `LabeledState.normalized` does.
+        amps = kappa[:, entered] * (1.0 / np.sqrt(norm_sq[entered]))
+        _zero_small(amps)
         sums = _Sums.vacuous(len(inputs))
         if entered.any():
-            sums.put(entered, self.walk(plan.root, rows, amps, inputs[entered], plan.n, 0))
+            sums.put(entered, self.walk(plan.root, plan.contract.labels, amps, inputs[entered], plan.n, 0))
         return entered, sums
 
     def memo(self, plan: Plan, inputs: np.ndarray) -> _Sums:
@@ -252,9 +259,14 @@ class _Walker:
                 sums = _Sums.vacuous(len(inputs))
                 if live.any():
                     sums.put(live, self.walk(node, rows, amps[:, live], inputs[live], n, queries))
+                if isinstance(node, _End):
+                    sums.put(~live, _Sums.output(1, weight[~live], queries))
                 return sums
             if isinstance(node, Output):
-                return _Sums.output(node.bit, weight, queries)
+                sums = _Sums.output(node.bit, weight, queries)
+                if isinstance(node, _End) and node.rest is not None:
+                    sums.merge(None, self.walk(node.rest, rows, amps, inputs, n, queries))
+                return sums
             if isinstance(node, Call):
                 return self.enter(node.plan, rows, amps, weight, _sub_inputs(node, inputs, n), queries)
             if isinstance(node, MeasureStep):
@@ -279,7 +291,7 @@ class _Walker:
 
         folded = 0
         for k, (child, members, labels, _) in enumerate(branches):
-            if k < folded or not len(members):
+            if k < folded or child is None or not len(members):
                 continue
             # A column that gapped stops there, as the per-input walk does.
             cols = np.flatnonzero(sums.gap == 0) if sums.gap.any() else None
@@ -364,136 +376,85 @@ class _Walker:
         return sums
 
 
-def _entry(plan: Plan, inputs: np.ndarray, branch_tol: float) -> tuple[np.ndarray, tuple, np.ndarray]:
-    """Which of `inputs` enter `plan` (those whose contract state does not
-    vanish), and the entry states of those that do, as rows and columns: the
-    normalized contract, or the scratch state |0> without one."""
-    if plan.contract is None:
-        width = len(inputs)
-        return np.ones(width, dtype=bool), (ZERO_LABEL,), np.ones((1, width), dtype=_DTYPE)
-    kappa, norm_sq = contract_columns(plan.contract, inputs)
-    entered = norm_sq > branch_tol
-    # Times the reciprocal norm, as `LabeledState.normalized` does.
-    amps = kappa[:, entered] * (1.0 / np.sqrt(norm_sq[entered]))
-    _zero_small(amps)
-    return entered, plan.contract.labels, amps
-
-
 # ---------------------------------------------------------------------------
 # Leaf values (leaf polynomials)
 # ---------------------------------------------------------------------------
 
 
-def leaf_values(plan: Plan, path: tuple, *, branch_tol: float) -> np.ndarray:
+def leaf_values(plan: Plan, path: tuple, *, tol: float, branch_tol: float) -> np.ndarray:
     """Per input, in lexicographic order, the weight of the run-tree node
     that the outcome path `path` leads to, or 0.0 where the path leaves the
-    tree or the input does not enter the plan.
-
-    As in the run tree, a path element that names no child of a measurement
-    with one child descends into it without being used up, and None is used
-    up by a step with one child or by a Call. Raises PartitionGap where a
-    populated label matches no measurement outcome outside the callees the
-    path enters; inside one, the gap gives the call's weight if the path ends
-    at the callee's root, else 0.0.
-    """
-    count = 1 << plan.n
-    values = np.zeros(count)
-    width = _block_width(plan)
-    for start in range(0, count, width):
-        inputs = np.arange(start, min(count, start + width))
-        entered, rows, amps = _entry(plan, inputs, branch_tol)
-        inputs = inputs[entered]
-        if not len(inputs):
-            continue
-        found, gap = _leaf(plan.root, rows, amps, inputs, plan.n, path, branch_tol)
-        _raise_gap(gap, inputs, plan.n)
-        values[inputs] = found
-    return values
+    tree or the input does not enter the plan: the output-1 totals of
+    `summarize` on the plan marked along the path (`_mark`). A gap inside a
+    directly walked call reads 0.0; anywhere else it raises PartitionGap."""
+    root = _mark(plan.root, path)
+    marked = _shared(plan, root=Output(0) if root is None else root)
+    return summarize(marked, tol=tol, branch_tol=branch_tol)[1].total[2]
 
 
-def _leaf(node, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n: int,
-          path: tuple | None, branch_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per column, the weight of the node `path` leads to from `node` (0.0
-    off the tree), and whether the column gapped in this plan.
+@dataclass(frozen=True, eq=False)
+class _End(Output):
+    """The end of a leaf path: an Output(1), off the walker's per-step
+    checks, that also reads the columns pruned there, as the run tree keeps
+    a pruned node's weight, then walks `rest`, the null copy it replaces."""
 
-    Every child that has rows is stepped, so that a gap anywhere in the plan
-    surfaces, but only a Call on the path is entered. `path` None marks
-    columns off the path: only their gaps count. The walk owns `amps`.
-    """
-    while True:
-        weight = _weights(amps)
-        live = weight > branch_tol
-        if not live.all():
-            found = weight if path == () else np.zeros(len(weight))
-            gap = np.zeros(len(weight), dtype=bool)
-            if live.any():
-                found[live], gap[live] = _leaf(node, rows, amps[:, live], inputs[live], n,
-                                               path, branch_tol)
-            return found, gap
-        if isinstance(node, Output):
-            return weight if not path else np.zeros(len(weight)), np.zeros(len(weight), dtype=bool)
-        if isinstance(node, Call):
-            if path:
-                weight = _leaf_call(node, rows, amps, weight, _sub_inputs(node, inputs, n),
-                                    path[1:] if path[0] is None else path, branch_tol)
-            return weight, np.zeros(len(weight), dtype=bool)
-        if path == ():
-            # The path ends here; the rest of the plan is walked for its gaps.
-            return weight, _leaf(node, rows, amps, inputs, n, None, branch_tol)[1]
+    rest: object
+
+
+def _mark(node, path: tuple):
+    """`node` with the nodes on `path` copied down to an `_End` and each
+    child off the path cut to its null copy; None when nothing in it adds
+    mass or gaps. As in the run tree, a path element that names no child of
+    a measurement with one child descends into it without being used up,
+    and None is used up by a step with one child or by a Call."""
+    if path == ():
+        return _End(1, _null(node))
+    if isinstance(node, Output):
+        return None
+    if isinstance(node, Call):
+        rest = path[1:] if path[0] is None else path
+        if not rest:  # the callee's root: the call's weight, 0.0 if pruned
+            return Output(1)
+        root = _mark(node.plan.root, rest)
+        return None if root is None else _shared(node, plan=_shared(node.plan, root=root))
+    if isinstance(node, MeasureStep):
+        ids = [oid for oid, _, _ in node.children]
+        rest = path[1:] if path[0] in ids else path
+        return replace(node, children=tuple(
+            (oid, rewrite, _mark(child, rest) if oid == path[0] or len(ids) == 1 else _null(child))
+            for oid, rewrite, child in node.children))
+    child = _mark(node.child, path[1:] if path[0] is None else path)
+    return None if child is None else _shared(node, child=child)
+
+
+def _null(node):
+    """`node`'s subtree with every Output and Call cut off, kept on the node,
+    or None when nothing in it measures: it adds no mass, but its gaps
+    surface. `_Walker.measure` skips a None child."""
+    if isinstance(node, (Output, Call)):
+        return None
+    null = node.__dict__.get("_batch_null", node)
+    if null is node:
         if isinstance(node, MeasureStep):
-            return _leaf_measure(node, rows, amps, inputs, n, path, branch_tol)
-        rows, amps = _advance(node, rows, amps, inputs, n, weight)
-        if path and path[0] is None:
-            path = path[1:]
-        node = node.child
+            null = replace(node, children=tuple((oid, rewrite, _null(child))
+                                                for oid, rewrite, child in node.children))
+        else:
+            child = _null(node.child)
+            null = None if child is None else _shared(node, child=child)
+        node.__dict__["_batch_null"] = null
+    return null
 
 
-def _leaf_measure(node: MeasureStep, rows: tuple, amps: np.ndarray, inputs: np.ndarray,
-                  n: int, path: tuple | None, branch_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """`_leaf` at a measurement: the child `path[0]` names (a lone child when
-    none does) is on the path, the others are walked with path None, and a
-    column that gaps is skipped in later children."""
-    gap, branches, _ = _split(node, rows, amps, n)
-    target, rest = None, None
-    if path:
-        target = next((k for k, (oid, _, _) in enumerate(node.children) if oid == path[0]), None)
-        if target is not None:
-            rest = path[1:]
-        elif len(branches) == 1:
-            target, rest = 0, path
-    found = np.zeros(len(inputs))
-    for k, branch in enumerate(branches):
-        if not len(branch[1]):
-            continue
-        cols = np.flatnonzero(~gap) if gap.any() else None
-        if cols is not None and not len(cols):
-            break
-        value, child_gap = _leaf(branch[0], branch[2], _branch(branch, amps, cols),
-                                 inputs if cols is None else inputs[cols], n,
-                                 rest if k == target else None, branch_tol)
-        at = slice(None) if cols is None else cols
-        if k == target:
-            found[at] = value
-        gap[at] |= child_gap
-    return found, gap
-
-
-def _leaf_call(node: Call, rows: tuple, amps: np.ndarray, weight: np.ndarray,
-               sub_inputs: np.ndarray, rest: tuple, branch_tol: float) -> np.ndarray:
-    """`_leaf` through a Call on the path: the callee runs from the call's
-    state, or from |0> at the call's weight when it has no contract, a block
-    of its width at a time. A column that gaps in the callee gives the call's
-    weight if the path ends at the callee's root, else 0.0."""
-    sub = node.plan
-    if sub.contract is None:
-        rows, amps = (ZERO_LABEL,), np.sqrt(weight)[None, :]
-    found = np.zeros(len(weight))
-    width = _block_width(sub)
-    for start in range(0, len(weight), width):
-        cols = slice(start, start + width)
-        value, gap = _leaf(sub.root, rows, amps[:, cols], sub_inputs[cols], sub.n, rest, branch_tol)
-        found[cols] = np.where(gap, weight[cols] if rest == () else 0.0, value)
-    return found
+def _shared(obj, **changes):
+    """A copy of a validated plan, or of a step other than a measurement
+    (whose maps name its children), with `changes`, that shares its compiled
+    maps. A plan's block width is computed on the plan first, since a cut
+    copy counts fewer labels."""
+    if isinstance(obj, Plan):
+        _block_width(obj)
+    copy = object.__new__(type(obj))
+    copy.__dict__.update(vars(obj), _batch_cache=_cache(obj), **changes)
+    return copy
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Exhaustive certification of plans and of their polynomials.
 
-`verify_exactness`, the acceptance and leaf polynomials of
-`extract_multilinear` and the degree audit `audit_leaf_degrees` run all
-inputs through a plan at once with the input-batched walkers of `batch.py`;
-`_fourier` inverts the resulting value tables. What stays here looks at one
-input at a time:
+`verify_exactness` and the acceptance and leaf polynomials of
+`extract_multilinear` run all inputs through a plan at once with the
+input-batched summary walk of `batch.py`, which matches calls to their
+contracts to `tol` (a leaf polynomial walks the plan marked along its path);
+the degree audit `audit_leaf_degrees` runs its exit walk. `_fourier` inverts
+the resulting value tables. What stays here looks at one input at a time:
 
 - `_step` holds the per-input semantics of PrepareState, GadgetStep,
   QueryStep and MeasureStep on an unnormalized `LabeledState`;
@@ -383,10 +384,9 @@ def extract_multilinear(
     branch_tol: float = DEFAULT_BRANCH_TOL,
 ) -> MultilinearPoly:
     """Multilinear polynomial of the acceptance probability, or of one
-    leaf's branch weight (selector ("leaf", outcome path)). `tol` is the
-    contract-match tolerance of the acceptance walk; a leaf walk follows the
-    run tree and does not read it. Both tolerances are checked as in
-    `verify_exactness`."""
+    leaf's branch weight (selector ("leaf", outcome path)). Both run the
+    summary walk, whose contract-match tolerance is `tol`. Both tolerances
+    are checked as in `verify_exactness`."""
     _check_tolerances(tol, branch_tol)
     if plan.n > 14:
         raise ValueError(f"n={plan.n} exceeds the extraction limit 14")
@@ -395,7 +395,7 @@ def extract_multilinear(
         return MultilinearPoly.from_values(plan.n, sums.total[2])
     if isinstance(selector, tuple) and len(selector) == 2 and selector[0] == "leaf":
         from .batch import leaf_values
-        return MultilinearPoly.from_values(plan.n, leaf_values(plan, tuple(selector[1]),
+        return MultilinearPoly.from_values(plan.n, leaf_values(plan, tuple(selector[1]), tol=tol,
                                                                branch_tol=branch_tol))
     raise ValueError(f"unknown selector {selector!r}")
 

@@ -1,11 +1,14 @@
-"""Differential tests: the input-batched summary and leaf walks against the
-per-input LabeledState reference of tests/reference.py."""
+"""Differential tests: the input-batched summary walk, and the leaf values it
+reads off a plan marked along an outcome path, against the per-input
+LabeledState reference of tests/reference.py."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +39,7 @@ from exactq import (
     build_unb,
     build_unbr,
     chain_gamma_at,
+    extract_multilinear,
     identity_binding,
     isometry_from_columns,
     solve_step_constants,
@@ -267,6 +271,62 @@ def test_builder_sibling_calls_are_adjacent(name):
             elif isinstance(node, (GadgetStep, PrepareState, QueryStep)):
                 stack.append(node.child)
     assert measured
+
+
+def plan_nodes(plan):
+    """Every node of `plan`, not of its callees."""
+    stack = [plan.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, MeasureStep):
+            stack += [child for _, _, child in node.children]
+        elif not isinstance(node, (Output, Call)):
+            stack.append(node.child)
+
+
+def written_labels(plan):
+    """The labels that the gadgets and prepared states of `plan`, not of its
+    callees, write. A measurement's rewrite only renames the branch that it
+    hands on to a callee."""
+    labels = set()
+    for node in plan_nodes(plan):
+        if isinstance(node, GadgetStep):
+            labels.update(label for binding, _ in node.applications for label in binding.to_gadget)
+        elif isinstance(node, PrepareState):
+            labels.update(node.state.support())
+    return labels
+
+
+def claims_grid_and_symmetric_plans():
+    for n in range(1, 9):
+        for k in range(n + 1):
+            for l in range(k, n + 1):
+                yield build_exact_kl(n, k, l)
+    for bits in (b for n in range(5) for b in itertools.product("01", repeat=n + 1)):
+        for strategy in (OUTWARD, TWO_SIDED):
+            yield build_sym(SymSpec("".join(bits), None, strategy))
+
+
+def test_calls_hand_their_callee_no_label_it_writes_outside_its_contract():
+    # A label outside the callee's contract that the callee's own steps also
+    # write would be read there as the callee's own amplitude.
+    calls, aliased = 0, set()
+    for plan in claims_grid_and_symmetric_plans():
+        verify_exactness(plan)
+        for sub in _collect_plans(plan):
+            for node in plan_nodes(sub):
+                if not isinstance(node, MeasureStep):
+                    continue
+                for _, branches, _ in vars(node).get("_batch_cache", {}).values():
+                    for child, _, labels, _ in branches:
+                        if isinstance(child, Call) and child.plan.contract is not None:
+                            calls += 1
+                            stray = set(labels) - set(child.plan.contract.labels)
+                            aliased.update((repr(child.plan), label)
+                                           for label in stray & written_labels(child.plan))
+    assert calls
+    assert not aliased, sorted(aliased, key=repr)[:10]
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +626,7 @@ def assert_leaf_values_match_reference(plan, rng, count):
         paths.update((path, path[:-1], path[:1]))
     for path in sorted(paths, key=repr):
         expected = reference.leaf_values(plan, path)
-        values = leaf_values(plan, path, branch_tol=DEFAULT_BRANCH_TOL)
+        values = leaf_values(plan, path, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
         assert np.abs(values - expected).max() <= 1e-12, path
 
 
@@ -594,7 +654,7 @@ def test_gamma_override_leaf_values_match(gamma, rng):
 
 def leaf_values_both(plan, path):
     """The batched and the reference leaf values, as lists."""
-    return (leaf_values(plan, path, branch_tol=DEFAULT_BRANCH_TOL).tolist(),
+    return (leaf_values(plan, path, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL).tolist(),
             reference.leaf_values(plan, path))
 
 
@@ -604,7 +664,7 @@ def test_leaf_walk_top_level_gap_raises():
         plan = small_plan(PrepareState(state, s_only_measure(other)))
         for path in ((), (("s",),)):
             with pytest.raises(PartitionGap):
-                leaf_values(plan, path, branch_tol=DEFAULT_BRANCH_TOL)
+                leaf_values(plan, path, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
             with pytest.raises(PartitionGap):
                 reference.leaf_values(plan, path)
 
@@ -630,6 +690,108 @@ def test_leaf_walk_merged_label_that_cancels():
     assert leaf_values_both(plan, (("all",), ("a",))) == (
         [pytest.approx(0.28)] * 2, [pytest.approx(0.28)] * 2)
     assert leaf_values_both(plan, (("all",), ("b",))) == ([0.0, 0.0], [0.0, 0.0])
+
+
+def assert_leaf_values_close(plan, path):
+    values, expected = leaf_values_both(plan, path)
+    assert np.abs(np.subtract(values, expected)).max() <= 1e-12, (path, values, expected)
+    return values
+
+
+def split_plan(on_s, on_i, weight_i=0.64):
+    """A one-variable plan that prepares weight 1 - weight_i on |S> and
+    weight_i on |1>, then measures them into on_s and on_i."""
+    state = LabeledState({S_LABEL: math.sqrt(1.0 - weight_i), idx(1): math.sqrt(weight_i)})
+    return small_plan(PrepareState(state, s_i_measure(on_s, on_i)))
+
+
+def test_leaf_path_ending_at_a_pruned_node_reads_its_weight():
+    # Branch i weighs 1e-10, below branch_tol, so the walk prunes it; the run
+    # tree still holds that weight at the pruned node, but nothing past it.
+    plan = split_plan(Output(1), s_i_measure(Output(0), Output(1)), weight_i=1e-10)
+    values = assert_leaf_values_close(plan, (("i",),))
+    assert values == [pytest.approx(1e-10, rel=1e-9)] * 2
+    assert assert_leaf_values_close(plan, (("i",), ("s",))) == [0.0, 0.0]
+    # At a pruned call, so does a path that ends there, but its callee's
+    # root is past the pruned node.
+    plan = split_plan(Output(1), Call(small_plan(Output(1)), (var(1),)), weight_i=1e-10)
+    assert assert_leaf_values_close(plan, (("i",),)) == [pytest.approx(1e-10, rel=1e-9)] * 2
+    assert assert_leaf_values_close(plan, (("i",), None)) == [0.0, 0.0]
+
+
+def test_leaf_path_through_a_contract_matched_call(monkeypatch):
+    # The call's state 0.6|S> is proportional to the callee's contract |S>,
+    # so the callee's marked copy is summarized once, from |S>, and scaled.
+    r = math.sqrt(0.5)
+    hadamard = identity_binding(isometry_from_columns(
+        "hadamard", {S_LABEL: {S_LABEL: r, idx(1): r}, idx(1): {S_LABEL: r, idx(1): -r}}))
+    callee = small_plan(GadgetStep(((hadamard, False),), QueryStep(extract_trailing_index, GadgetStep(
+        ((hadamard, False),), s_i_measure(Output(0), Output(1))))),
+        contract=Contract(1, (S_LABEL,), (1.0,), ((0.0,),)))
+    plan = split_plan(Call(callee, (var(1),)), Output(0))
+    memos = []
+    memo = _Walker.memo
+    monkeypatch.setattr(_Walker, "memo", lambda self, sub, inputs: memos.append(sub.n) or memo(self, sub, inputs))
+    assert assert_leaf_values_close(plan, (("s",), ("i",))) == [0.0, pytest.approx(0.36)]
+    assert assert_leaf_values_close(plan, (("s",), ("s",))) == [pytest.approx(0.36), 0.0]
+    assert memos
+
+
+def test_leaf_path_naming_no_child_of_a_measurement_reads_zero():
+    plan = split_plan(Output(1), s_i_measure(Output(0), Output(1)))
+    assert assert_leaf_values_close(plan, (("x",),)) == [0.0, 0.0]
+    assert assert_leaf_values_close(plan, (("i",), ("x",))) == [0.0, 0.0]
+    unb = build_unb(5, 1)
+    assert not any(assert_leaf_values_close(unb, (("x",),)))
+
+
+def test_leaf_path_ending_at_a_call_does_not_enter_it():
+    # The callee gaps on every input, but a path that ends at the call, or
+    # at the callee's root, reads the call's weight without entering it.
+    gapping = small_plan(PrepareState(LabeledState({S_LABEL: 0.6, idx(1): 0.8}), s_only_measure()))
+    plan = split_plan(Call(gapping, (var(1),)), Output(0), weight_i=0.36)
+    for path in ((("s",),), (("s",), None)):
+        assert assert_leaf_values_close(plan, path) == [pytest.approx(0.64)] * 2
+    # A path into the contract-free callee summarizes it, and its gap
+    # raises, where the per-input reference reads 0.0.
+    with pytest.raises(PartitionGap):
+        leaf_values(plan, (("s",), ("s",)), tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
+    assert reference.leaf_values(plan, (("s",), ("s",))) == [0.0, 0.0]
+
+
+def output_one_paths(node, path=()):
+    """The outcome path of every Output(1) below `node`, through Calls."""
+    if isinstance(node, Output):
+        return [path] if node.bit == 1 else []
+    if isinstance(node, Call):
+        return output_one_paths(node.plan.root, path)
+    if isinstance(node, MeasureStep):
+        return [p for oid, _, child in node.children for p in output_one_paths(child, path + (oid,))]
+    return output_one_paths(node.child, path)
+
+
+@pytest.mark.parametrize("make_plan", [lambda: build_unb(6, 2), lambda: build_unbr(5, 1)],
+                         ids=["unb62", "unbr51"])
+def test_output_one_leaves_add_up_to_the_acceptance(make_plan):
+    plan = make_plan()
+    paths = output_one_paths(plan.root)
+    total = sum(leaf_values(plan, path, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL) for path in paths)
+    accepted = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)[1].total[2]
+    assert len(paths) > 1
+    assert np.abs(total - accepted).max() <= 1e-12
+
+
+def test_null_copies_die_with_their_plan():
+    # The measurement off the path gets a null copy, kept on the node itself:
+    # once the plan is dropped, nothing else holds it.
+    off_path = s_i_measure(Output(0), Output(1))
+    plan = split_plan(Output(1), off_path)
+    extract_multilinear(plan, ("leaf", (("s",),)))
+    null = weakref.ref(vars(off_path)["_batch_null"])
+    assert null() is not None
+    del plan, off_path
+    gc.collect()
+    assert null() is None
 
 
 # ---------------------------------------------------------------------------

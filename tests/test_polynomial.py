@@ -42,6 +42,7 @@ from exactq.plans import var
 from exactq.state_core import S_LABEL, idx
 from exactq.verifier import (
     DEFAULT_BRANCH_TOL,
+    DEFAULT_TOL,
     LeafDegreeRecord,
     _SCRATCH,
     _collect_plans,
@@ -184,7 +185,7 @@ class TestLeafPolynomials:
         paths = output_leaf_paths(trees)
         for path in paths + [path[:-1] for path in paths if path]:
             expected = [leaf_weight(tree, path) for tree in trees]
-            values = batch_leaf_values(plan, path, branch_tol=DEFAULT_BRANCH_TOL)
+            values = batch_leaf_values(plan, path, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
             assert np.abs(values - expected).max() <= 1e-12, path
             assert_same_polynomial(MultilinearPoly.from_values(plan.n, values),
                                    MultilinearPoly.from_values(plan.n, expected))
