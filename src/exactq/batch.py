@@ -14,9 +14,17 @@ stay the reference:
   that walks its callee directly, which reports output -1 with that call's
   weight; at top level it raises PartitionGap;
 - a Call whose state is proportional to the callee's input contract reads
-  the callee's summary from a per-plan memo, filled on demand for the
-  sub-inputs the calls reach, scaled by |c|^2 ||kappa||^2. Other columns walk
-  the callee as one batch.
+  the callee's summary from a per-plan memo, scaled by |c|^2 ||kappa||^2.
+  Other columns walk the callee as one batch.
+
+The memos fill once per top-level block (`_Walker`). The walk of a block
+issues every memo read of its call tree before any callee runs; a read that
+misses leaves a pending summary. Then each plan read that way runs once on
+the union of its missing inputs, callers before callees, and the pending
+summaries resolve, callees first, each measurement folding its branches in
+branch order. A column that gaps in a branch that finished without waiting
+is skipped by the later branches; one whose gap waits on a read is walked by
+them, and the gap discards them.
 
 A contract-free plan whose root calls a contract-free plan (a padding or
 renaming reduction) enters it from |0> with weight 1.0 and no queries, so it
@@ -67,6 +75,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import compress, groupby, zip_longest
+from operator import itemgetter
+from typing import Callable
 
 import numpy as np
 
@@ -155,9 +165,14 @@ class _Sums:
             self.data[:, cols] = mine
 
 
+# A summary that waits on memo reads: it returns the summary once `_Walker.fill`
+# has filled the memos.
+_Pending = Callable[[], _Sums]
+
+
 class _Memo:
-    """Summaries of one plan by input, kept in the order the inputs were
-    first reached, so a plan that calls reach at few inputs costs little."""
+    """Summaries of one plan by input, kept in the order they were added, so
+    a plan that calls reach at few inputs costs little."""
 
     def __init__(self, n: int):
         self.slot = np.full(1 << n, -1, dtype=np.int32)
@@ -196,23 +211,53 @@ def summarize(plan: Plan, *, tol: float, branch_tol: float) -> tuple[np.ndarray,
     count = 1 << plan.n
     entered = np.zeros(count, dtype=bool)
     sums = _Sums.vacuous(count)
-    width = _block_width(plan)
+    width = _shape(plan)[0]
     for start in range(0, count, width):
         block = np.arange(start, min(count, start + width))
         entered[block], part = walker.run(plan, block)
+        walker.fill()
+        part = _done(part)
         _raise_gap((part.gap != 0) & entered[block], block, plan.n)
         sums.put(block, part)
     return entered, sums
 
 
 class _Walker:
+    """Walks blocks of inputs through plans, and fills the memos of the plans
+    they call. A memo read whose inputs all have summaries returns them; any
+    other records its inputs as demand on the plan and returns a `_Pending`
+    summary, and so does every walk that waits on one until `fill` runs."""
+
     def __init__(self, tol: float, branch_tol: float):
         self.tol = tol
         self.branch_tol = branch_tol
         # id(plan) -> (plan, its summaries by input)
         self.memos: dict[int, tuple[Plan, _Memo]] = {}
+        # id(plan) -> (its call height, plan, the inputs of its reads that
+        # found one missing)
+        self.demand: dict[int, tuple[int, Plan, list[np.ndarray]]] = {}
 
-    def run(self, plan: Plan, inputs: np.ndarray) -> tuple[np.ndarray, _Sums]:
+    def fill(self) -> None:
+        """Run every plan with demand once, on the sorted union of its missing
+        inputs, a block at a time, then resolve those runs, callees first.
+
+        A plan runs only when no plan with demand can call it: the highest
+        first (`_shape`). Its runs' reads add demand on lower plans only, so
+        no plan gains demand after it has run."""
+        runs = []
+        while self.demand:
+            _, plan, reads = max(self.demand.values(), key=itemgetter(0))
+            del self.demand[id(plan)]
+            memo = self.memos[id(plan)][1]
+            missing = memo.missing(np.concatenate(reads))
+            width = _shape(plan)[0]
+            for start in range(0, len(missing), width):
+                block = missing[start:start + width]
+                runs.append((memo, block, self.run(plan, block)[1]))
+        for memo, block, sums in reversed(runs):
+            memo.add(block, _done(sums))
+
+    def run(self, plan: Plan, inputs: np.ndarray) -> tuple[np.ndarray, _Sums | _Pending]:
         """Walk `plan` on a block of its inputs from its entry state, the
         normalized contract state or |0> without a contract, and return
         which inputs enter it: those whose contract state does not vanish."""
@@ -221,18 +266,19 @@ class _Walker:
             return np.ones(len(inputs), dtype=bool), self.walk(plan.root, rows, amps, inputs, plan.n, 0)
         kappa, norm_sq = contract_columns(plan.contract, inputs)
         entered = norm_sq > self.branch_tol
+        if not entered.any():
+            return entered, _Sums.vacuous(len(inputs))
         # Times the reciprocal norm, as `LabeledState.normalized` does.
         amps = kappa[:, entered] * (1.0 / np.sqrt(norm_sq[entered]))
         _zero_small(amps)
-        sums = _Sums.vacuous(len(inputs))
-        if entered.any():
-            sums.put(entered, self.walk(plan.root, plan.contract.labels, amps, inputs[entered], plan.n, 0))
-        return entered, sums
+        part = self.walk(plan.root, plan.contract.labels, amps, inputs[entered], plan.n, 0)
+        return entered, _assemble(len(inputs), [(entered, part)])
 
-    def memo(self, plan: Plan, inputs: np.ndarray) -> _Sums:
-        """Summaries of `plan` run from its entry state, one per column,
-        computed only for inputs no earlier call has reached. A plan that
-        only calls a plan, both contract-free, has its callee's summaries."""
+    def memo(self, plan: Plan, inputs: np.ndarray) -> _Sums | _Pending:
+        """Summaries of `plan` run from its entry state, one per column: at
+        once when every input has one, else pending on `fill`, which runs the
+        plan on the inputs no earlier read has reached. A plan that only
+        calls a plan, both contract-free, has its callee's summaries."""
         while plan.contract is None and isinstance(plan.root, Call) and plan.root.plan.contract is None:
             inputs = _sub_inputs(plan.root, inputs, plan.n)
             plan = plan.root.plan
@@ -240,15 +286,16 @@ class _Walker:
         if entry is None:
             entry = self.memos[id(plan)] = (plan, _Memo(plan.n))
         memo = entry[1]
-        missing = memo.missing(inputs)
-        width = _block_width(plan)
-        for start in range(0, len(missing), width):
-            block = missing[start:start + width]
-            memo.add(block, self.run(plan, block)[1])
-        return memo.take(inputs)
+        if (memo.slot[inputs] >= 0).all():
+            return memo.take(inputs)
+        demand = self.demand.get(id(plan))
+        if demand is None:
+            demand = self.demand[id(plan)] = (_shape(plan)[1], plan, [])
+        demand[2].append(inputs)
+        return lambda: memo.take(inputs)
 
     def walk(self, node, rows: tuple, amps: np.ndarray, inputs: np.ndarray,
-             n: int, queries: int) -> _Sums:
+             n: int, queries: int) -> _Sums | _Pending:
         """Summaries of the columns of `amps` from `node` on. `inputs` are the
         columns' inputs to the node's plan, which has `n` variables. The walk
         owns `amps` and may change it in place."""
@@ -256,16 +303,19 @@ class _Walker:
             weight = _weights(amps)
             live = weight > self.branch_tol
             if not live.all():
-                sums = _Sums.vacuous(len(inputs))
+                pieces = []
                 if live.any():
-                    sums.put(live, self.walk(node, rows, amps[:, live], inputs[live], n, queries))
+                    pieces.append((live, self.walk(node, rows, amps[:, live], inputs[live], n, queries)))
                 if isinstance(node, _End):
-                    sums.put(~live, _Sums.output(1, weight[~live], queries))
-                return sums
+                    pieces.append((~live, _Sums.output(1, weight[~live], queries)))
+                return _assemble(len(inputs), pieces)
             if isinstance(node, Output):
                 sums = _Sums.output(node.bit, weight, queries)
                 if isinstance(node, _End) and node.rest is not None:
-                    sums.merge(None, self.walk(node.rest, rows, amps, inputs, n, queries))
+                    def after(rest):
+                        sums.merge(None, rest)
+                        return sums
+                    return _then(after, self.walk(node.rest, rows, amps, inputs, n, queries))
                 return sums
             if isinstance(node, Call):
                 return self.enter(node.plan, rows, amps, weight, _sub_inputs(node, inputs, n), queries)
@@ -276,18 +326,21 @@ class _Walker:
             node = node.child
 
     def measure(self, node: MeasureStep, rows: tuple, amps: np.ndarray,
-                inputs: np.ndarray, n: int, queries: int) -> _Sums:
+                inputs: np.ndarray, n: int, queries: int) -> _Sums | _Pending:
         """Split the rows by outcome and fold the branches in branch order.
 
         Adjacent children that call one plan without merging labels run as
         one call over all their columns when the first of them is reached,
         and their summaries fold into the columns at once. A column that gaps
         in one of them is still read by the later ones, but the gap discards
-        those reads, as it discards every branch of the column.
+        those reads, as it discards every branch of the column. The later
+        children also walk a column whose gap is pending on a memo read.
         """
         gap, branches, groups = _split(node, rows, amps, n)
         sums = _Sums.vacuous(len(inputs))
         sums.gap[:] = gap
+        # The branches after the first pending one, which fold after it.
+        held: list = []
 
         folded = 0
         for k, (child, members, labels, _) in enumerate(branches):
@@ -300,80 +353,130 @@ class _Walker:
             block_inputs = inputs if cols is None else inputs[cols]
             group = groups.get(k)
             if group is None:
-                sums.merge(cols, self.walk(child, labels, _branch(branches[k], amps, cols),
-                                           block_inputs, n, queries))
+                part = self.walk(child, labels, _branch(branches[k], amps, cols), block_inputs, n, queries)
+            else:
+                part = self.call_group(group, rows, amps, cols, block_inputs, queries)
+                folded = k + group[2]
+            if held or not isinstance(part, _Sums):
+                if isinstance(part, _Sums) and part.gap.any():
+                    # The gap row merges by maximum, so it may merge ahead
+                    # of the totals, which keep branch order.
+                    at = slice(None) if cols is None else cols
+                    gaps = part.gap.reshape(-1, len(block_inputs)).max(axis=0)
+                    sums.gap[at] = np.maximum(sums.gap[at], gaps)
+                held.append((cols, part))
+            else:
+                sums.merge(cols, part)
+
+        def fold(*parts):
+            for (cols, _), part in zip(held, parts):
+                sums.merge(cols, part)
+            return sums
+        return _then(fold, *[part for _, part in held])
+
+    def call_group(self, group: tuple, rows: tuple, amps: np.ndarray, cols,
+                   block_inputs: np.ndarray, queries: int) -> _Sums | _Pending:
+        """Sibling calls into one plan as one call over all their columns, a
+        member's columns after another's."""
+        sub, union, count, sources, order, starts, runs = group
+        width = len(block_inputs)
+        padded = np.zeros((len(rows) + 1, width), dtype=_DTYPE)
+        padded[:-1] = amps if cols is None else amps[:, cols]
+        weight = np.add.reduceat(np.square(padded)[order], starts, axis=0).ravel()
+        if sub.contract is None:
+            padded = None
+        live = weight > self.branch_tol
+        sub_inputs = _route(block_inputs, runs).ravel()
+        pieces = []
+        # A block of members at a time: a callee with a contract needs
+        # their states, one without only their weights.
+        rows_needed = 0 if sub.contract is None else len(union)
+        step = max(1, _columns(rows_needed) // width)
+        for first in range(0, count, step):
+            span = slice(first * width, min(count, first + step) * width)
+            part = np.flatnonzero(live[span]) + span.start
+            if not len(part):
                 continue
-            # Sibling calls into one plan run as one call over all their
-            # columns, a member's columns after another's.
-            sub, union, count, sources, order, starts, runs = group
-            width = len(block_inputs)
-            padded = np.zeros((len(rows) + 1, width), dtype=_DTYPE)
-            padded[:-1] = amps if cols is None else amps[:, cols]
-            weight = np.add.reduceat(np.square(padded)[order], starts, axis=0).ravel()
-            if sub.contract is None:
-                padded = None
-            live = weight > self.branch_tol
-            sub_inputs = _route(block_inputs, runs).ravel()
-            shares = _Sums.vacuous(count * width)
-            # A block of members at a time: a callee with a contract needs
-            # their states, one without only their weights.
-            rows_needed = 0 if sub.contract is None else len(union)
-            step = max(1, _columns(rows_needed) // width)
-            for first in range(0, count, step):
-                span = slice(first * width, min(count, first + step) * width)
-                part = np.flatnonzero(live[span]) + span.start
-                if not len(part):
-                    continue
-                joined = None if sub.contract is None else \
-                    padded[sources[:, first:first + step]].reshape(len(union), -1)[:, part - span.start]
-                shares.put(part, self.enter(sub, union, joined, weight[part], sub_inputs[part], queries))
-            sums.merge(cols, shares)
-            folded = k + count
-        return sums
+            joined = None if sub.contract is None else \
+                padded[sources[:, first:first + step]].reshape(len(union), -1)[:, part - span.start]
+            pieces.append((part, self.enter(sub, union, joined, weight[part], sub_inputs[part], queries)))
+        return _assemble(count * width, pieces)
 
     def enter(self, sub: Plan, rows: tuple, amps: np.ndarray | None, weight: np.ndarray,
-              sub_inputs: np.ndarray, queries: int) -> _Sums:
+              sub_inputs: np.ndarray, queries: int) -> _Sums | _Pending:
         """Summaries of a call into `sub` on columns of squared norm `weight`
         whose inputs to `sub` are `sub_inputs`. A callee without a contract
         ignores the states, so `amps` may then be None."""
         if sub.contract is None:
-            sums = self.memo(sub, sub_inputs)
-            sums.maxq[:] = np.where(sums.maxq >= 0, queries + sums.maxq, -1)
-            np.multiply(sums.total, weight, out=sums.total)
-            np.multiply(sums.heavy, weight, out=sums.heavy)
-            return sums
+            def scale(sums):
+                sums.maxq[:] = np.where(sums.maxq >= 0, queries + sums.maxq, -1)
+                np.multiply(sums.total, weight, out=sums.total)
+                np.multiply(sums.heavy, weight, out=sums.heavy)
+                return sums
+            return _then(scale, self.memo(sub, sub_inputs))
 
         kappa, k_norm_sq = contract_columns(sub.contract, sub_inputs)
         coeff, residual = _least_squares(sub.contract, kappa, k_norm_sq, rows, amps)
         has_contract = k_norm_sq > self.branch_tol
         residual = np.where(has_contract, residual, np.sqrt(weight))
         matched = has_contract & (residual <= self.tol * np.maximum(1.0, np.sqrt(weight)))
-        sums = _Sums.vacuous(len(sub_inputs))
+        pieces = []
         if matched.any():
-            inner = self.memo(sub, sub_inputs[matched])
             factor = np.abs(coeff[matched]) ** 2 * k_norm_sq[matched]
-            live = (inner.maxq >= 0) & (factor > self.branch_tol)
-            inner.maxq[:] = np.where(live, queries + inner.maxq, -1)
-            inner.total[:] = np.where(live, inner.total * factor, 0.0)
-            inner.heavy[:] = np.where(live, inner.heavy * factor, 0.0)
-            np.maximum(inner.resid, residual[matched], out=inner.resid)
-            sums.put(matched, inner)
+
+            def scale(inner):
+                live = (inner.maxq >= 0) & (factor > self.branch_tol)
+                inner.maxq[:] = np.where(live, queries + inner.maxq, -1)
+                inner.total[:] = np.where(live, inner.total * factor, 0.0)
+                inner.heavy[:] = np.where(live, inner.heavy * factor, 0.0)
+                np.maximum(inner.resid, residual[matched], out=inner.resid)
+                return inner
+            pieces.append((matched, _then(scale, self.memo(sub, sub_inputs[matched]))))
         # The other states are outside the callee's input family: walk them
         # through the callee directly, a block at a time. A column that
         # leaves the callee's measurement algebra reports output -1 with the
         # call's weight.
         rest = np.flatnonzero(~matched)
-        width = _block_width(sub)
+        width = _shape(sub)[0]
         for start in range(0, len(rest), width):
             cols = rest[start:start + width]
-            inner = self.walk(sub.root, rows, amps[:, cols], sub_inputs[cols], sub.n, queries)
-            np.maximum(inner.resid, residual[cols], out=inner.resid)
-            gap = inner.gap != 0
-            if gap.any():
-                inner.put(gap, _Sums.output(-1, weight[cols][gap], queries))
-                inner.resid[gap] = residual[cols][gap]
-            sums.put(cols, inner)
-        return sums
+
+            def close(inner, cols=cols):
+                np.maximum(inner.resid, residual[cols], out=inner.resid)
+                gap = inner.gap != 0
+                if gap.any():
+                    inner.put(gap, _Sums.output(-1, weight[cols][gap], queries))
+                    inner.resid[gap] = residual[cols][gap]
+                return inner
+            pieces.append((cols, _then(close, self.walk(sub.root, rows, amps[:, cols], sub_inputs[cols],
+                                                          sub.n, queries))))
+        return _assemble(len(sub_inputs), pieces)
+
+
+def _done(sums: _Sums | _Pending) -> _Sums:
+    """A summary, pending or not, once the memos it reads are filled."""
+    return sums if isinstance(sums, _Sums) else sums()
+
+
+def _then(finish, *parts):
+    """`finish(*parts)` on the summaries `parts`: at once when none is
+    pending, else pending on them."""
+    for part in parts:
+        if not isinstance(part, _Sums):
+            return lambda: finish(*map(_done, parts))
+    return finish(*parts)
+
+
+def _assemble(width: int, pieces: list) -> _Sums | _Pending:
+    """A summary of `width` columns from (columns, summary) pieces, the
+    columns in no piece vacuous; pending when a piece is."""
+    for _, part in pieces:
+        if not isinstance(part, _Sums):
+            return lambda: _assemble(width, [(cols, _done(part)) for cols, part in pieces])
+    sums = _Sums.vacuous(width)
+    for cols, part in pieces:
+        sums.put(cols, part)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +551,10 @@ def _null(node):
 def _shared(obj, **changes):
     """A copy of a validated plan, or of a step other than a measurement
     (whose maps name its children), with `changes`, that shares its compiled
-    maps. A plan's block width is computed on the plan first, since a cut
-    copy counts fewer labels."""
+    maps. A plan's shape is computed on the plan first, since a cut copy
+    counts fewer labels and calls."""
     if isinstance(obj, Plan):
-        _block_width(obj)
+        _shape(obj)
     copy = object.__new__(type(obj))
     copy.__dict__.update(vars(obj), _batch_cache=_cache(obj), **changes)
     return copy
@@ -481,7 +584,7 @@ def exit_amplitudes(plan: Plan) -> tuple[list[tuple], dict[tuple, int], list[np.
     chunks: list[np.ndarray] = []
     slot: dict[tuple, int] = {}
     queries_of: dict[tuple, int] = {}
-    width = _block_width(plan)
+    width = _shape(plan)[0]
     for start in range(0, count, width):
         inputs = np.arange(start, min(count, start + width))
         if plan.contract is None:
@@ -562,13 +665,17 @@ def _cache(obj) -> dict:
     return cache
 
 
-def _block_width(plan: Plan) -> int:
-    """Input columns per block for the plan's label count: every label a
-    step of the plan, not of its callees, can write."""
+def _shape(plan: Plan) -> tuple[int, int]:
+    """The plan's block width, the input columns per block for its label
+    count (every label a step of the plan, not of its callees, can write),
+    and its call height: one more than the highest height of the plans it
+    calls, 0 when it calls none, so that a plan is higher than every plan it
+    can reach."""
     cache = _cache(plan)
-    width = cache.get("width")
-    if width is None:
+    shape = cache.get("shape")
+    if shape is None:
         labels: set = set()
+        callees: dict[int, Plan] = {}
         stack = [plan.root]
         while stack:
             node = stack.pop()
@@ -576,15 +683,18 @@ def _block_width(plan: Plan) -> int:
                 for _, rewrite, child in node.children:
                     labels.update(rewrite.values() if rewrite else ())
                     stack.append(child)
-            elif not isinstance(node, (Output, Call)):
+            elif isinstance(node, Call):
+                callees[id(node.plan)] = node.plan
+            elif not isinstance(node, Output):
                 if isinstance(node, PrepareState):
                     labels.update(node.state.support())
                 elif isinstance(node, GadgetStep):
                     for binding, _ in node.applications:
                         labels.update(binding.to_gadget)
                 stack.append(node.child)
-        width = cache["width"] = _columns(len(labels))
-    return width
+        height = 1 + max((_shape(callee)[1] for callee in callees.values()), default=-1)
+        shape = cache["shape"] = (_columns(len(labels)), height)
+    return shape
 
 
 def _columns(rows: int) -> int:

@@ -6,9 +6,14 @@ under both strategies, the benchmark's chain and dispatch plans, and the
 fixed mutants of acceptance criterion 8. `report(name)` is the verbose
 `verify_exactness` report of one, as JSON would carry it.
 
-Run `python tests/reports.py` (with src on PYTHONPATH) to rewrite
-tests/reports.json after a change that is meant to change a report; list
-each changed plan where the change is described.
+`POLYS` names the polynomial half: the acceptance polynomial and the leaf
+degree audit of the poly benchmark's chain plans, and leaf polynomials on
+fixed outcome paths of `unb(6,2)`. `poly_report(name)` is one of them, as
+JSON would carry it, in tests/poly_reports.json.
+
+Run `python tests/reports.py` (with src on PYTHONPATH) to rewrite both files
+after a change that is meant to change a report; list each changed plan
+where the change is described.
 """
 
 from __future__ import annotations
@@ -16,13 +21,14 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from exactq import (
     STRATEGIES,
     SymSpec,
     appendix_a_angles,
+    audit_leaf_degrees,
     build_appendix_a,
     build_equality,
     build_exact_k,
@@ -32,11 +38,13 @@ from exactq import (
     build_unb,
     build_unbr,
     chain_gamma_at,
+    extract_multilinear,
     solve_step_constants,
     verify_exactness,
 )
 
 PATH = Path(__file__).with_name("reports.json")
+POLY_PATH = Path(__file__).with_name("poly_reports.json")
 STEP_FIELDS = ("c1", "c2", "c8", "c9", "gamma")
 DELTA = 1e-3
 
@@ -79,23 +87,58 @@ def _plans() -> dict:
 
 PLANS = _plans()
 
+# Outcome paths of unb(6,2): whole output paths through both gap levels and
+# the rest branch, and two prefixes that end inside the run tree.
+LEAF_PATHS = (
+    (("pair", 1, 2), ("pair", 1, 2), ("pair",)),
+    (("pair", 2, 4), ("rest",), ("s",)),
+    (("rest",), ("s",)),
+    (("rest",), ("pair", 3, 5), ("s",)),
+    (("pair", 1, 3),),
+    (("rest",),),
+)
+
+
+def _polys() -> dict:
+    polys = {}
+    for n, d in ((7, 1), (7, 3), (6, 2)):
+        polys[f"unb({n},{d}) acceptance"] = lambda n=n, d=d: extract_multilinear(build_unb(n, d)).coeffs
+        polys[f"unb({n},{d}) audit"] = lambda n=n, d=d: [asdict(r) for r in audit_leaf_degrees(build_unb(n, d))]
+    for path in LEAF_PATHS:
+        polys[f"unb(6,2) leaf {path}"] = lambda path=path: extract_multilinear(build_unb(6, 2), ("leaf", path)).coeffs
+    return polys
+
+
+POLYS = _polys()
+
+
+def _json(value):
+    """`value` through a JSON round trip, so that it compares equal to its
+    stored copy; floats survive exactly."""
+    return json.loads(json.dumps(value))
+
 
 def report(name: str) -> dict:
-    """The verbose report of plan `name`, through a JSON round trip, so
-    that it compares equal to its stored copy; floats survive exactly."""
-    return json.loads(json.dumps(verify_exactness(PLANS[name]()).as_dict(verbose=True)))
+    """The verbose report of plan `name`."""
+    return _json(verify_exactness(PLANS[name]()).as_dict(verbose=True))
 
 
-def load() -> dict:
-    return json.loads(PATH.read_text())
+def poly_report(name: str):
+    """The coefficients, or the audit records, that `name` of POLYS gives."""
+    return _json(POLYS[name]())
 
 
-def write() -> None:
-    """One plan per line, so that a changed report is a changed line."""
-    lines = [f"{json.dumps(name)}: {json.dumps(report(name))}" for name in PLANS]
-    PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+def load(path: Path = PATH) -> dict:
+    return json.loads(path.read_text())
+
+
+def _write(path: Path, names, make) -> None:
+    """One entry per line, so that a changed report is a changed line."""
+    lines = [f"{json.dumps(name)}: {json.dumps(make(name))}" for name in names]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 if __name__ == "__main__":
-    write()
-    print(f"wrote {len(PLANS)} reports to {PATH}", file=sys.stderr)
+    _write(PATH, PLANS, report)
+    _write(POLY_PATH, POLYS, poly_report)
+    print(f"wrote {len(PLANS)} reports to {PATH} and {len(POLYS)} to {POLY_PATH}", file=sys.stderr)

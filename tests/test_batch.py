@@ -46,7 +46,8 @@ from exactq import (
     verify_exactness,
     weight_truth,
 )
-from exactq.batch import (_Bindings, _Sums, _Walker, _route, _runs, _sub_inputs, exit_amplitudes,
+from exactq import algorithms, batch
+from exactq.batch import (_Bindings, _Sums, _Walker, _route, _runs, _shape, _sub_inputs, exit_amplitudes,
                           leaf_values, summarize)
 from exactq.gadgets import OracleSpec, extract_trailing_index
 from exactq.plans import WeightTruth, const, identity_wires, var
@@ -365,12 +366,13 @@ def collapsible(plan):
 
 
 def plans_run(plan):
-    """The plans `_Walker.run` walks, in order, while `plan` is verified."""
+    """The plans `_Walker.run` walks, each with the inputs of that run, in
+    order, while `plan` is verified."""
     seen = []
     original = _Walker.run
 
     def run(self, sub, inputs):
-        seen.append(sub)
+        seen.append((sub, inputs))
         return original(self, sub, inputs)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -405,7 +407,7 @@ def test_wrapper_chains_match(kind):
     assert verify_exactness(plan).exact
     # Only the top-level plan and the innermost callee, with its own calls,
     # run: the wrappers share the innermost callee's memo.
-    run = plans_run(plan)
+    run = [sub for sub, _ in plans_run(plan)]
     assert inner in run
     assert all(sub is plan or not collapsible(sub) for sub in run)
 
@@ -449,7 +451,7 @@ def test_wrapper_into_a_contract_does_not_collapse(constants):
     checked = wrapper(callee, (var(2), var(1)), 2)
     plan = wrapper(checked, identity_wires(2), 2)
     assert_batch_matches_executor(plan)
-    assert checked in plans_run(plan)
+    assert checked in [sub for sub, _ in plans_run(plan)]
 
 
 @pytest.mark.parametrize("make_plan", [
@@ -461,10 +463,102 @@ def test_wrapper_into_a_contract_does_not_collapse(constants):
 def test_builders_run_no_wrapper_below_the_top(make_plan):
     plan = make_plan()
     run = plans_run(plan)
-    assert all(sub is plan or not collapsible(sub) for sub in run)
+    assert all(sub is plan or not collapsible(sub) for sub, _ in run)
+    # A subroutine's memo fills once per top-level block, on every input that
+    # block's calls miss, a block width at a time, and no input runs twice.
+    blocks = []
+    for sub, inputs in run:
+        if sub is plan:
+            blocks.append({})
+        else:
+            blocks[-1].setdefault(id(sub), (sub, []))[1].append(inputs)
+    for block in blocks:
+        for sub, runs in block.values():
+            missing = np.concatenate(runs)
+            assert len(np.unique(missing)) == len(missing), sub.family
+            assert len(runs) <= -(-len(missing) // _shape(sub)[0]), sub.family
     if plan.family == "sym" and plan.params_dict()["strategy"] == TWO_SIDED:
-        # 153 runs over 73 plans when every wrapper filled its own memo.
-        assert len(run) <= 70
+        # 153 runs over 73 plans when every wrapper filled its own memo, and
+        # 69 when every call that reached new inputs filled the memo of its
+        # callee: 24 plans, each run once.
+        assert len(run) == 24
+
+
+@pytest.mark.parametrize("make_plan", [
+    lambda: build_sym(SymSpec("0011100")),
+    lambda: build_equality(12),
+    lambda: build_exact_kl(8, 2, 6),
+    lambda: build_unb(8, 2),
+    lambda: mutated_unbr(7, 1, "c1", 1e-3),
+], ids=["sym0011100", "equality12", "exactkl826", "unb82", "unbr71-c1"])
+def test_summaries_do_not_depend_on_which_inputs_share_a_block(make_plan, monkeypatch):
+    # A memo fills on whichever inputs a top-level block's calls miss, so an
+    # input's summary must not depend on the inputs beside it. Smaller blocks
+    # group every input with others (fresh builds, since plans keep their
+    # block widths). BLAS rounds a product by the shape of its block (one
+    # column is a matrix-vector product), so masses may differ by rounding;
+    # all else is equal.
+    monkeypatch.setattr(algorithms, "_PLANS", {})
+    entered, sums = summarize(make_plan(), tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
+    monkeypatch.setattr(batch, "BLOCK_BYTES", 1 << 12)
+    monkeypatch.setattr(algorithms, "_PLANS", {})
+    plan = make_plan()
+    assert _shape(plan)[0] < len(entered)
+    small_entered, small = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
+    assert small_entered.tolist() == entered.tolist()
+    assert small.maxq.tolist() == sums.maxq.tolist()
+    assert small.gap.tolist() == sums.gap.tolist()
+    assert np.abs(small.data - sums.data).max() <= 1e-14
+
+
+def test_branches_fold_in_branch_order_behind_a_pending_read():
+    # The first branch's memo read waits for its fill; the two outputs after
+    # it fold after it, in branch order, as floats add in that order.
+    amps = (math.sqrt(0.1), math.sqrt(0.1), math.sqrt(0.8))
+    measure = MeasureStep({S_LABEL: ("s",), idx(1): ("i",), idx(2): ("j",)}.get, (
+        (("s",), None, Call(small_plan(Output(1)), (var(1),))),
+        (("i",), None, Output(1)),
+        (("j",), None, Output(1))))
+    state = LabeledState(dict(zip((S_LABEL, idx(1), idx(2)), amps)))
+    entered, sums = summarize(small_plan(PrepareState(state, measure)), tol=DEFAULT_TOL,
+                              branch_tol=DEFAULT_BRANCH_TOL)
+    first, second, third = (a * a for a in amps)
+    assert ((0.0 + second) + third) + first != ((0.0 + first) + second) + third
+    assert sums.total[2].tolist() == [((0.0 + first) + second) + third] * 2
+
+
+def gap_then_siblings(other):
+    """A two-variable measurement of |S>, |1> and |2>: the first branch calls
+    a contract-free plan that gaps where x1 = 1, the second calls one that
+    reads x2, and the third outputs 1."""
+    return MeasureStep({S_LABEL: ("s",), idx(1): ("i",), idx(2): ("j",)}.get, (
+        (("s",), None, Call(read_plan(2, 1, gap=True, other=other), identity_wires(2))),
+        (("i",), None, Call(read_plan(2, 2), identity_wires(2))),
+        (("j",), None, Output(1))))
+
+
+GAP_STATE = LabeledState({S_LABEL: 0.6, idx(1): 0.48, idx(2): 0.64})
+
+
+def test_gap_in_a_memo_read_before_its_siblings():
+    # The gapping call's memo fills after its siblings have walked the
+    # columns it gaps; the gap still discards those branches.
+    for other in GAP_OUTCOMES:
+        plan = small_plan(PrepareState(GAP_STATE, gap_then_siblings(other)), n=2)
+        with pytest.raises(PartitionGap, match=r"^input \(1, 0\):"):
+            verify_exactness(plan)
+        with pytest.raises(PartitionGap):
+            Executor().run_plan(plan, (1, 0))
+        # Under a direct walk, a column that gaps reads output -1 with the
+        # call's weight.
+        callee = small_plan(gap_then_siblings(other), n=2,
+                            contract=Contract(2, (S_LABEL,), (1.0,), ((0.0, 0.0),)))
+        plan = small_plan(PrepareState(GAP_STATE, Call(callee, identity_wires(2))), n=2)
+        assert_batch_matches_executor(plan)
+        entered, sums = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
+        assert sums.total[0].tolist() == [0.0, 0.0, pytest.approx(1.0), pytest.approx(1.0)]
+        assert sums.total[1:].tolist() == [[pytest.approx(0.2304), 0.0, 0.0, 0.0],
+                                           [pytest.approx(0.7696), pytest.approx(1.0), 0.0, 0.0]]
 
 
 @st.composite
