@@ -105,10 +105,11 @@ def _memoized(build: Callable[..., _Built]) -> Callable[..., _Built]:
     new Plan. It builds afresh only the steps its knobs set; every other
     step comes from a memoized helper that the default build of the same
     shape uses too: `_unbr_shared` and `_appendix_a_shared` hold the U
-    stages and the measurement, `_unb_shared` only the measurement. So the
-    override plans of one shape share those nodes, and the maps the batched
-    walker compiles on them, with the default plan. Nothing is memoized per
-    knob value.
+    stages' applications and the measurement, `_unb_shared` only the
+    measurement. The override plans of one shape share the measurement node,
+    and the maps the batched walker compiles on it, with the default plan;
+    the U stages' applications go into gadget steps of each build's own, so
+    their maps compile once per plan. Nothing is memoized per knob value.
     """
     @functools.wraps(build)
     def cached(*args, **overrides):

@@ -46,13 +46,13 @@ Their index maps, like those of queries and measurements, are compiled once
 per (node, row-label tuple) and kept on the node, so a plan compiles at its
 first walk, never while it is built.
 
-The summary of a block is one (9, columns) float64 matrix (`_Sums`): three
-rows of total mass per output, which branches merge by adding, and six rows
-merged by maximum (deepest query count, heaviest branch per output, call
-residual, gap flag). Adjacent sibling branches of a measurement that call
-one plan run as one call over all their columns, and their summaries fold
-into the measurement's in one pass: one accumulation of the totals in
-branch order and one maximum over the rest.
+The summary of a block is one (6, columns) float64 matrix (`_Sums`): three
+rows of total mass per output, which branches merge by adding, and three
+rows merged by maximum (deepest query count, call residual, gap flag).
+Adjacent sibling branches of a measurement that call one plan run as one
+call over all their columns, and their summaries fold into the
+measurement's in one pass: one accumulation of the totals in branch order
+and one maximum over the rest.
 
 An input contract is affine in the +-1 input, so the contract states of a
 block are one product of its matrix over (1, xhat), compiled at the first
@@ -105,12 +105,12 @@ _MAX_NORM = STORE_TOL / _NEGLIGIBLE
 
 
 class _Sums:
-    """Per-column summary of a run, packed in one (9, columns) float64
+    """Per-column summary of a run, packed in one (6, columns) float64
     matrix `data`. Rows 0-2 are the total mass per output (-1, 0, 1), which
-    branches merge by adding. Rows 3-8 merge by maximum: the deepest query
+    branches merge by adding. Rows 3-5 merge by maximum: the deepest query
     count over branches with mass (-1 when no branch carries mass), the
-    heaviest-branch mass per output, the worst call residual, and the gap
-    flag as 0 or 1. The named fields are views of their rows."""
+    worst call residual, and the gap flag as 0 or 1. The named fields are
+    views of their rows."""
 
     __slots__ = ("data",)
 
@@ -119,20 +119,19 @@ class _Sums:
 
     total = property(lambda self: self.data[:3])
     maxq = property(lambda self: self.data[3])
-    heavy = property(lambda self: self.data[4:7])
-    resid = property(lambda self: self.data[7])
-    gap = property(lambda self: self.data[8])
+    resid = property(lambda self: self.data[4])
+    gap = property(lambda self: self.data[5])
 
     @classmethod
     def vacuous(cls, width: int) -> _Sums:
-        data = np.zeros((9, width))
+        data = np.zeros((6, width))
         data[3] = -1.0
         return cls(data)
 
     @classmethod
     def output(cls, bit: int, weight: np.ndarray, queries: int) -> _Sums:
-        data = np.zeros((9, len(weight)))
-        data[bit + 1] = data[bit + 5] = weight
+        data = np.zeros((6, len(weight)))
+        data[bit + 1] = weight
         data[3] = queries
         return cls(data)
 
@@ -155,7 +154,7 @@ class _Sums:
             # the current sums. np.add.reduce would not keep that order: it
             # sums pairwise where numpy makes the branch axis its inner loop,
             # as it does for one column.
-            branches = other.data.reshape(9, -1, mine.shape[1])
+            branches = other.data.reshape(6, -1, mine.shape[1])
             totals = branches[:3]
             totals[:, 0] += mine[:3]
             np.add.accumulate(totals, axis=1, out=totals)
@@ -331,15 +330,16 @@ class _Walker:
 
         Adjacent children that call one plan without merging labels run as
         one call over all their columns when the first of them is reached,
-        and their summaries fold into the columns at once. A column that gaps
-        in one of them is still read by the later ones, but the gap discards
-        those reads, as it discards every branch of the column. The later
-        children also walk a column whose gap is pending on a memo read.
+        and their summaries fold into the columns in one pass. A column that
+        gaps in one of them is still read by the later ones, but the gap
+        discards those reads, as it discards every branch of the column. The
+        later children also walk a column whose gap is pending on a memo
+        read.
         """
         gap, branches, groups = _split(node, rows, amps, n)
         sums = _Sums.vacuous(len(inputs))
         sums.gap[:] = gap
-        # The branches after the first pending one, which fold after it.
+        # Every branch's (columns, summary), which fold at the end.
         held: list = []
 
         folded = 0
@@ -357,16 +357,13 @@ class _Walker:
             else:
                 part = self.call_group(group, rows, amps, cols, block_inputs, queries)
                 folded = k + group[2]
-            if held or not isinstance(part, _Sums):
-                if isinstance(part, _Sums) and part.gap.any():
-                    # The gap row merges by maximum, so it may merge ahead
-                    # of the totals, which keep branch order.
-                    at = slice(None) if cols is None else cols
-                    gaps = part.gap.reshape(-1, len(block_inputs)).max(axis=0)
-                    sums.gap[at] = np.maximum(sums.gap[at], gaps)
-                held.append((cols, part))
-            else:
-                sums.merge(cols, part)
+            if isinstance(part, _Sums) and part.gap.any():
+                # The gap row merges by maximum, so it may merge ahead of the
+                # totals, which fold in branch order.
+                at = slice(None) if cols is None else cols
+                gaps = part.gap.reshape(-1, len(block_inputs)).max(axis=0)
+                sums.gap[at] = np.maximum(sums.gap[at], gaps)
+            held.append((cols, part))
 
         def fold(*parts):
             for (cols, _), part in zip(held, parts):
@@ -411,7 +408,6 @@ class _Walker:
             def scale(sums):
                 sums.maxq[:] = np.where(sums.maxq >= 0, queries + sums.maxq, -1)
                 np.multiply(sums.total, weight, out=sums.total)
-                np.multiply(sums.heavy, weight, out=sums.heavy)
                 return sums
             return _then(scale, self.memo(sub, sub_inputs))
 
@@ -428,7 +424,6 @@ class _Walker:
                 live = (inner.maxq >= 0) & (factor > self.branch_tol)
                 inner.maxq[:] = np.where(live, queries + inner.maxq, -1)
                 inner.total[:] = np.where(live, inner.total * factor, 0.0)
-                inner.heavy[:] = np.where(live, inner.heavy * factor, 0.0)
                 np.maximum(inner.resid, residual[matched], out=inner.resid)
                 return inner
             pieces.append((matched, _then(scale, self.memo(sub, sub_inputs[matched]))))

@@ -251,20 +251,7 @@ class Binding:
     global_order: tuple[Label, ...]
 
     def apply(self, state: LabeledState, inverse: bool = False) -> LabeledState:
-        pos = self.gadget.position
-        to_gadget = self.to_gadget
-        vec = np.zeros(self.gadget.dim, dtype=complex)
-        untouched: list[tuple[Label, complex]] = []
-        for label, amp in state.items():
-            gl = to_gadget.get(label)
-            if gl is None:
-                untouched.append((label, amp))
-            else:
-                vec[pos[gl]] = amp
-        out = (self.gadget.matrix_h if inverse else self.gadget.matrix) @ vec
-        order = self.global_order
-        touched = [(order[k], out[k]) for k in np.flatnonzero(np.abs(out) > STORE_TOL)]
-        return LabeledState(untouched + touched)
+        return apply_bindings(state, ((self, inverse),))
 
 
 def bind(gadget: IsometryGadget, mapping: Mapping[Label, Label]) -> Binding:
@@ -310,9 +297,6 @@ def apply_bindings(
     The bindings must touch pairwise disjoint global labels, as a GadgetStep
     checks; two that share one raise BindingConflict.
     """
-    if len(applications) == 1:
-        binding, inverse = applications[0]
-        return binding.apply(state, inverse=inverse)
     owner = _owners(applications)
     vecs = [np.zeros(binding.gadget.dim, dtype=complex) for binding, _ in applications]
     items: list[tuple[Label, complex]] = []

@@ -241,16 +241,17 @@ def verify_exactness(
 ) -> VerificationReport:
     """Run the plan on all 2^n inputs and certify outputs and query counts.
 
-    A counterexample records (input, observed output, branch squared norm)
-    for the heaviest branch whose output disagrees with the truth function.
-    Output -1 marks a branch whose state left a subroutine's measurement
-    algebra, which only corrupted plans produce.
+    A counterexample records (input, wrong output, squared norm) for each
+    output that disagrees with the truth function and whose branches carry
+    total weight above `tol` on that input. Output -1 marks a branch whose
+    state left a subroutine's measurement algebra, which only corrupted
+    plans produce.
 
     An input whose entry contract vanishes cannot reach the plan and is
     skipped. Every other input must keep its norm: the plan is exact only
-    if no input's wrong outputs carry total weight above `tol`, spread over
-    branches or not, and `max_norm_residual` is at most `tol`. `tol` must be
-    finite and >= 0, and `branch_tol` in [0, 1).
+    if no input's wrong outputs carry total weight above `tol`, in one
+    output or spread over two, and `max_norm_residual` is at most `tol`.
+    `tol` must be finite and >= 0, and `branch_tol` in [0, 1).
 
     A `WeightTruth` (what `weight_truth` makes, and every builder uses) is
     read from a table by Hamming weight for all inputs at once; any other
@@ -275,18 +276,18 @@ def verify_exactness(
                            compress(product((0, 1), repeat=plan.n), entered.tolist())], dtype=int)
     # wrong[r, c]: output r - 1 disagrees with the truth on checked input c
     wrong = np.arange(-1, 2)[:, None] != truths
-    wrong_mass = float(np.where(wrong, sums.total[:, checked], 0.0).sum(axis=0).max(initial=0.0))
-    heavy = np.where(wrong, sums.heavy[:, checked], 0.0)
-    cols, rows = np.nonzero(heavy.T > tol)
+    masses = np.where(wrong, sums.total[:, checked], 0.0)
+    wrong_mass = float(masses.sum(axis=0).max(initial=0.0))
+    cols, rows = np.nonzero(masses.T > tol)
     # A counterexample's bits come from its input index, first bit most significant.
     bits = (checked[cols, None] >> np.arange(plan.n - 1, -1, -1)) & 1
     counterexamples = [(tuple(b), r - 1, w) for b, r, w in
-                       zip(bits.tolist(), rows.tolist(), heavy[rows, cols].tolist())]
+                       zip(bits.tolist(), rows.tolist(), masses[rows, cols].tolist())]
     return VerificationReport(
         family=plan.family,
         params=plan.params,
         n=plan.n,
-        exact=not counterexamples and wrong_mass <= tol and max_residual <= tol,
+        exact=wrong_mass <= tol and max_residual <= tol,
         worst_case_queries=worst,
         claimed_bound=plan.claimed_queries,
         max_norm_residual=max_residual,

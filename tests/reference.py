@@ -4,8 +4,8 @@ walkers of `exactq.batch` to.
 It runs one input at a time on sparse, complex `LabeledState`s and folds
 over `verifier._step`, the per-input step semantics:
 
-- `Executor.run_plan` summarizes a run: mass per output (total and heaviest
-  single branch), deepest query count and worst call residual. A call on a
+- `Executor.run_plan` summarizes a run: total mass per output, deepest
+  query count and worst call residual. A call on a
   state proportional to the callee's input contract reuses the callee's
   memoized summary, scaled by the squared proportionality factor; any other
   call runs the callee directly, so that broken plans produce honest wrong
@@ -54,28 +54,27 @@ def almost_equal(a: LabeledState, b: LabeledState, atol: float = 1e-9) -> bool:
 
 @dataclass(frozen=True)
 class Summary:
-    """Aggregate of one plan run: worst reachable query depth, per-output
-    mass (total and heaviest single branch), and worst call residual."""
+    """Aggregate of one plan run: worst reachable query depth, total mass
+    per output, and worst call residual."""
 
     max_queries: int
-    mass: tuple[tuple[int, float, float], ...]
+    mass: tuple[tuple[int, float], ...]
     residual: float
 
 
 VACUOUS = Summary(0, (), 0.0)
 
 
-def merge_masses(parts: Iterable[tuple[tuple[int, float, float], ...]]) -> tuple:
-    acc: dict[int, tuple[float, float]] = {}
+def merge_masses(parts: Iterable[tuple[tuple[int, float], ...]]) -> tuple:
+    acc: dict[int, float] = {}
     for mass in parts:
-        for output, total, heaviest in mass:
-            t, h = acc.get(output, (0.0, 0.0))
-            acc[output] = (t + total, max(h, heaviest))
-    return tuple((o, t, h) for o, (t, h) in sorted(acc.items()))
+        for output, total in mass:
+            acc[output] = acc.get(output, 0.0) + total
+    return tuple(sorted(acc.items()))
 
 
 def scale_mass(mass: tuple, factor: float) -> tuple:
-    return tuple((o, t * factor, h * factor) for o, t, h in mass)
+    return tuple((o, t * factor) for o, t in mass)
 
 
 class Executor:
@@ -109,7 +108,7 @@ class Executor:
         if weight <= self.branch_tol:
             return VACUOUS
         if isinstance(node, Output):
-            return Summary(queries, ((node.bit, weight, weight),), 0.0)
+            return Summary(queries, ((node.bit, weight),), 0.0)
         if isinstance(node, Call):
             return self._call(node, state, weight, bits, queries)
         branches = _step(node, state, weight, oracle)
@@ -154,7 +153,7 @@ class Executor:
         try:
             inner = self._walk(sub.root, state, bits_sub, oracle_sub, queries)
         except PartitionGap:
-            return Summary(queries, ((-1, weight, weight),), residual)
+            return Summary(queries, ((-1, weight),), residual)
         return Summary(inner.max_queries, inner.mass, max(residual, inner.residual))
 
 

@@ -12,8 +12,9 @@ fixed outcome paths of `unb(6,2)`. `poly_report(name)` is one of them, as
 JSON would carry it, in tests/poly_reports.json.
 
 Run `python tests/reports.py` (with src on PYTHONPATH) to rewrite both files
-after a change that is meant to change a report; list each changed plan
-where the change is described.
+after a change that is meant to change a report. Before it writes a file, it
+prints the name of each entry whose pinned value changes, or that it adds or
+drops; list each where the change is described.
 """
 
 from __future__ import annotations
@@ -133,8 +134,19 @@ def load(path: Path = PATH) -> dict:
 
 
 def _write(path: Path, names, make) -> None:
-    """One entry per line, so that a changed report is a changed line."""
-    lines = [f"{json.dumps(name)}: {json.dumps(make(name))}" for name in names]
+    """One entry per line, so that a changed report is a changed line. The
+    names whose entries change, or that are added or dropped, are printed
+    first."""
+    old = load(path) if path.exists() else {}
+    new = {name: make(name) for name in names}
+    for name in [*new, *(name for name in old if name not in new)]:
+        if name not in old:
+            print(f"added: {name}")
+        elif name not in new:
+            print(f"dropped: {name}")
+        elif new[name] != old[name]:
+            print(f"changed: {name}")
+    lines = [f"{json.dumps(name)}: {json.dumps(value)}" for name, value in new.items()]
     path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
 

@@ -63,8 +63,9 @@ STEP_FIELDS = ("c1", "c2", "c8", "c9", "gamma")
 
 
 def reference_report(plan, *, tol=DEFAULT_TOL):
-    """(exact, worst-case queries, counterexample (input, output) list) of
-    the per-input executor, by the verdict rule of `verify_exactness`."""
+    """(exact, worst-case queries, counterexample (input, output, total mass)
+    list) of the per-input executor, by the verdict rule of
+    `verify_exactness`."""
     executor = Executor(tol=tol)
     worst, residual, wrong_mass, counterexamples = 0, 0.0, 0.0, []
     for bits in itertools.product((0, 1), repeat=plan.n):
@@ -72,13 +73,12 @@ def reference_report(plan, *, tol=DEFAULT_TOL):
             continue
         summary = executor.run_plan(plan, bits)
         worst = max(worst, summary.max_queries)
-        total = sum(t for _, t, _ in summary.mass)
+        total = sum(t for _, t in summary.mass)
         residual = max(residual, abs(total - 1.0), summary.residual)
-        wrong = [(output, t, heaviest) for output, t, heaviest in summary.mass
-                 if output != plan.truth(bits)]
-        wrong_mass = max(wrong_mass, sum(t for _, t, _ in wrong))
-        counterexamples += [(bits, output) for output, _, heaviest in wrong if heaviest > tol]
-    exact = not counterexamples and wrong_mass <= tol and residual <= tol
+        wrong = [(output, t) for output, t in summary.mass if output != plan.truth(bits)]
+        wrong_mass = max(wrong_mass, sum(t for _, t in wrong))
+        counterexamples += [(bits, output, t) for output, t in wrong if t > tol]
+    exact = wrong_mass <= tol and residual <= tol
     return exact, worst, counterexamples
 
 
@@ -87,11 +87,9 @@ def assert_batch_matches_executor(plan):
     executor = Executor()
     for index, bits in enumerate(itertools.product((0, 1), repeat=plan.n)):
         summary = executor.run_plan(plan, bits)
-        masses = {output: (total, heaviest) for output, total, heaviest in summary.mass}
+        masses = dict(summary.mass)
         for row, output in enumerate(OUTPUTS):
-            total, heaviest = masses.get(output, (0.0, 0.0))
-            assert sums.total[row, index] == pytest.approx(total, abs=1e-12), (bits, output)
-            assert sums.heavy[row, index] == pytest.approx(heaviest, abs=1e-12), (bits, output)
+            assert sums.total[row, index] == pytest.approx(masses.get(output, 0.0), abs=1e-12), (bits, output)
         assert sums.resid[index] == pytest.approx(summary.residual, abs=1e-12), bits
         assert max(0, sums.maxq[index]) == summary.max_queries, bits
         assert (sums.maxq[index] >= 0) == bool(summary.mass), bits
@@ -100,7 +98,10 @@ def assert_batch_matches_executor(plan):
     exact, worst, counterexamples = reference_report(plan)
     assert report.exact == exact
     assert report.worst_case_queries == worst
-    assert [(bits, output) for bits, output, _ in report.counterexamples] == counterexamples
+    assert [(bits, output) for bits, output, _ in report.counterexamples] == \
+        [(bits, output) for bits, output, _ in counterexamples]
+    for (bits, output, norm_sq), (_, _, total) in zip(report.counterexamples, counterexamples):
+        assert norm_sq == pytest.approx(total, abs=1e-12), (bits, output)
 
 
 def mutated_unbr(n, d, name, delta):
@@ -151,7 +152,8 @@ def test_appendix_a_angle_override_matches(name, delta, negative):
 
 def test_wrong_mass_spread_over_branches_is_not_exact():
     # Two wrong branches of 0.8 tol each: neither exceeds tol, but together
-    # they carry 1.6 tol of wrong output, so the plan is not exact.
+    # they carry 1.6 tol of output 0, so on each input that output is a
+    # counterexample and the plan is not exact.
     tol, mass = 1e-6, 0.8e-6
     state = LabeledState({S_LABEL: math.sqrt(1.0 - 2 * mass), idx(1): math.sqrt(mass),
                           idx(2): math.sqrt(mass)})
@@ -161,10 +163,13 @@ def test_wrong_mass_spread_over_branches_is_not_exact():
     plan = Plan(family="spread", n=1, params=(), root=PrepareState(state, root),
                 claimed_queries=0, truth=lambda bits: 1)
     report = verify_exactness(plan, tol=tol)
-    assert report.counterexamples == ()
+    assert report.counterexamples == (((0,), 0, pytest.approx(2 * mass, abs=1e-15)),
+                                      ((1,), 0, pytest.approx(2 * mass, abs=1e-15)))
     assert report.max_norm_residual <= tol
     assert not report.exact
-    assert reference_report(plan, tol=tol) == (False, 0, [])
+    exact, worst, counterexamples = reference_report(plan, tol=tol)
+    assert (exact, worst) == (False, 0)
+    assert [(bits, output) for bits, output, _ in counterexamples] == [((0,), 0), ((1,), 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +183,6 @@ def random_sums(rng, width):
     sums = _Sums.vacuous(width)
     sums.total[:] = rng.random((3, width)) * 10.0 ** rng.integers(-15, 1, (3, width))
     sums.maxq[:] = rng.integers(-1, 12, width)
-    sums.heavy[:] = rng.random((3, width)) * sums.total
     sums.resid[:] = rng.random(width) * 1e-9
     sums.gap[:] = rng.random(width) < 0.2
     return sums

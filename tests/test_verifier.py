@@ -139,7 +139,7 @@ class TestRunTree:
             traced: dict[int, float] = {}
             for leaf in leaves:
                 traced[leaf.output] = traced.get(leaf.output, 0.0) + leaf.norm_sq
-            expected = {output: total for output, total, _ in summary.mass}
+            expected = dict(summary.mass)
             batched = {output: sums.total[output + 1, index] for output in (-1, 0, 1)}
             for output in traced.keys() | expected.keys() | batched.keys():
                 assert traced.get(output, 0.0) == pytest.approx(
@@ -170,7 +170,7 @@ class TestVerifyExactness:
         with pytest.raises(ValueError):
             verify_exactness(build_unb(3, 1), limit=2)
 
-    def test_counterexamples_record_heaviest_branch(self):
+    def test_counterexamples_record_wrong_outputs_above_tol(self):
         plan = build_unb(5, 1, gamma_override=0.05)
         report = verify_exactness(plan)
         assert not report.exact
@@ -278,7 +278,7 @@ class TestErrorSemantics:
         report = verify_exactness(plan)
         assert not report.exact and report.counterexamples == ()
         assert report.max_norm_residual == pytest.approx(0.72)
-        assert Executor().run_plan(plan, (0,)).mass == ((1, pytest.approx(0.28), pytest.approx(0.28)),)
+        assert Executor().run_plan(plan, (0,)).mass == ((1, pytest.approx(0.28)),)
 
 
 class TestVacuousContracts:
