@@ -9,10 +9,9 @@ stay the reference:
 - a column is pruned at node entry when its weight is <= branch_tol;
 - the deepest query count counts only branches that carry mass (-1 here
   marks a column with no mass), and masses merge in branch order;
-- a label whose outcome names no child of its measurement marks a *gap* on
-  the columns where it is nonzero. A gap propagates up to the nearest Call
-  that walks its callee directly, which reports output -1 with that call's
-  weight; at top level it raises PartitionGap;
+- a column that carries amplitude on a label whose outcome names no child
+  of its measurement (a *gap*) stops there, as output -1 with its weight and
+  query depth at that measurement;
 - a Call whose state is proportional to the callee's input contract reads
   the callee's summary from a per-plan memo, scaled by |c|^2 ||kappa||^2.
   Other columns walk the callee as one batch.
@@ -22,9 +21,7 @@ issues every memo read of its call tree before any callee runs; a read that
 misses leaves a pending summary. Then each plan read that way runs once on
 the union of its missing inputs, callers before callees, and the pending
 summaries resolve, callees first, each measurement folding its branches in
-branch order. A column that gaps in a branch that finished without waiting
-is skipped by the later branches; one whose gap waits on a read is walked by
-them, and the gap discards them.
+branch order.
 
 A contract-free plan whose root calls a contract-free plan (a padding or
 renaming reduction) enters it from |0> with weight 1.0 and no queries, so it
@@ -46,9 +43,9 @@ Their index maps, like those of queries and measurements, are compiled once
 per (node, row-label tuple) and kept on the node, so a plan compiles at its
 first walk, never while it is built.
 
-The summary of a block is one (6, columns) float64 matrix (`_Sums`): three
-rows of total mass per output, which branches merge by adding, and three
-rows merged by maximum (deepest query count, call residual, gap flag).
+The summary of a block is one (5, columns) float64 matrix (`_Sums`): three
+rows of total mass per output, which branches merge by adding, and two rows
+merged by maximum (deepest query count, call residual).
 Adjacent sibling branches of a measurement that call one plan run as one
 call over all their columns, and their summaries fold into the
 measurement's in one pass: one accumulation of the totals in branch order
@@ -59,8 +56,7 @@ block are one product of its matrix over (1, xhat), compiled at the first
 walk and kept on the contract, with the block's +-1 encodings; they are
 evaluated wherever a block needs them, and nothing is kept per input. The
 memos belong to one `summarize` call and are freed when it returns; the
-compiled maps and the leaf walk's null copies stay on plan nodes, which
-plans of one shape share.
+compiled maps stay on plan nodes, which plans of one shape share.
 
 `exit_amplitudes` takes the same steps for the degree audit, but stops at a
 plan's exits: it starts from the raw contract states, prunes nothing and
@@ -69,11 +65,12 @@ never enters a callee.
 `leaf_values` reads a leaf polynomial, the weight at the end of one outcome
 path of the run tree, as the output-1 mass of `summarize`, memos and
 contract matching included, on the plan marked along the path (`_mark`).
+Since a gap ends only its own branch, the steps off the path are cut.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import compress, groupby, zip_longest
 from operator import itemgetter
 from typing import Callable
@@ -105,12 +102,11 @@ _MAX_NORM = STORE_TOL / _NEGLIGIBLE
 
 
 class _Sums:
-    """Per-column summary of a run, packed in one (6, columns) float64
+    """Per-column summary of a run, packed in one (5, columns) float64
     matrix `data`. Rows 0-2 are the total mass per output (-1, 0, 1), which
-    branches merge by adding. Rows 3-5 merge by maximum: the deepest query
-    count over branches with mass (-1 when no branch carries mass), the
-    worst call residual, and the gap flag as 0 or 1. The named fields are
-    views of their rows."""
+    branches merge by adding. Rows 3-4 merge by maximum: the deepest query
+    count over branches with mass (-1 when no branch carries mass) and the
+    worst call residual. The named fields are views of their rows."""
 
     __slots__ = ("data",)
 
@@ -120,17 +116,16 @@ class _Sums:
     total = property(lambda self: self.data[:3])
     maxq = property(lambda self: self.data[3])
     resid = property(lambda self: self.data[4])
-    gap = property(lambda self: self.data[5])
 
     @classmethod
     def vacuous(cls, width: int) -> _Sums:
-        data = np.zeros((6, width))
+        data = np.zeros((5, width))
         data[3] = -1.0
         return cls(data)
 
     @classmethod
     def output(cls, bit: int, weight: np.ndarray, queries: int) -> _Sums:
-        data = np.zeros((6, len(weight)))
+        data = np.zeros((5, len(weight)))
         data[bit + 1] = weight
         data[3] = queries
         return cls(data)
@@ -141,11 +136,11 @@ class _Sums:
     def put(self, cols, other: _Sums) -> None:
         self.data[:, cols] = other.data
 
-    def merge(self, cols, other: _Sums) -> None:
-        """Fold branches into the columns `cols` (all when None), in branch
-        order. `other` holds one block of as many columns per branch, the
-        branches one after another; several branches use it up."""
-        mine = self.data if cols is None else self.data[:, cols]
+    def merge(self, other: _Sums) -> None:
+        """Fold branches into these columns, in branch order. `other` holds
+        one block of as many columns per branch, the branches one after
+        another; several branches use it up."""
+        mine = self.data
         if other.data.shape[1] == mine.shape[1]:
             mine[:3] += other.data[:3]
             np.maximum(mine[3:], other.data[3:], out=mine[3:])
@@ -154,14 +149,12 @@ class _Sums:
             # the current sums. np.add.reduce would not keep that order: it
             # sums pairwise where numpy makes the branch axis its inner loop,
             # as it does for one column.
-            branches = other.data.reshape(6, -1, mine.shape[1])
+            branches = other.data.reshape(len(mine), -1, mine.shape[1])
             totals = branches[:3]
             totals[:, 0] += mine[:3]
             np.add.accumulate(totals, axis=1, out=totals)
             mine[:3] = totals[:, -1]
             np.maximum(mine[3:], branches[3:].max(axis=1), out=mine[3:])
-        if cols is not None:
-            self.data[:, cols] = mine
 
 
 # A summary that waits on memo reads: it returns the summary once `_Walker.fill`
@@ -202,9 +195,7 @@ def summarize(plan: Plan, *, tol: float, branch_tol: float) -> tuple[np.ndarray,
     """Run `plan` from its entry state on all 2^n inputs.
 
     Returns which inputs entered the plan (those whose entry contract does
-    not vanish) and their summaries. Raises PartitionGap when an input's
-    branch has a label with no outcome at a measurement outside any directly
-    walked call.
+    not vanish) and their summaries.
     """
     walker = _Walker(tol, branch_tol)
     count = 1 << plan.n
@@ -215,9 +206,7 @@ def summarize(plan: Plan, *, tol: float, branch_tol: float) -> tuple[np.ndarray,
         block = np.arange(start, min(count, start + width))
         entered[block], part = walker.run(plan, block)
         walker.fill()
-        part = _done(part)
-        _raise_gap((part.gap != 0) & entered[block], block, plan.n)
-        sums.put(block, part)
+        sums.put(block, _done(part))
     return entered, sums
 
 
@@ -309,76 +298,59 @@ class _Walker:
                     pieces.append((~live, _Sums.output(1, weight[~live], queries)))
                 return _assemble(len(inputs), pieces)
             if isinstance(node, Output):
-                sums = _Sums.output(node.bit, weight, queries)
-                if isinstance(node, _End) and node.rest is not None:
-                    def after(rest):
-                        sums.merge(None, rest)
-                        return sums
-                    return _then(after, self.walk(node.rest, rows, amps, inputs, n, queries))
-                return sums
+                return _Sums.output(node.bit, weight, queries)
             if isinstance(node, Call):
                 return self.enter(node.plan, rows, amps, weight, _sub_inputs(node, inputs, n), queries)
             if isinstance(node, MeasureStep):
-                return self.measure(node, rows, amps, inputs, n, queries)
+                return self.measure(node, rows, amps, weight, inputs, n, queries)
             rows, amps = _advance(node, rows, amps, inputs, n, weight)
             queries += isinstance(node, QueryStep)
             node = node.child
 
-    def measure(self, node: MeasureStep, rows: tuple, amps: np.ndarray,
+    def measure(self, node: MeasureStep, rows: tuple, amps: np.ndarray, weight: np.ndarray,
                 inputs: np.ndarray, n: int, queries: int) -> _Sums | _Pending:
         """Split the rows by outcome and fold the branches in branch order.
+        A column that gaps ends here, as output -1 with its `weight`.
 
         Adjacent children that call one plan without merging labels run as
         one call over all their columns when the first of them is reached,
-        and their summaries fold into the columns in one pass. A column that
-        gaps in one of them is still read by the later ones, but the gap
-        discards those reads, as it discards every branch of the column. The
-        later children also walk a column whose gap is pending on a memo
-        read.
+        and their summaries fold into the columns in one pass.
         """
         gap, branches, groups = _split(node, rows, amps, n)
-        sums = _Sums.vacuous(len(inputs))
-        sums.gap[:] = gap
-        # Every branch's (columns, summary), which fold at the end.
-        held: list = []
-
+        if gap.any():
+            pieces = [(gap, _Sums.output(-1, weight[gap], queries))]
+            if not gap.all():
+                rest = ~gap
+                pieces.append((rest, self.measure(node, rows, amps[:, rest], weight[rest], inputs[rest],
+                                                  n, queries)))
+            return _assemble(len(inputs), pieces)
+        held = []
         folded = 0
         for k, (child, members, labels, _) in enumerate(branches):
             if k < folded or child is None or not len(members):
                 continue
-            # A column that gapped stops there, as the per-input walk does.
-            cols = np.flatnonzero(sums.gap == 0) if sums.gap.any() else None
-            if cols is not None and not len(cols):
-                break
-            block_inputs = inputs if cols is None else inputs[cols]
             group = groups.get(k)
             if group is None:
-                part = self.walk(child, labels, _branch(branches[k], amps, cols), block_inputs, n, queries)
+                held.append(self.walk(child, labels, _branch(branches[k], amps), inputs, n, queries))
             else:
-                part = self.call_group(group, rows, amps, cols, block_inputs, queries)
+                held.append(self.call_group(group, rows, amps, inputs, queries))
                 folded = k + group[2]
-            if isinstance(part, _Sums) and part.gap.any():
-                # The gap row merges by maximum, so it may merge ahead of the
-                # totals, which fold in branch order.
-                at = slice(None) if cols is None else cols
-                gaps = part.gap.reshape(-1, len(block_inputs)).max(axis=0)
-                sums.gap[at] = np.maximum(sums.gap[at], gaps)
-            held.append((cols, part))
 
         def fold(*parts):
-            for (cols, _), part in zip(held, parts):
-                sums.merge(cols, part)
+            sums = _Sums.vacuous(len(inputs))
+            for part in parts:
+                sums.merge(part)
             return sums
-        return _then(fold, *[part for _, part in held])
+        return _then(fold, *held)
 
-    def call_group(self, group: tuple, rows: tuple, amps: np.ndarray, cols,
+    def call_group(self, group: tuple, rows: tuple, amps: np.ndarray,
                    block_inputs: np.ndarray, queries: int) -> _Sums | _Pending:
         """Sibling calls into one plan as one call over all their columns, a
         member's columns after another's."""
         sub, union, count, sources, order, starts, runs = group
         width = len(block_inputs)
         padded = np.zeros((len(rows) + 1, width), dtype=_DTYPE)
-        padded[:-1] = amps if cols is None else amps[:, cols]
+        padded[:-1] = amps
         weight = np.add.reduceat(np.square(padded)[order], starts, axis=0).ravel()
         if sub.contract is None:
             padded = None
@@ -428,9 +400,7 @@ class _Walker:
                 return inner
             pieces.append((matched, _then(scale, self.memo(sub, sub_inputs[matched]))))
         # The other states are outside the callee's input family: walk them
-        # through the callee directly, a block at a time. A column that
-        # leaves the callee's measurement algebra reports output -1 with the
-        # call's weight.
+        # through the callee directly, a block at a time.
         rest = np.flatnonzero(~matched)
         width = _shape(sub)[0]
         for start in range(0, len(rest), width):
@@ -438,10 +408,6 @@ class _Walker:
 
             def close(inner, cols=cols):
                 np.maximum(inner.resid, residual[cols], out=inner.resid)
-                gap = inner.gap != 0
-                if gap.any():
-                    inner.put(gap, _Sums.output(-1, weight[cols][gap], queries))
-                    inner.resid[gap] = residual[cols][gap]
                 return inner
             pieces.append((cols, _then(close, self.walk(sub.root, rows, amps[:, cols], sub_inputs[cols],
                                                           sub.n, queries))))
@@ -482,31 +448,26 @@ def _assemble(width: int, pieces: list) -> _Sums | _Pending:
 def leaf_values(plan: Plan, path: tuple, *, tol: float, branch_tol: float) -> np.ndarray:
     """Per input, in lexicographic order, the weight of the run-tree node
     that the outcome path `path` leads to, or 0.0 where the path leaves the
-    tree or the input does not enter the plan: the output-1 totals of
-    `summarize` on the plan marked along the path (`_mark`). A gap inside a
-    directly walked call reads 0.0; anywhere else it raises PartitionGap."""
+    tree, passes a gap, or the input does not enter the plan: the output-1
+    totals of `summarize` on the plan marked along the path (`_mark`)."""
     root = _mark(plan.root, path)
     marked = _shared(plan, root=Output(0) if root is None else root)
     return summarize(marked, tol=tol, branch_tol=branch_tol)[1].total[2]
 
 
-@dataclass(frozen=True, eq=False)
 class _End(Output):
-    """The end of a leaf path: an Output(1), off the walker's per-step
-    checks, that also reads the columns pruned there, as the run tree keeps
-    a pruned node's weight, then walks `rest`, the null copy it replaces."""
-
-    rest: object
+    """The end of a leaf path: an Output(1) that also reads the columns
+    pruned there, as the run tree keeps a pruned node's weight."""
 
 
 def _mark(node, path: tuple):
     """`node` with the nodes on `path` copied down to an `_End` and each
-    child off the path cut to its null copy; None when nothing in it adds
-    mass or gaps. As in the run tree, a path element that names no child of
-    a measurement with one child descends into it without being used up,
-    and None is used up by a step with one child or by a Call."""
+    child off the path cut to None, which `_Walker.measure` skips; None when
+    nothing in it adds mass. As in the run tree, a path element that names
+    no child of a measurement with one child descends into it without being
+    used up, and None is used up by a step with one child or by a Call."""
     if path == ():
-        return _End(1, _null(node))
+        return _End(1)
     if isinstance(node, Output):
         return None
     if isinstance(node, Call):
@@ -519,28 +480,10 @@ def _mark(node, path: tuple):
         ids = [oid for oid, _, _ in node.children]
         rest = path[1:] if path[0] in ids else path
         return replace(node, children=tuple(
-            (oid, rewrite, _mark(child, rest) if oid == path[0] or len(ids) == 1 else _null(child))
+            (oid, rewrite, _mark(child, rest) if oid == path[0] or len(ids) == 1 else None)
             for oid, rewrite, child in node.children))
     child = _mark(node.child, path[1:] if path[0] is None else path)
     return None if child is None else _shared(node, child=child)
-
-
-def _null(node):
-    """`node`'s subtree with every Output and Call cut off, kept on the node,
-    or None when nothing in it measures: it adds no mass, but its gaps
-    surface. `_Walker.measure` skips a None child."""
-    if isinstance(node, (Output, Call)):
-        return None
-    null = node.__dict__.get("_batch_null", node)
-    if null is node:
-        if isinstance(node, MeasureStep):
-            null = replace(node, children=tuple((oid, rewrite, _null(child))
-                                                for oid, rewrite, child in node.children))
-        else:
-            child = _null(node.child)
-            null = None if child is None else _shared(node, child=child)
-        node.__dict__["_batch_null"] = null
-    return null
 
 
 def _shared(obj, **changes):
@@ -610,9 +553,12 @@ def _exits(node, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n: int,
     while not isinstance(node, (Output, Call)):
         if isinstance(node, MeasureStep):
             gap, branches, _ = _split(node, rows, amps, n)
-            _raise_gap(gap, inputs, n)
+            if gap.any():
+                bits = _bits(int(inputs[np.argmax(gap)]), n)
+                raise PartitionGap(f"input {bits}: a branch state has a label that matches "
+                                   "no measurement outcome")
             for (oid, _, _), branch in zip(node.children, branches):
-                yield from _exits(branch[0], branch[2], _branch(branch, amps, None), inputs, n,
+                yield from _exits(branch[0], branch[2], _branch(branch, amps), inputs, n,
                                   path + (oid,), queries)
             return
         rows, amps = _advance(node, rows, amps, inputs, n, None)
@@ -887,19 +833,11 @@ def _split(node: MeasureStep, rows: tuple, amps: np.ndarray, n: int):
     return np.zeros(amps.shape[1], dtype=bool), branches, groups
 
 
-def _raise_gap(gap: np.ndarray, inputs: np.ndarray, n: int) -> None:
-    """Raise PartitionGap naming the first of `inputs` whose `gap` is set."""
-    if gap.any():
-        bits = _bits(int(inputs[np.argmax(gap)]), n)
-        raise PartitionGap(f"input {bits}: a branch state has a label that matches "
-                           "no measurement outcome")
-
-
-def _branch(branch: tuple, amps: np.ndarray, cols) -> np.ndarray:
-    """A measurement child's rows of `amps`, on the columns `cols` (all when
-    None), with the labels its rewrite merges added together."""
+def _branch(branch: tuple, amps: np.ndarray) -> np.ndarray:
+    """A measurement child's rows of `amps`, with the labels its rewrite
+    merges added together."""
     _, members, labels, target = branch
-    part = amps[members] if cols is None else amps[np.ix_(members, cols)]
+    part = amps[members]
     if target is None:
         return part
     merged = np.zeros((len(labels), part.shape[1]), dtype=_DTYPE)

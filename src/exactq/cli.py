@@ -39,14 +39,13 @@ from .algorithms import (
     build_unbr,
     build_uw_step,
 )
-from .errors import DegenerateCase, DivergedChain, ExactQError
+from .errors import DegenerateCase, DivergedChain, ExactQError, check_tol
 from .plans import Plan
 from .recurrence import chain_gamma_at, gamma_chain, solve_step_constants
 from .sym import STRATEGIES, SymSpec, TWO_SIDED, build_sym
 from .verifier import (
     DEFAULT_BRANCH_TOL,
     DEFAULT_TOL,
-    _check_tol,
     audit_leaf_degrees,
     extract_multilinear,
     symmetrize_to_univariate,
@@ -256,7 +255,7 @@ def _parser() -> argparse.ArgumentParser:
 def _tol(flag: float | None) -> float:
     """`--tol`, else `EXACTQ_TOL`, else `DEFAULT_TOL`; finite and >= 0."""
     if flag is not None:
-        _check_tol(flag, "--tol")
+        check_tol(flag, "--tol")
         return flag
     env = os.environ.get("EXACTQ_TOL")
     if not env:
@@ -265,7 +264,7 @@ def _tol(flag: float | None) -> float:
         tol = float(env)
     except ValueError:
         raise ValueError(f"EXACTQ_TOL must be a number, got {env!r}") from None
-    _check_tol(tol, "EXACTQ_TOL")
+    check_tol(tol, "EXACTQ_TOL")
     return tol
 
 

@@ -1,10 +1,19 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the check that every
+tolerance passes where it enters.
 
 Everything derives from ValueError so callers that only care about "bad input
 vs bug" can catch one base class.
 """
 
 from __future__ import annotations
+
+import math
+
+
+def check_tol(tol: float, name: str = "tol") -> None:
+    """Reject a tolerance that is negative, infinite or NaN."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
 
 
 class ExactQError(ValueError):
@@ -21,7 +30,12 @@ class BindingConflict(ExactQError):
 
 
 class PartitionGap(ExactQError):
-    """A measured label's outcome names no child of the measurement."""
+    """A measured label's outcome names no child of the measurement.
+
+    Raised by the per-input `state_core.measure` and by the degree audit's
+    exit walk. A summary walk (`verify_exactness`, `extract_multilinear`,
+    `run_on_input`) does not raise it: there a branch that gaps ends at its
+    measurement as output -1."""
 
 
 class IndexOutOfRange(ExactQError):

@@ -94,7 +94,9 @@ class MeasureStep:
     Each child entry is (outcome_id, relabeling-or-None, node), in branch
     order, with distinct ids other than None; the relabeling is applied to
     the collapsed branch before descending. A label that carries amplitude
-    and whose id is None or names no child is a gap (PartitionGap).
+    and whose id is None or names no child is a gap: a simulated branch ends
+    there as output -1, and the per-input `measure` and the degree audit
+    raise PartitionGap.
     """
 
     outcome_of: Callable[[Label], object]

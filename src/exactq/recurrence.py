@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConstraintViolation, DegenerateCase, DivergedChain, NoChain
+from .errors import ConstraintViolation, DegenerateCase, DivergedChain, NoChain, check_tol
 
 # Chain bases per gap d: (k0, gamma0, base query count).
 CHAIN_BASES: dict[int, tuple[int, float, int]] = {
@@ -154,6 +154,9 @@ class StepConstants:
         }
 
     def validate(self, tol: float = 1e-10) -> None:
+        """Raise ConstraintViolation when a residual exceeds `tol` (finite
+        and >= 0) or c2 or c11 is negative."""
+        check_tol(tol)
         bad = {name: r for name, r in self.constraint_residuals().items() if r > tol}
         if self.c2 < 0.0:
             bad["c2-sign"] = -self.c2

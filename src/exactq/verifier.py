@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import PartitionGap, ZeroWitnessMissing
+from .errors import PartitionGap, ZeroWitnessMissing, check_tol
 from .gadgets import OracleSpec, oracle_apply
 from .plans import (
     Call,
@@ -110,7 +110,9 @@ def _entry_state(plan: Plan, oracle: OracleSpec, branch_tol: float) -> LabeledSt
 
 def _trace_walk(node: PlanNode, state: LabeledState, bits: tuple[int, ...], oracle: OracleSpec,
                 queries: int, outcome: tuple | None, branch_tol: float) -> RunTree:
-    """The full run tree from `node` on one input, without memoization."""
+    """The full run tree from `node` on one input, without memoization. A
+    measurement that leaves a populated label without an outcome is a "gap"
+    leaf (output -1) in its place."""
     weight = state.squared_norm()
     if weight <= branch_tol:
         return RunTree("pruned", outcome, weight, queries, None, False, ())
@@ -118,13 +120,14 @@ def _trace_walk(node: PlanNode, state: LabeledState, bits: tuple[int, ...], orac
         return RunTree("output", outcome, weight, queries, node.bit, True, ())
     if isinstance(node, Call):
         bits_sub, oracle_sub, entry = _enter(node, state, weight, bits)
-        try:
-            child = _trace_walk(node.plan.root, entry, bits_sub, oracle_sub, queries, None, branch_tol)
-        except PartitionGap:
-            child = RunTree("gap", None, weight, queries, -1, True, ())
+        child = _trace_walk(node.plan.root, entry, bits_sub, oracle_sub, queries, None, branch_tol)
         return RunTree("call", outcome, weight, queries, None, True, (child,))
+    try:
+        branches = _step(node, state, weight, oracle)
+    except PartitionGap:
+        return RunTree("gap", outcome, weight, queries, -1, True, ())
     kids = tuple([_trace_walk(child, branch, bits, oracle, queries + spent, oid, branch_tol)
-                  for oid, child, branch, spent in _step(node, state, weight, oracle)])
+                  for oid, child, branch, spent in branches])
     return RunTree(_TRACE_KIND[type(node)], outcome, weight, queries, None, True, kids)
 
 
@@ -184,7 +187,9 @@ def run_on_input(
     the cost multiplies through nested calls. One input of
     `build_exact_kl(8, 2, 6)` did not finish in 100 s on a 2-vCPU machine,
     while `verify_exactness` checks all 256 inputs of that plan in
-    milliseconds. `branch_tol` must be in [0, 1), as in `verify_exactness`."""
+    milliseconds. A branch that gaps ends in a "gap" leaf (output -1) in
+    place of its measurement. `branch_tol` must be in [0, 1), as in
+    `verify_exactness`."""
     _check_branch_tol(branch_tol)
     bits = tuple(x)
     if len(bits) != plan.n:
@@ -198,8 +203,8 @@ def run_on_input(
 
 def tree_leaves(tree: RunTree) -> list[RunTree]:
     """All leaves of a run tree that carry an output: reachable Output
-    leaves, and "gap" leaves (output -1) where a branch left a callee's
-    measurement algebra."""
+    leaves, and "gap" leaves (output -1) where a measurement left a
+    populated label without an outcome."""
     if tree.output is not None:
         return [tree]
     out: list[RunTree] = []
@@ -208,19 +213,13 @@ def tree_leaves(tree: RunTree) -> list[RunTree]:
     return out
 
 
-def _check_tol(tol: float, name: str = "tol") -> None:
-    """Reject a tolerance that is negative, infinite or NaN."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
-
-
 def _check_branch_tol(branch_tol: float) -> None:
     if not 0.0 <= branch_tol < 1.0:
         raise ValueError(f"branch_tol must be finite and in [0, 1), got {branch_tol!r}")
 
 
 def _check_tolerances(tol: float, branch_tol: float) -> None:
-    _check_tol(tol)
+    check_tol(tol)
     _check_branch_tol(branch_tol)
 
 
@@ -243,15 +242,17 @@ def verify_exactness(
 
     A counterexample records (input, wrong output, squared norm) for each
     output that disagrees with the truth function and whose branches carry
-    total weight above `tol` on that input. Output -1 marks a branch whose
-    state left a subroutine's measurement algebra, which only corrupted
-    plans produce.
+    total weight above `tol` on that input. Output -1 marks a branch that
+    reached a measurement with a populated label that has no outcome, which
+    only corrupted plans produce; it is never within `tol`, so any weight on
+    it is a counterexample.
 
     An input whose entry contract vanishes cannot reach the plan and is
     skipped. Every other input must keep its norm: the plan is exact only
     if no input's wrong outputs carry total weight above `tol`, in one
-    output or spread over two, and `max_norm_residual` is at most `tol`.
-    `tol` must be finite and >= 0, and `branch_tol` in [0, 1).
+    output or spread over two, no input has weight on output -1, and
+    `max_norm_residual` is at most `tol`. `tol` must be finite and >= 0,
+    and `branch_tol` in [0, 1).
 
     A `WeightTruth` (what `weight_truth` makes, and every builder uses) is
     read from a table by Hamming weight for all inputs at once; any other
@@ -278,7 +279,9 @@ def verify_exactness(
     wrong = np.arange(-1, 2)[:, None] != truths
     masses = np.where(wrong, sums.total[:, checked], 0.0)
     wrong_mass = float(masses.sum(axis=0).max(initial=0.0))
-    cols, rows = np.nonzero(masses.T > tol)
+    gapped = bool(masses[0].any())
+    # Output -1 is never within tol.
+    cols, rows = np.nonzero(masses.T > [0.0, tol, tol])
     # A counterexample's bits come from its input index, first bit most significant.
     bits = (checked[cols, None] >> np.arange(plan.n - 1, -1, -1)) & 1
     counterexamples = [(tuple(b), r - 1, w) for b, r, w in
@@ -287,7 +290,7 @@ def verify_exactness(
         family=plan.family,
         params=plan.params,
         n=plan.n,
-        exact=wrong_mass <= tol and max_residual <= tol,
+        exact=wrong_mass <= tol and max_residual <= tol and not gapped,
         worst_case_queries=worst,
         claimed_bound=plan.claimed_queries,
         max_norm_residual=max_residual,
@@ -344,7 +347,7 @@ class MultilinearPoly:
         `values` is indexed by inputs in lexicographic bit order (first bit
         most significant). `tol` must be finite and >= 0.
         """
-        _check_tol(tol)
+        check_tol(tol)
         if len(values) != 1 << n:
             raise ValueError(f"need {1 << n} values, got {len(values)}")
         coeffs = _fourier(np.array(values, dtype=float).reshape(1, 1 << n), n)[0]
@@ -374,6 +377,9 @@ class MultilinearPoly:
         return total
 
     def degree(self, *, tol: float = 1e-9) -> int:
+        """The largest subset size with |coefficient| > `tol`, which must be
+        finite and >= 0."""
+        check_tol(tol)
         return max((len(s) for s, c in self.coeffs if abs(c) > tol), default=0)
 
 
@@ -450,7 +456,7 @@ def audit_leaf_degrees(plan: Plan, *, coeff_tol: float = 1e-9) -> tuple[LeafDegr
     leaf amplitude's degree by its full path query count. `coeff_tol` must
     be finite and >= 0.
     """
-    _check_tol(coeff_tol, "coeff_tol")
+    check_tol(coeff_tol, "coeff_tol")
     # The batched walker is imported at the first audit, as in _summarize.
     from .batch import exit_amplitudes
     records: list[LeafDegreeRecord] = []
@@ -484,6 +490,9 @@ class SymmetrizedPoly:
     coeffs: tuple[float, ...]
 
     def degree(self, *, tol: float = 1e-9) -> int:
+        """The largest power with |coefficient| > `tol`, which must be finite
+        and >= 0."""
+        check_tol(tol)
         return max((i for i, c in enumerate(self.coeffs) if abs(c) > tol), default=0)
 
 
@@ -531,7 +540,9 @@ def root_count_lower_bound(
     tol: float = 1e-9,
 ) -> int:
     """Count zero entries of a value table; with a certified nonzero witness
-    this lower-bounds the degree of any polynomial matching the table."""
+    this lower-bounds the degree of any polynomial matching the table. `tol`
+    must be finite and >= 0."""
+    check_tol(tol)
     if claimed_nonzero not in q_values:
         raise ZeroWitnessMissing(f"no value recorded at the witness point {claimed_nonzero}")
     if abs(q_values[claimed_nonzero]) < tol:

@@ -9,7 +9,9 @@ over `verifier._step`, the per-input step semantics:
   state proportional to the callee's input contract reuses the callee's
   memoized summary, scaled by the squared proportionality factor; any other
   call runs the callee directly, so that broken plans produce honest wrong
-  outputs rather than crashes;
+  outputs rather than crashes. A branch that reaches a measurement with a
+  populated label that has no outcome (a gap) ends there, as output -1 with
+  its weight and query depth there;
 - `leaf_values` reads, per input, the weight at the end of one outcome path
   of the run tree `run_on_input` would build (`follow`), walking the input
   along the path only;
@@ -111,7 +113,10 @@ class Executor:
             return Summary(queries, ((node.bit, weight),), 0.0)
         if isinstance(node, Call):
             return self._call(node, state, weight, bits, queries)
-        branches = _step(node, state, weight, oracle)
+        try:
+            branches = _step(node, state, weight, oracle)
+        except PartitionGap:
+            return Summary(queries, ((-1, weight),), 0.0)
         if len(branches) == 1:
             _, child, branch, spent = branches[0]
             return self._walk(child, branch, bits, oracle, queries + spent)
@@ -147,13 +152,8 @@ class Executor:
         else:
             residual = math.sqrt(weight)
         # The branch state is outside the callee's input family: run it
-        # through the callee directly and let wrong outputs surface. If it
-        # escapes the callee's measurement algebra entirely, report the
-        # branch as output -1, which can never match a truth value.
-        try:
-            inner = self._walk(sub.root, state, bits_sub, oracle_sub, queries)
-        except PartitionGap:
-            return Summary(queries, ((-1, weight),), residual)
+        # through the callee directly and let wrong outputs surface.
+        inner = self._walk(sub.root, state, bits_sub, oracle_sub, queries)
         return Summary(inner.max_queries, inner.mass, max(residual, inner.residual))
 
 
@@ -170,43 +170,33 @@ def leaf_values(plan: Plan, path: tuple, *, branch_tol: float = DEFAULT_BRANCH_T
 
 
 def follow(node: PlanNode, state: LabeledState, bits: tuple[int, ...], oracle: OracleSpec,
-           path: tuple | None, branch_tol: float) -> float:
+           path: tuple, branch_tol: float) -> float:
     """Weight of the node that `path` leads to in the run tree
     `run_on_input` would build from `node`, or 0.0 when the path leaves the
-    tree.
-
-    It steps every unpruned branch of the current plan, so that a
-    PartitionGap anywhere in it is raised, but it enters only the Call the
-    path goes through; `path` None marks a branch off the path. A path
+    tree or passes a gap. It steps only the nodes on the path. A path
     element that names no child descends into a lone child without being
     used up, as in the run tree.
     """
     weight = state.squared_norm()
+    if path == ():
+        return weight
     if weight <= branch_tol or isinstance(node, Output):
-        return weight if path == () else 0.0
+        return 0.0
     if isinstance(node, Call):
-        if not path:
-            return weight
         bits_sub, oracle_sub, entry = _enter(node, state, weight, bits)
         rest = path[1:] if path[0] is None else path
-        try:
-            return follow(node.plan.root, entry, bits_sub, oracle_sub, rest, branch_tol)
-        except PartitionGap:
-            return weight if rest == () else 0.0
-    branches = _step(node, state, weight, oracle)
-    target, rest = None, None
-    if path:
-        target = next((k for k, (oid, _, _, _) in enumerate(branches) if oid == path[0]), None)
-        if target is not None:
-            rest = path[1:]
-        elif len(branches) == 1:
-            target, rest = 0, path
-    found = weight if path == () else 0.0
-    for k, (_, child, branch, _) in enumerate(branches):
-        value = follow(child, branch, bits, oracle, rest if k == target else None, branch_tol)
-        if k == target:
-            found = value
-    return found
+        return follow(node.plan.root, entry, bits_sub, oracle_sub, rest, branch_tol)
+    try:
+        branches = _step(node, state, weight, oracle)
+    except PartitionGap:
+        return 0.0
+    for oid, child, branch, _ in branches:
+        if oid == path[0]:
+            return follow(child, branch, bits, oracle, path[1:], branch_tol)
+    if len(branches) == 1:
+        _, child, branch, _ = branches[0]
+        return follow(child, branch, bits, oracle, path, branch_tol)
+    return 0.0
 
 
 def leaf_weight(tree, path):

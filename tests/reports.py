@@ -13,8 +13,9 @@ JSON would carry it, in tests/poly_reports.json.
 
 Run `python tests/reports.py` (with src on PYTHONPATH) to rewrite both files
 after a change that is meant to change a report. Before it writes a file, it
-prints the name of each entry whose pinned value changes, or that it adds or
-drops; list each where the change is described.
+prints the name of each entry whose pinned value changes, with the top-level
+fields that change in a report, or that it adds or drops; list each where
+the change is described.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ def load(path: Path = PATH) -> dict:
 
 def _write(path: Path, names, make) -> None:
     """One entry per line, so that a changed report is a changed line. The
-    names whose entries change, or that are added or dropped, are printed
-    first."""
+    names whose entries change, with the fields that change in a report, or
+    that are added or dropped, are printed first."""
     old = load(path) if path.exists() else {}
     new = {name: make(name) for name in names}
     for name in [*new, *(name for name in old if name not in new)]:
@@ -145,7 +146,12 @@ def _write(path: Path, names, make) -> None:
         elif name not in new:
             print(f"dropped: {name}")
         elif new[name] != old[name]:
-            print(f"changed: {name}")
+            was, now = old[name], new[name]
+            fields = ""
+            if isinstance(was, dict) and isinstance(now, dict):
+                fields = " [" + ", ".join(key for key in {**was, **now}
+                                          if key not in was or key not in now or was[key] != now[key]) + "]"
+            print(f"changed: {name}{fields}")
     lines = [f"{json.dumps(name)}: {json.dumps(value)}" for name, value in new.items()]
     path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 

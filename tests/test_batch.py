@@ -4,11 +4,9 @@ LabeledState reference of tests/reference.py."""
 
 from __future__ import annotations
 
-import gc
 import itertools
 import math
 import random
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +37,6 @@ from exactq import (
     build_unb,
     build_unbr,
     chain_gamma_at,
-    extract_multilinear,
     identity_binding,
     isometry_from_columns,
     solve_step_constants,
@@ -65,9 +62,9 @@ STEP_FIELDS = ("c1", "c2", "c8", "c9", "gamma")
 def reference_report(plan, *, tol=DEFAULT_TOL):
     """(exact, worst-case queries, counterexample (input, output, total mass)
     list) of the per-input executor, by the verdict rule of
-    `verify_exactness`."""
+    `verify_exactness`: output -1 is never within `tol`."""
     executor = Executor(tol=tol)
-    worst, residual, wrong_mass, counterexamples = 0, 0.0, 0.0, []
+    worst, residual, wrong_mass, gapped, counterexamples = 0, 0.0, 0.0, False, []
     for bits in itertools.product((0, 1), repeat=plan.n):
         if executor.entry_state(plan, OracleSpec.from_bits(bits)) is None:
             continue
@@ -77,8 +74,9 @@ def reference_report(plan, *, tol=DEFAULT_TOL):
         residual = max(residual, abs(total - 1.0), summary.residual)
         wrong = [(output, t) for output, t in summary.mass if output != plan.truth(bits)]
         wrong_mass = max(wrong_mass, sum(t for _, t in wrong))
-        counterexamples += [(bits, output, t) for output, t in wrong if t > tol]
-    exact = wrong_mass <= tol and residual <= tol
+        gapped = gapped or any(output == -1 and t > 0 for output, t in wrong)
+        counterexamples += [(bits, output, t) for output, t in wrong if t > (0.0 if output == -1 else tol)]
+    exact = wrong_mass <= tol and residual <= tol and not gapped
     return exact, worst, counterexamples
 
 
@@ -93,7 +91,6 @@ def assert_batch_matches_executor(plan):
         assert sums.resid[index] == pytest.approx(summary.residual, abs=1e-12), bits
         assert max(0, sums.maxq[index]) == summary.max_queries, bits
         assert (sums.maxq[index] >= 0) == bool(summary.mass), bits
-        assert not sums.gap[index]
     report = verify_exactness(plan)
     exact, worst, counterexamples = reference_report(plan)
     assert report.exact == exact
@@ -150,6 +147,60 @@ def test_appendix_a_angle_override_matches(name, delta, negative):
     assert_batch_matches_executor(build_appendix_a(angle_overrides={name: angle}))
 
 
+def measurement_spines(node, spine=()):
+    """Every measurement reachable from `node` without crossing a Call, each
+    as the spine that leads to it: (step, index of the child taken, None
+    for a step with one child) pairs, then the measurement."""
+    if isinstance(node, (Output, Call)):
+        return []
+    found = []
+    if isinstance(node, MeasureStep):
+        found.append(spine + (node,))
+        for k, (_, _, child) in enumerate(node.children):
+            found += measurement_spines(child, spine + ((node, k),))
+        return found
+    return measurement_spines(node.child, spine + ((node, None),))
+
+
+def rebuilt(spine, node):
+    """The root of a plan whose spine `spine` ends in `node` instead."""
+    for step, k in reversed(spine):
+        if k is None:
+            node = replace(step, child=node)
+        else:
+            children = list(step.children)
+            children[k] = children[k][:2] + (node,)
+            node = replace(step, children=tuple(children))
+    return node
+
+
+DROP_PLANS = {
+    "equality4": lambda: build_equality(4),
+    "unb62": lambda: build_unb(6, 2),
+    "general61": lambda: build_general_unbalance(6, 1),
+    "unbr51": lambda: build_unbr(5, 1),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(DROP_PLANS)), st.data())
+def test_dropped_outcome_mutants_match(name, data):
+    # A structural mutant: one measurement reached without crossing a Call
+    # gives the labels of one of its outcomes no outcome. Wherever the
+    # reference puts weight on output -1, the mutant is refuted.
+    plan = DROP_PLANS[name]()
+    *spine, measure = data.draw(st.sampled_from(measurement_spines(plan.root)))
+    dropped = data.draw(st.sampled_from([oid for oid, _, _ in measure.children]))
+    node = replace(measure, outcome_of=lambda label: None if measure.outcome_of(label) == dropped
+                   else measure.outcome_of(label))
+    mutant = replace(plan, root=rebuilt(spine, node))
+    assert_batch_matches_executor(mutant)
+    executor = Executor()
+    if any(dict(executor.run_plan(mutant, bits).mass).get(-1, 0.0) > 0
+           for bits in itertools.product((0, 1), repeat=plan.n)):
+        assert not verify_exactness(mutant).exact
+
+
 def test_wrong_mass_spread_over_branches_is_not_exact():
     # Two wrong branches of 0.8 tol each: neither exceeds tol, but together
     # they carry 1.6 tol of output 0, so on each input that output is a
@@ -184,21 +235,19 @@ def random_sums(rng, width):
     sums.total[:] = rng.random((3, width)) * 10.0 ** rng.integers(-15, 1, (3, width))
     sums.maxq[:] = rng.integers(-1, 12, width)
     sums.resid[:] = rng.random(width) * 1e-9
-    sums.gap[:] = rng.random(width) < 0.2
     return sums
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 25), st.integers(1, 6), st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_fold_equals_sequential_merges(count, width, on_some_columns, seed):
+@given(st.integers(2, 25), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_fold_equals_sequential_merges(count, width, seed):
     rng = np.random.default_rng(seed)
-    prior = random_sums(rng, width + 3 if on_some_columns else width)
-    cols = np.sort(rng.choice(width + 3, width, replace=False)) if on_some_columns else None
+    prior = random_sums(rng, width)
     shares = random_sums(rng, count * width)
     folded, sequential = _Sums(prior.data.copy()), _Sums(prior.data.copy())
-    folded.merge(cols, _Sums(shares.data.copy()))
+    folded.merge(_Sums(shares.data.copy()))
     for m in range(count):
-        sequential.merge(cols, shares.take(slice(m * width, (m + 1) * width)))
+        sequential.merge(shares.take(slice(m * width, (m + 1) * width)))
     assert folded.data.tobytes() == sequential.data.tobytes()
 
 
@@ -417,21 +466,23 @@ def test_wrapper_chains_match(kind):
 
 
 def test_gap_through_wrappers_at_top_level():
+    # The gapping plan's measurement finds all the weight on |1> where
+    # x1 = 1, after one query: those inputs end there as output -1.
     for other in GAP_OUTCOMES:
         gapping = read_plan(2, 1, gap=True, other=other)
         plan = wrapper(wrapper(gapping, (var(2), var(1)), 2), (var(2), var(1)), 2)
-        with pytest.raises(PartitionGap):
-            verify_exactness(plan)
-        with pytest.raises(PartitionGap):
-            Executor().run_plan(plan, (1, 0))
-        # Inputs with x1 = 0 do not gap.
-        assert Executor().run_plan(plan, (0, 1)).mass
+        assert_batch_matches_executor(plan)
+        entered, sums = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
+        assert sums.total[0].tolist() == [0.0, 0.0, pytest.approx(1.0), pytest.approx(1.0)]
+        assert sums.maxq.tolist() == [1.0] * 4
+        assert Executor().run_plan(plan, (1, 0)).mass == ((-1, pytest.approx(1.0)),)
 
 
 def test_gap_through_wrappers_under_a_direct_walk():
     # The call's state is not proportional to the callee's contract |S>, so
-    # the callee is walked directly. Its branch |S> calls the wrappers of a
-    # plan that gaps where x2 = 1; those inputs report output -1.
+    # the callee is walked directly. Its branch |S> (weight 0.36) calls the
+    # wrappers of a plan that gaps where x2 = 1; on those inputs that branch
+    # reports output -1, and branch |1> still outputs 1.
     for other in GAP_OUTCOMES:
         gapping = read_plan(2, 1, gap=True, other=other)
         wrapped = wrapper(wrapper(gapping, (var(2), var(1)), 2), identity_wires(2), 2)
@@ -441,7 +492,8 @@ def test_gap_through_wrappers_under_a_direct_walk():
         plan = small_plan(PrepareState(state, Call(callee, identity_wires(2))), n=2)
         assert_batch_matches_executor(plan)
         entered, sums = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
-        assert sums.total[0].tolist() == [0.0, pytest.approx(1.0), 0.0, pytest.approx(1.0)]
+        assert sums.total[0].tolist() == [0.0, pytest.approx(0.36), 0.0, pytest.approx(0.36)]
+        assert sums.total[2].tolist() == [pytest.approx(1.0), pytest.approx(0.64)] * 2
 
 
 @pytest.mark.parametrize("constants", [(1.0, 0.0), (0.6, 0.8)], ids=["matched", "mismatched"])
@@ -511,7 +563,6 @@ def test_summaries_do_not_depend_on_which_inputs_share_a_block(make_plan, monkey
     small_entered, small = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
     assert small_entered.tolist() == entered.tolist()
     assert small.maxq.tolist() == sums.maxq.tolist()
-    assert small.gap.tolist() == sums.gap.tolist()
     assert np.abs(small.data - sums.data).max() <= 1e-14
 
 
@@ -546,23 +597,20 @@ GAP_STATE = LabeledState({S_LABEL: 0.6, idx(1): 0.48, idx(2): 0.64})
 
 def test_gap_in_a_memo_read_before_its_siblings():
     # The gapping call's memo fills after its siblings have walked the
-    # columns it gaps; the gap still discards those branches.
+    # columns it gaps. Where x1 = 1 its branch |S> (weight 0.36) ends as
+    # output -1, and the sibling branches keep their outputs, at top level
+    # and under a direct walk alike.
     for other in GAP_OUTCOMES:
-        plan = small_plan(PrepareState(GAP_STATE, gap_then_siblings(other)), n=2)
-        with pytest.raises(PartitionGap, match=r"^input \(1, 0\):"):
-            verify_exactness(plan)
-        with pytest.raises(PartitionGap):
-            Executor().run_plan(plan, (1, 0))
-        # Under a direct walk, a column that gaps reads output -1 with the
-        # call's weight.
         callee = small_plan(gap_then_siblings(other), n=2,
                             contract=Contract(2, (S_LABEL,), (1.0,), ((0.0, 0.0),)))
-        plan = small_plan(PrepareState(GAP_STATE, Call(callee, identity_wires(2))), n=2)
-        assert_batch_matches_executor(plan)
-        entered, sums = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
-        assert sums.total[0].tolist() == [0.0, 0.0, pytest.approx(1.0), pytest.approx(1.0)]
-        assert sums.total[1:].tolist() == [[pytest.approx(0.2304), 0.0, 0.0, 0.0],
-                                           [pytest.approx(0.7696), pytest.approx(1.0), 0.0, 0.0]]
+        for plan in (small_plan(PrepareState(GAP_STATE, gap_then_siblings(other)), n=2),
+                     small_plan(PrepareState(GAP_STATE, Call(callee, identity_wires(2))), n=2)):
+            assert_batch_matches_executor(plan)
+            entered, sums = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
+            assert sums.total.tolist() == [
+                [0.0, 0.0, pytest.approx(0.36), pytest.approx(0.36)],
+                [pytest.approx(0.2304), 0.0, pytest.approx(0.2304), 0.0],
+                [pytest.approx(0.7696), pytest.approx(1.0), pytest.approx(0.4096), pytest.approx(0.64)]]
 
 
 @st.composite
@@ -756,30 +804,33 @@ def leaf_values_both(plan, path):
             reference.leaf_values(plan, path))
 
 
-def test_leaf_walk_top_level_gap_raises():
+def test_leaf_walk_top_level_gap_reads_zero_past_it():
+    # A path that ends at the gapping measurement reads its weight, as the
+    # run tree's gap leaf holds it; a path past it reads 0.
     state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
     for other in GAP_OUTCOMES:
         plan = small_plan(PrepareState(state, s_only_measure(other)))
-        for path in ((), (("s",),)):
-            with pytest.raises(PartitionGap):
-                leaf_values(plan, path, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
-            with pytest.raises(PartitionGap):
-                reference.leaf_values(plan, path)
+        assert assert_leaf_values_close(plan, ()) == [pytest.approx(1.0)] * 2
+        assert assert_leaf_values_close(plan, (None,)) == [pytest.approx(1.0)] * 2
+        assert leaf_values_both(plan, (("s",),)) == ([0.0, 0.0], [0.0, 0.0])
 
 
 def test_leaf_walk_gap_in_a_mismatched_call():
     # The call's state is not proportional to the callee's contract |S>, so
-    # the callee runs on it. Its branch |1> gaps after its branch |S> has
-    # been read: a path into the callee reads 0, and a path that ends at the
-    # callee's root reads the call's weight.
+    # the callee runs on it. Its branch |1> gaps and ends there, which leaves
+    # its branch |S> as it is: a path to |S> reads that branch's weight, a
+    # path that ends at the gapping measurement reads the gapping branch's,
+    # and a path past the gap reads 0.
     for other in GAP_OUTCOMES:
         callee = small_plan(s_i_measure(Output(1), s_only_measure(other)),
                             contract=Contract(1, (S_LABEL,), (1.0,), ((0.0,),)))
         state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
         plan = small_plan(PrepareState(state, Call(callee, (var(1),))))
         assert leaf_values_both(plan, (None, None)) == ([1.0, 1.0], [1.0, 1.0])
-        assert leaf_values_both(plan, (("s",),)) == ([0.0, 0.0], [0.0, 0.0])
-        assert leaf_values_both(plan, (None, None, ("s",))) == ([0.0, 0.0], [0.0, 0.0])
+        for path in ((("s",),), (None, None, ("s",))):
+            assert assert_leaf_values_close(plan, path) == [pytest.approx(0.36)] * 2
+        assert assert_leaf_values_close(plan, (("i",),)) == [pytest.approx(0.64)] * 2
+        assert leaf_values_both(plan, (("i",), ("s",))) == ([0.0, 0.0], [0.0, 0.0])
 
 
 def test_leaf_walk_merged_label_that_cancels():
@@ -850,11 +901,8 @@ def test_leaf_path_ending_at_a_call_does_not_enter_it():
     plan = split_plan(Call(gapping, (var(1),)), Output(0), weight_i=0.36)
     for path in ((("s",),), (("s",), None)):
         assert assert_leaf_values_close(plan, path) == [pytest.approx(0.64)] * 2
-    # A path into the contract-free callee summarizes it, and its gap
-    # raises, where the per-input reference reads 0.0.
-    with pytest.raises(PartitionGap):
-        leaf_values(plan, (("s",), ("s",)), tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
-    assert reference.leaf_values(plan, (("s",), ("s",))) == [0.0, 0.0]
+    # A path into the contract-free callee passes its gap and reads 0.
+    assert leaf_values_both(plan, (("s",), ("s",))) == ([0.0, 0.0], [0.0, 0.0])
 
 
 def output_one_paths(node, path=()):
@@ -879,17 +927,15 @@ def test_output_one_leaves_add_up_to_the_acceptance(make_plan):
     assert np.abs(total - accepted).max() <= 1e-12
 
 
-def test_null_copies_die_with_their_plan():
-    # The measurement off the path gets a null copy, kept on the node itself:
-    # once the plan is dropped, nothing else holds it.
-    off_path = s_i_measure(Output(0), Output(1))
+def test_off_path_gap_leaves_a_leaf_value_as_it_is():
+    # Branch i gaps, and branch s is a leaf of weight 0.36 all the same; the
+    # marked plan cuts branch i, so nothing is compiled for it.
+    off_path = s_only_measure()
     plan = split_plan(Output(1), off_path)
-    extract_multilinear(plan, ("leaf", (("s",),)))
-    null = weakref.ref(vars(off_path)["_batch_null"])
-    assert null() is not None
-    del plan, off_path
-    gc.collect()
-    assert null() is None
+    assert assert_leaf_values_close(plan, (("s",),)) == [pytest.approx(0.36)] * 2
+    assert "_batch_cache" not in vars(off_path)
+    assert verify_exactness(plan).counterexamples == (((0,), -1, pytest.approx(0.64)),
+                                                       ((1,), -1, pytest.approx(0.64)))
 
 
 # ---------------------------------------------------------------------------

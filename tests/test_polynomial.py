@@ -130,6 +130,17 @@ class TestMultilinearPoly:
         with pytest.raises(ValueError, match="^tol must be"):
             MultilinearPoly.from_values(2, [1.0, 0.0, 0.0, 1.0], tol=tol)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    @pytest.mark.parametrize("symmetrized", [False, True], ids=["multilinear", "symmetrized"])
+    def test_meaningless_degree_tolerance_is_refused(self, tol, symmetrized):
+        # A NaN or infinite tolerance would give degree 0 for degree 2.
+        poly = MultilinearPoly.from_values(2, [0.0, 1.0, 1.0, 0.0])
+        if symmetrized:
+            poly = symmetrize_to_univariate(poly)
+        assert poly.degree() == 2
+        with pytest.raises(ValueError, match="^tol must be"):
+            poly.degree(tol=tol)
+
 
 class TestAcceptancePolynomials:
     def test_balanced_gap_one_plan(self):
@@ -333,6 +344,15 @@ class TestRootCount:
         k, l, n = 2, 3, 5
         restricted = {t: sym.q_values[k + t] for t in range(n - k + 1)}
         assert root_count_lower_bound(restricted, 0) == max(n - k, l) - 1
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    def test_meaningless_tolerance_is_refused(self, tol):
+        # A NaN or negative tolerance would count no zeros and skip the
+        # witness check.
+        q = {0: 1.0, 1: 0.0, 2: 0.0}
+        assert root_count_lower_bound(q, 0) == 2
+        with pytest.raises(ValueError, match="^tol must be"):
+            root_count_lower_bound(q, 0, tol=tol)
 
     def test_all_nonzero_gives_zero_bound(self):
         assert root_count_lower_bound({0: 1.0, 1: 0.5, 2: -0.25}, 1) == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,17 @@ class TestStepConstants:
         assert bumped.max_residual() > 1e-10
         with pytest.raises(ConstraintViolation):
             bumped.validate()
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    def test_meaningless_tolerance_is_refused(self, tol):
+        # With a NaN or infinite tolerance, constants whose c1 is off by 0.1
+        # would pass.
+        cs = solve_step_constants(5, 1, chain_gamma_at(1, 3))
+        bumped = cs.__class__(**{**{f: getattr(cs, f) for f in cs.__dataclass_fields__}, "c1": cs.c1 + 0.1})
+        with pytest.raises(ConstraintViolation):
+            bumped.validate()
+        with pytest.raises(ValueError, match="^tol must be"):
+            bumped.validate(tol=tol)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -19,6 +19,8 @@ from exactq import (
     Plan,
     PrepareState,
     QueryStep,
+    RunTree,
+    audit_leaf_degrees,
     build_equality,
     build_general_unbalance,
     build_unb,
@@ -216,16 +218,37 @@ class TestErrorSemantics:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             check(build_equality(2), **knobs)
 
-    def test_top_level_measurement_missing_a_label_raises(self):
+    def test_top_level_measurement_missing_a_label_reports_minus_one(self):
+        # The measurement has no outcome for |1>: the branch ends there, and
+        # its weight lands on output -1, in the summary and in the run tree.
         state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
         for other in GAP_OUTCOMES:
-            with pytest.raises(PartitionGap):
-                verify_exactness(small_plan(PrepareState(state, s_only_measure(other))))
+            plan = small_plan(PrepareState(state, s_only_measure(other)))
+            report = verify_exactness(plan)
+            assert not report.exact
+            assert report.counterexamples == (((0,), -1, pytest.approx(1.0)), ((1,), -1, pytest.approx(1.0)))
+            assert Executor().run_plan(plan, (1,)).mass == ((-1, pytest.approx(1.0)),)
+            gap = RunTree("gap", None, pytest.approx(1.0), 0, -1, True, ())
+            assert run_on_input(plan, (1,)).children == (gap,)
+
+    def test_minus_one_is_never_within_tol(self):
+        # A branch of weight 1e-7 gaps, below tol = 1e-6 and above branch_tol:
+        # the plan is not exact, and the gap is a counterexample.
+        tol, mass = 1e-6, 1e-7
+        state = LabeledState({S_LABEL: math.sqrt(1.0 - mass), idx(1): math.sqrt(mass)})
+        split = MeasureStep({S_LABEL: ("s",), idx(1): ("i",)}.get,
+                            ((("s",), None, Output(1)), (("i",), None, s_only_measure())))
+        plan = small_plan(PrepareState(state, split))
+        report = verify_exactness(plan, tol=tol)
+        assert report.max_norm_residual <= tol
+        assert report.counterexamples == (((0,), -1, pytest.approx(mass)), ((1,), -1, pytest.approx(mass)))
+        assert not report.exact
 
     def test_mismatched_call_leaving_the_callee_partition_reports_minus_one(self):
         # The call's state is not proportional to the callee's contract |S>,
         # so the callee runs on it directly, and its measurement has no
-        # outcome for |1>: the whole call's weight lands on output -1.
+        # outcome for |1>: the branch's weight there, the whole call's,
+        # lands on output -1.
         for other in GAP_OUTCOMES:
             callee = small_plan(s_only_measure(other), contract=Contract(1, (S_LABEL,), (1.0,), ((0.0,),)))
             state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
@@ -235,6 +258,21 @@ class TestErrorSemantics:
             assert [weight for _, _, weight in report.counterexamples] == pytest.approx([1.0, 1.0])
             assert report.max_norm_residual == pytest.approx(0.8)
 
+    def test_gap_reports_its_own_query_depth(self):
+        # One query, then a call whose state misses the callee's contract |S>,
+        # so the callee is walked directly; it queries once more and gaps.
+        # The gap is two queries deep.
+        callee = small_plan(QueryStep(extract_trailing_index, s_only_measure()),
+                            contract=Contract(1, (S_LABEL,), (1.0,), ((0.0,),)))
+        state = LabeledState({S_LABEL: 0.6, idx(1): 0.8})
+        plan = small_plan(PrepareState(state, QueryStep(extract_trailing_index, Call(callee, (var(1),)))))
+        report = verify_exactness(plan)
+        assert report.worst_case_queries == 2
+        assert [output for _, output, _ in report.counterexamples] == [-1, -1]
+        for bits in ((0,), (1,)):
+            assert Executor().run_plan(plan, bits).max_queries == 2
+            assert [leaf.queries for leaf in tree_leaves(run_on_input(plan, bits))] == [2]
+
     @pytest.mark.parametrize("make_plan,dropped", [
         (lambda: build_equality(4), S_LABEL),
         (lambda: build_unb(6, 2), tag("R", pair(1, 2))),
@@ -242,7 +280,8 @@ class TestErrorSemantics:
     ], ids=["equality4", "unb62", "general61"])
     def test_measurement_dropping_a_populated_label_raises(self, make_plan, dropped):
         # A structural mutant: the root's measurement, reached through
-        # unitary steps only, gives one populated label no outcome.
+        # unitary steps only, gives one populated label no outcome. The
+        # degree audit raises; verification reports output -1 and refutes it.
         plan = make_plan()
         spine = [plan.root]
         while not isinstance(spine[-1], MeasureStep):
@@ -252,9 +291,13 @@ class TestErrorSemantics:
                        else measure.outcome_of(label))
         for step in reversed(spine):
             node = replace(step, child=node)
+        mutant = replace(plan, root=node)
         assert verify_exactness(plan).exact
         with pytest.raises(PartitionGap):
-            verify_exactness(replace(plan, root=node))
+            audit_leaf_degrees(mutant)
+        report = verify_exactness(mutant)
+        assert not report.exact
+        assert any(output == -1 for _, output, _ in report.counterexamples)
 
     def test_query_index_out_of_range_raises(self):
         root = PrepareState(LabeledState({idx(3): 1.0}), QueryStep(extract_trailing_index, Output(1)))
