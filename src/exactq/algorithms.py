@@ -6,13 +6,14 @@ the one-ancilla test for symmetric weight pairs (build_general_unbalance,
 build_uw_step), the padding dispatcher (build_exact_kl), and the hand-tuned
 two-query base plan at n=5 (build_appendix_a).
 
-The builders assemble their steps from four shared pieces: `_rotation_pass`
+The builders assemble their steps from five shared pieces: `_rotation_pass`
 (a rotation on every pair), `_u_stages` (the U_n/U_{n-2} applications),
 `_round` (one pair-elimination query: split, U stages inverted, query, U
-stages forward, merge) and `_uniform_start` (uniform preparation, query and
-U_n). Each measurement is one `MeasureStep`: an outcome function, most often
-a dict's `get` from label to outcome id, and its (id, rewrite, child)
-entries in branch order.
+stages forward, merge), `_uniform_start` (uniform preparation, query and
+U_n) and `_ancilla_test_step` (the one place that wires a one-ancilla test
+step to the plans it calls and counts its queries). Each measurement is
+one `MeasureStep`: an outcome function, most often a dict's `get` from
+label to outcome id, and its (id, rewrite, child) entries in branch order.
 """
 
 from __future__ import annotations
@@ -529,16 +530,13 @@ def build_exact_k(n: int, k: int) -> Plan:
 # ---------------------------------------------------------------------------
 
 
-def _ancilla_test_step(
-    n: int,
-    prep_zero_amp: float,
-    s_gadget_apps: _Apps,
-    pair_child: Callable[[int, int], PlanNode],
-    s0_child: PlanNode,
-    s1_child: PlanNode,
-) -> PlanNode:
+def _ancilla_test_step(n: int, prep_zero_amp: float, s_gadget_apps: _Apps,
+                       dropped: Plan | None, s0: Plan, s1: Plan) -> tuple[PlanNode, int]:
     """Shared spine: (a|0> + |1>)|S>, controlled spread, query, controlled
-    collect, an ancilla gadget, and a full measurement."""
+    collect, an ancilla gadget, and a full measurement. Each pair outcome
+    calls `dropped` on the n-2 variables left (outputs 0 if it is None);
+    the ancilla outcomes |0>|S> and |1>|S> call `s0` and `s1` on all n.
+    Returns the root and its query count: 1 + the most a callee claims."""
     nu = math.hypot(prep_zero_amp, 1.0)
     prep = LabeledState({
         comp(anc(0), S_LABEL): prep_zero_amp / nu,
@@ -553,45 +551,41 @@ def _ancilla_test_step(
         # A pair outcome holds its pair beside either ancilla bit.
         return (ends.get(label) or pairs.get(label[2])) if label[0] == "C" else None
 
-    children = [(("pair", i, j), None, pair_child(i, j)) for i, j in _pairs(n)]
-    children += [(("s", 0), None, s0_child), (("s", 1), None, s1_child)]
+    children = [(("pair", i, j), None, Call(dropped, drop_wires(n, (i, j))) if dropped else Output(0))
+                for i, j in _pairs(n)]
+    children += [(("s", 0), None, Call(s0, identity_wires(n))),
+                 (("s", 1), None, Call(s1, identity_wires(n)))]
     measure = MeasureStep(outcome_of, tuple(children))
 
-    return PrepareState(prep,
+    root = PrepareState(prep,
             GadgetStep(((spread, True),),
              QueryStep(extract_trailing_index,
               GadgetStep(((spread, False),),
                GadgetStep(s_gadget_apps, measure)))))
+    return root, 1 + max(p.claimed_queries for p in (dropped, s0, s1) if p)
 
 
-def _hadamard_test_step(
-    n: int, d: int,
-    pair_child: Callable[[int, int], PlanNode],
-    s0_child: PlanNode,
-    s1_child: PlanNode,
-) -> PlanNode:
+def _hadamard_test_step(n: int, d: int, dropped: Plan, s0: Plan, s1: Plan) -> tuple[PlanNode, int]:
     """Test step ruling out one unbalance sign: ancilla |0> observed with |S>
-    means the unbalance is not -d; |1> means it is not +d."""
+    means the unbalance is not -d, and calls `s0`; |1> means it is not +d,
+    and calls `s1`. Returns `_ancilla_test_step`'s root and query count."""
     h = hadamard_gadget()
     ug = u_gadget(n)
     apps = tuple(
         (bind(h, {comp(anc(0), l): anc(0), comp(anc(1), l): anc(1)}), False)
         for l in ug.space if l[0] != "I"
     )
-    return _ancilla_test_step(n, d / n, apps, pair_child, s0_child, s1_child)
+    return _ancilla_test_step(n, d / n, apps, dropped, s0, s1)
 
 
-def _uw_test_step(
-    n: int, u: int, w: int,
-    pair_child: Callable[[int, int], PlanNode],
-    s0_child: PlanNode,
-    s1_child: PlanNode,
-) -> PlanNode:
-    """Asymmetric test step: |0> with |S> rules out unbalance +u; |1> rules
-    out -w."""
+def _uw_test_step(n: int, u: int, w: int,
+                  dropped: Plan | None, s0: Plan, s1: Plan) -> tuple[PlanNode, int]:
+    """Asymmetric test step: |0> with |S> rules out unbalance +u, and calls
+    `s0`; |1> rules out -w, and calls `s1`. Returns `_ancilla_test_step`'s
+    root and query count."""
     qg = q_rotation(u, w)
     apps = ((bind(qg, {comp(anc(0), S_LABEL): anc(0), comp(anc(1), S_LABEL): anc(1)}), False),)
-    return _ancilla_test_step(n, math.sqrt(u * w) / n, apps, pair_child, s0_child, s1_child)
+    return _ancilla_test_step(n, math.sqrt(u * w) / n, apps, dropped, s0, s1)
 
 
 @_memoized
@@ -604,16 +598,8 @@ def build_general_unbalance(n: int, k: int) -> Plan:
         root: PlanNode = Call(build_equality(n), identity_wires(n))
         claimed = n - 1
     else:
-        sub = build_general_unbalance(n - 2, k - 1)
-        test_low = build_exact_k(n, k)
-        test_high = build_exact_k(n, n - k)
-        root = _hadamard_test_step(
-            n, n - 2 * k,
-            pair_child=lambda i, j: Call(sub, drop_wires(n, (i, j))),
-            s0_child=Call(test_low, identity_wires(n)),
-            s1_child=Call(test_high, identity_wires(n)),
-        )
-        claimed = n - k + 1
+        root, claimed = _hadamard_test_step(n, n - 2 * k, build_general_unbalance(n - 2, k - 1),
+                                            build_exact_k(n, k), build_exact_k(n, n - k))
     return Plan(
         family="general", n=n, params=(("n", n), ("k", k)),
         root=root, claimed_queries=claimed, truth=weight_truth(n, frozenset({k, n - k})),
@@ -632,31 +618,22 @@ def build_uw_step(n: int, u: int, w: int) -> Plan:
     if (n - u) % 2 != 0 or (n - w) % 2 != 0:
         raise ValueError(f"need u = w = n (mod 2), got n={n}, u={u}, w={w}")
     k, l = (n - u) // 2, (n + w) // 2
-    truth = weight_truth(n, frozenset({k, l}))
 
     # A pair outcome leaves n-2 variables: iterate while both test values
     # fit, test the one weight left, or answer 0 when neither is possible.
     n2 = n - 2
-    sub: Plan | None = None
+    dropped: Plan | None = None
     if u <= n2 and w <= n2:
-        sub = build_uw_step(n2, u, w)
+        dropped = build_uw_step(n2, u, w)
     elif w <= n2:
-        sub = build_exact_k(n2, (n2 + w) // 2)
+        dropped = build_exact_k(n2, (n2 + w) // 2)
     elif u <= n2:
-        sub = build_exact_k(n2, (n2 - u) // 2)
+        dropped = build_exact_k(n2, (n2 - u) // 2)
 
-    test_high = build_exact_k(n, l)
-    test_low = build_exact_k(n, k)
-    root = _uw_test_step(
-        n, u, w,
-        pair_child=lambda i, j: Output(0) if sub is None else Call(sub, drop_wires(n, (i, j))),
-        s0_child=Call(test_high, identity_wires(n)),
-        s1_child=Call(test_low, identity_wires(n)),
-    )
-    claimed = 1 + max(sub.claimed_queries if sub else 0, test_high.claimed_queries, test_low.claimed_queries)
+    root, claimed = _uw_test_step(n, u, w, dropped, build_exact_k(n, l), build_exact_k(n, k))
     return Plan(
         family="uw", n=n, params=(("n", n), ("u", u), ("w", w)),
-        root=root, claimed_queries=claimed, truth=truth,
+        root=root, claimed_queries=claimed, truth=weight_truth(n, frozenset({k, l})),
     )
 
 

@@ -46,7 +46,10 @@ from .sym import STRATEGIES, SymSpec, TWO_SIDED, build_sym
 from .verifier import (
     DEFAULT_BRANCH_TOL,
     DEFAULT_TOL,
+    ENUMERATION_LIMIT,
+    EXTRACTION_LIMIT,
     audit_leaf_degrees,
+    check_limit,
     extract_multilinear,
     symmetrize_to_univariate,
     verify_exactness,
@@ -96,6 +99,17 @@ def build_family(config: argparse.Namespace) -> Plan:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _requested_n(config: argparse.Namespace) -> int:
+    """The n of the plan that `build_family` would build: `--n`, or
+    len(--a) - 1 for sym. Read before the build, so that an n over a walk's
+    limit fails before a plan of that size is built."""
+    if config.family == "sym":
+        (a,) = _require(config, "a")
+        return len(a) - 1
+    (n,) = _require(config, "n")
+    return n
+
+
 def _emit(config: argparse.Namespace, payload: dict, header: list[str], rows: list[list],
           lines: list[str]) -> None:
     """Write one report in `config.format` to `config.out` (stdout when
@@ -119,8 +133,9 @@ def _emit(config: argparse.Namespace, payload: dict, header: list[str], rows: li
 
 
 def cmd_verify(config: argparse.Namespace) -> int:
+    check_limit("n", _requested_n(config), ENUMERATION_LIMIT, "enumeration")
     plan = build_family(config)
-    report = verify_exactness(plan, limit=20, tol=config.tol, branch_tol=config.branch_tol)
+    report = verify_exactness(plan, tol=config.tol, branch_tol=config.branch_tol)
     payload = report.as_dict(verbose=config.verbose)
     payload["tool_version"] = __version__
     params = ";".join(f"{k}={v}" for k, v in report.params_dict().items())
@@ -150,6 +165,7 @@ def cmd_gamma(config: argparse.Namespace) -> int:
 
 
 def cmd_poly(config: argparse.Namespace) -> int:
+    check_limit("n", _requested_n(config), EXTRACTION_LIMIT, "extraction")
     plan = build_family(config)
     poly = extract_multilinear(plan, tol=config.tol, branch_tol=config.branch_tol)
     sym_poly = symmetrize_to_univariate(poly)

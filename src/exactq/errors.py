@@ -33,9 +33,10 @@ class PartitionGap(ExactQError):
     """A measured label's outcome names no child of the measurement.
 
     Raised by the per-input `state_core.measure` and by the degree audit's
-    exit walk. A summary walk (`verify_exactness`, `extract_multilinear`,
-    `run_on_input`) does not raise it: there a branch that gaps ends at its
-    measurement as output -1."""
+    exit walk. The summary walk (`verify_exactness`, `extract_multilinear`)
+    does not raise it: there a branch that gaps ends at its measurement as
+    output -1. Nor does `run_on_input`, whose run tree puts a "gap" leaf
+    (output -1) in place of that measurement."""
 
 
 class IndexOutOfRange(ExactQError):

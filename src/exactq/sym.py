@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .algorithms import _hadamard_test_step, _memoized, _uw_test_step, build_exact_k, weight_truth
 from .errors import InconsistentSpec
-from .plans import Call, Output, Plan, PlanNode, const, drop_wires, identity_wires
+from .plans import Call, Output, Plan, PlanNode, const, identity_wires
 
 TWO_SIDED = "two-sided-center-sweep"
 OUTWARD = "outward-pair-sweep"
@@ -89,18 +89,9 @@ def _build_two_sided(avec: tuple[str, ...], m2: int, g: int) -> Plan:
     if testable:
         lo = min(testable)
         hi = n_cur - lo
-        d = n_cur - 2 * lo
-        dropped = _build_two_sided(avec[1:-1], m2, g)
-        ruled_out_high = _build_two_sided(_star(avec, hi), m2, g)
-        ruled_out_low = _build_two_sided(_star(avec, lo), m2, g)
-        root: PlanNode = _hadamard_test_step(
-            n_cur, d,
-            pair_child=lambda i, j: Call(dropped, drop_wires(n_cur, (i, j))),
-            s0_child=Call(ruled_out_high, identity_wires(n_cur)),
-            s1_child=Call(ruled_out_low, identity_wires(n_cur)),
-        )
-        claimed = 1 + max(dropped.claimed_queries, ruled_out_high.claimed_queries,
-                          ruled_out_low.claimed_queries)
+        root, claimed = _hadamard_test_step(n_cur, hi - lo, _build_two_sided(avec[1:-1], m2, g),
+                                            _build_two_sided(_star(avec, hi), m2, g),
+                                            _build_two_sided(_star(avec, lo), m2, g))
     else:
         if m2 > 4 * g:
             raise InconsistentSpec(
@@ -126,17 +117,9 @@ def _build_outward(avec: tuple[str, ...], budget: int) -> Plan:
     if below and above:
         lo, hi = min(below), max(above)
         u, w = n_cur - 2 * lo, 2 * hi - n_cur
-        dropped = _build_outward(avec[1:-1], budget)
-        ruled_out_low = _build_outward(_star(avec, lo), budget)
-        ruled_out_high = _build_outward(_star(avec, hi), budget)
-        root: PlanNode = _uw_test_step(
-            n_cur, u, w,
-            pair_child=lambda i, j: Call(dropped, drop_wires(n_cur, (i, j))),
-            s0_child=Call(ruled_out_low, identity_wires(n_cur)),
-            s1_child=Call(ruled_out_high, identity_wires(n_cur)),
-        )
-        claimed = 1 + max(dropped.claimed_queries, ruled_out_low.claimed_queries,
-                          ruled_out_high.claimed_queries)
+        root, claimed = _uw_test_step(n_cur, u, w, _build_outward(avec[1:-1], budget),
+                                      _build_outward(_star(avec, lo), budget),
+                                      _build_outward(_star(avec, hi), budget))
     else:
         if len(avec) > budget:
             raise InconsistentSpec(

@@ -42,6 +42,10 @@ from .state_core import LabeledState, ZERO_LABEL, apply_bindings, measure
 
 DEFAULT_TOL = 1e-9
 DEFAULT_BRANCH_TOL = 1e-9
+# The largest n that `verify_exactness` enumerates by default, and the
+# largest that `extract_multilinear` and the degree audit invert.
+ENUMERATION_LIMIT = 20
+EXTRACTION_LIMIT = 14
 
 _SCRATCH = LabeledState({ZERO_LABEL: 1.0})
 
@@ -218,6 +222,12 @@ def _check_branch_tol(branch_tol: float) -> None:
         raise ValueError(f"branch_tol must be finite and in [0, 1), got {branch_tol!r}")
 
 
+def check_limit(name: str, n: int, limit: int, kind: str) -> None:
+    """Reject an `n` above `limit`, the largest that the `kind` walk takes."""
+    if n > limit:
+        raise ValueError(f"{name}={n} exceeds the {kind} limit {limit}")
+
+
 def _check_tolerances(tol: float, branch_tol: float) -> None:
     check_tol(tol)
     _check_branch_tol(branch_tol)
@@ -234,7 +244,7 @@ def verify_exactness(
     plan: Plan,
     truth: Callable[[tuple[int, ...]], int] | None = None,
     *,
-    limit: int = 20,
+    limit: int = ENUMERATION_LIMIT,
     tol: float = DEFAULT_TOL,
     branch_tol: float = DEFAULT_BRANCH_TOL,
 ) -> VerificationReport:
@@ -260,8 +270,7 @@ def verify_exactness(
     bit tuple.
     """
     _check_tolerances(tol, branch_tol)
-    if plan.n > limit:
-        raise ValueError(f"n={plan.n} exceeds the enumeration limit {limit}")
+    check_limit("n", plan.n, limit, "enumeration")
     truth_fn = truth if truth is not None else plan.truth
     entered, sums = _summarize(plan, tol=tol, branch_tol=branch_tol)
     checked = np.flatnonzero(entered)
@@ -395,8 +404,7 @@ def extract_multilinear(
     summary walk, whose contract-match tolerance is `tol`. Both tolerances
     are checked as in `verify_exactness`."""
     _check_tolerances(tol, branch_tol)
-    if plan.n > 14:
-        raise ValueError(f"n={plan.n} exceeds the extraction limit 14")
+    check_limit("n", plan.n, EXTRACTION_LIMIT, "extraction")
     if selector == "acceptance":
         _, sums = _summarize(plan, tol=tol, branch_tol=branch_tol)
         return MultilinearPoly.from_values(plan.n, sums.total[2])
@@ -461,8 +469,7 @@ def audit_leaf_degrees(plan: Plan, *, coeff_tol: float = 1e-9) -> tuple[LeafDegr
     from .batch import exit_amplitudes
     records: list[LeafDegreeRecord] = []
     for sub in _collect_plans(plan):
-        if sub.n > 14:
-            raise ValueError(f"subroutine n={sub.n} exceeds the extraction limit 14")
+        check_limit("subroutine n", sub.n, EXTRACTION_LIMIT, "extraction")
         entry_degree = 0 if sub.contract is None else 1
         keys, queries_of, tables = exit_amplitudes(sub)
         sizes = _popcounts(sub.n)

@@ -147,25 +147,43 @@ def test_appendix_a_angle_override_matches(name, delta, negative):
     assert_batch_matches_executor(build_appendix_a(angle_overrides={name: angle}))
 
 
-def measurement_spines(node, spine=()):
-    """Every measurement reachable from `node` without crossing a Call, each
-    as the spine that leads to it: (step, index of the child taken, None
-    for a step with one child) pairs, then the measurement."""
-    if isinstance(node, (Output, Call)):
-        return []
-    found = []
+def measures_below(node):
+    """Whether a measurement is reachable from `node`, across Calls."""
+    if isinstance(node, Output):
+        return False
     if isinstance(node, MeasureStep):
-        found.append(spine + (node,))
-        for k, (_, _, child) in enumerate(node.children):
-            found += measurement_spines(child, spine + ((node, k),))
-        return found
-    return measurement_spines(node.child, spine + ((node, None),))
+        return True
+    return measures_below(node.plan.root if isinstance(node, Call) else node.child)
+
+
+def draw_spine(data, node):
+    """A drawn walk from `node` to a measurement, as its spine: (step, index
+    of the child taken, None for a Call or a step with one child) pairs,
+    then the measurement. At each measurement the walk stops, or descends
+    into a drawn child from which a measurement is reachable; it crosses
+    Calls into their callees."""
+    spine = []
+    while True:
+        if isinstance(node, MeasureStep):
+            onward = [k for k, (_, _, child) in enumerate(node.children) if measures_below(child)]
+            if not onward or data.draw(st.booleans(), label="stop"):
+                return spine, node
+            k = data.draw(st.sampled_from(onward), label="child")
+            spine.append((node, k))
+            node = node.children[k][2]
+        else:
+            spine.append((node, None))
+            node = node.plan.root if isinstance(node, Call) else node.child
 
 
 def rebuilt(spine, node):
-    """The root of a plan whose spine `spine` ends in `node` instead."""
+    """The root of a plan whose spine `spine` ends in `node` instead. Each
+    Call on the spine calls a copy of its callee rebuilt on the rest of the
+    spine; every other Call keeps the original callee."""
     for step, k in reversed(spine):
-        if k is None:
+        if isinstance(step, Call):
+            node = replace(step, plan=replace(step.plan, root=node))
+        elif k is None:
             node = replace(step, child=node)
         else:
             children = list(step.children)
@@ -185,12 +203,12 @@ DROP_PLANS = {
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(sorted(DROP_PLANS)), st.data())
 def test_dropped_outcome_mutants_match(name, data):
-    # A structural mutant: one measurement reached without crossing a Call
-    # gives the labels of one of its outcomes no outcome. Wherever the
-    # reference puts weight on output -1, the mutant is refuted.
+    # A structural mutant: one measurement, at the root plan or inside a
+    # callee, gives the labels of one of its outcomes no outcome. Wherever
+    # the reference puts weight on output -1, the mutant is refuted.
     plan = DROP_PLANS[name]()
-    *spine, measure = data.draw(st.sampled_from(measurement_spines(plan.root)))
-    dropped = data.draw(st.sampled_from([oid for oid, _, _ in measure.children]))
+    spine, measure = draw_spine(data, plan.root)
+    dropped = data.draw(st.sampled_from([oid for oid, _, _ in measure.children]), label="dropped")
     node = replace(measure, outcome_of=lambda label: None if measure.outcome_of(label) == dropped
                    else measure.outcome_of(label))
     mutant = replace(plan, root=rebuilt(spine, node))

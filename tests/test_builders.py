@@ -15,6 +15,7 @@ from exactq import (
     build_appendix_a,
     build_equality,
     build_exact_kl,
+    build_general_unbalance,
     build_unb,
     build_unbr,
     build_uw_step,
@@ -232,6 +233,13 @@ class TestGeneralUnbalance:
         report = verified("general", 4, 0)
         assert exact_and_tight(report)
         assert report.claimed_bound == 3
+
+    def test_derived_count_is_the_papers(self):
+        # The test step counts 1 + the most its callees claim; the paper's
+        # bound for EXACT_{k,n-k}^n is n - k + 1.
+        for n in range(3, 15):
+            for k in range(1, (n + 1) // 2):
+                assert build_general_unbalance(n, k).claimed_queries == n - k + 1, (n, k)
 
 
 def uw_case(n: int, u: int, w: int) -> str:

@@ -177,6 +177,25 @@ def test_flag_the_command_does_not_read_exits_2(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--family", "unb", "--n", "41", "--d", "1"], "n=41 exceeds the enumeration limit 20"),
+    (["verify", "--family", "exactkl", "--n", "21", "--k", "0", "--l", "1"],
+     "n=21 exceeds the enumeration limit 20"),
+    (["verify", "--family", "sym", "--a", "0" * 22], "n=21 exceeds the enumeration limit 20"),
+    (["poly", "--family", "unb", "--n", "15", "--d", "1"], "n=15 exceeds the extraction limit 14"),
+    (["poly", "--family", "sym", "--a", "01" * 8], "n=15 exceeds the extraction limit 14"),
+], ids=["verify-unb", "verify-exactkl", "verify-sym", "poly-unb", "poly-sym"])
+def test_over_limit_n_exits_2_before_building(argv, message, capsys, monkeypatch):
+    def refuse(config):
+        raise AssertionError(f"built a plan for {argv}")
+
+    monkeypatch.setattr(cli, "build_family", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 class TestGammaCommand:
     def test_gap_one_table(self, capsys):
         code, out = run(capsys, "gamma", "--d", "1", "--n-max", "9")
