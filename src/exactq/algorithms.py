@@ -109,8 +109,10 @@ def _memoized(build: Callable[..., _Built]) -> Callable[..., _Built]:
     stages' applications and the measurement, `_unb_shared` only the
     measurement. The override plans of one shape share the measurement node,
     and the maps the batched walker compiles on it, with the default plan;
-    the U stages' applications go into gadget steps of each build's own, so
-    their maps compile once per plan. Nothing is memoized per knob value.
+    the U stages' applications go into gadget steps of each build's own,
+    which share the default build's gadget layouts (`batch._Layout`), so
+    only their matrices compile once per plan. Nothing is memoized per knob
+    value.
     """
     @functools.wraps(build)
     def cached(*args, **overrides):

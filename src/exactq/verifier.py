@@ -453,6 +453,16 @@ def _collect_plans(plan: Plan) -> list[Plan]:
     return list(seen.values())
 
 
+def check_subroutine_limits(plan: Plan) -> list[Plan]:
+    """The plans reachable from `plan`, `plan` first. Raises ValueError when
+    one has an n above EXTRACTION_LIMIT, so that a caller can refuse the
+    plan before any walk."""
+    plans = _collect_plans(plan)
+    for sub in plans:
+        check_limit("subroutine n", sub.n, EXTRACTION_LIMIT, "extraction")
+    return plans
+
+
 def audit_leaf_degrees(plan: Plan, *, coeff_tol: float = 1e-9) -> tuple[LeafDegreeRecord, ...]:
     """Check, for every subroutine reachable from the plan, that every exit
     amplitude is a multilinear polynomial of degree at most (entry degree +
@@ -468,8 +478,7 @@ def audit_leaf_degrees(plan: Plan, *, coeff_tol: float = 1e-9) -> tuple[LeafDegr
     # The batched walker is imported at the first audit, as in _summarize.
     from .batch import exit_amplitudes
     records: list[LeafDegreeRecord] = []
-    for sub in _collect_plans(plan):
-        check_limit("subroutine n", sub.n, EXTRACTION_LIMIT, "extraction")
+    for sub in check_subroutine_limits(plan):
         entry_degree = 0 if sub.contract is None else 1
         keys, queries_of, tables = exit_amplitudes(sub)
         sizes = _popcounts(sub.n)

@@ -4,6 +4,7 @@ LabeledState reference of tests/reference.py."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -46,9 +47,9 @@ from exactq import (
 from exactq import algorithms, batch
 from exactq.batch import (_Bindings, _Sums, _Walker, _route, _runs, _shape, _sub_inputs, exit_amplitudes,
                           leaf_values, summarize)
-from exactq.gadgets import OracleSpec, extract_trailing_index
+from exactq.gadgets import OracleSpec, extract_trailing_index, q_rotation
 from exactq.plans import WeightTruth, const, identity_wires, var
-from exactq.state_core import S_LABEL, ZERO_LABEL, idx
+from exactq.state_core import S_LABEL, ZERO_LABEL, anc, idx
 from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _collect_plans, _enter, _entry_state, _step
 import reference
 import test_verifier
@@ -750,6 +751,114 @@ def test_compiled_amplitudes_are_float64():
             assert array.dtype == np.float64 or array.dtype.kind in "biu", (kind, array.dtype)
     for kind in ("GadgetStep", "PrepareState", "Contract"):
         assert any(array.dtype == np.float64 for array in found[kind]), kind
+
+
+# ---------------------------------------------------------------------------
+# Gadget layouts shared by label structure
+# ---------------------------------------------------------------------------
+
+
+def appendix_a_override(name, delta):
+    return build_appendix_a(angle_overrides={name: appendix_a_angles()[name] + delta})
+
+
+# Override builds of one shape: the first, then others with other knobs and
+# values. No value is 0: a split by angle 0 writes no amplitude on its L arm,
+# so the steps after it see other labels.
+OVERRIDE_SERIES = {
+    "unbr71": [functools.partial(mutated_unbr, 7, 1, name, delta)
+               for name, delta in (("c1", 1e-3), ("c2", -2e-3), ("c8", 5e-3), ("c9", -7e-3), ("gamma", 3e-3))],
+    "appendixA": [functools.partial(appendix_a_override, name, delta)
+                  for name, delta in (("split1", 1e-2), ("merge1", -3e-3), ("split2", 2e-2), ("merge2", 0.1))]
+                 + [functools.partial(build_appendix_a, gamma_override=0.02)],
+    "unb71": [functools.partial(build_unb, 7, 1, gamma_override=gamma) for gamma in (0.01, 0.2, 1e-9, 0.45)],
+}
+
+
+def assert_no_number_in_keys(table):
+    """No layout key holds a float, a complex or an array: the table grows
+    with label structures, never with the values of step constants."""
+    seen = set()
+    stack = list(table)
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        assert not isinstance(item, (float, complex, np.ndarray)), item
+        if isinstance(item, (tuple, frozenset)):
+            stack.extend(item)
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty build and layout tables, so that every step and layout a test
+    uses is made, and compiled, within it. Returns the layout table."""
+    monkeypatch.setattr(algorithms, "_PLANS", {})
+    monkeypatch.setattr(batch, "_LAYOUTS", {})
+    return batch._LAYOUTS
+
+
+@pytest.mark.parametrize("name", OVERRIDE_SERIES)
+def test_override_builds_lay_out_their_steps_once(name, fresh_tables, monkeypatch):
+    built = []
+
+    class Counted(batch._Layout):
+        __slots__ = ()
+
+        def __init__(self, rows, bindings):
+            built.append(rows)
+            super().__init__(rows, bindings)
+
+    monkeypatch.setattr(batch, "_Layout", Counted)
+    first, *rest = OVERRIDE_SERIES[name]
+    verify_exactness(first())
+    assert built
+    built.clear()
+    for make in rest:
+        verify_exactness(make())
+    assert built == []
+    assert_no_number_in_keys(fresh_tables)
+
+
+def there_and_back_plan():
+    """A rotation, then its inverse on the same row tuple: two steps whose
+    layouts differ only in direction."""
+    rotation = identity_binding(q_rotation(1, 2))
+    return small_plan(PrepareState(LabeledState({anc(0): 0.6, anc(1): 0.8}),
+                      GadgetStep(((rotation, False),),
+                       GadgetStep(((rotation, True),),
+                        MeasureStep(lambda label: ("a",), ((("a",), None, Output(1)),))))))
+
+
+def test_interned_layouts_compile_as_a_fresh_table_does(fresh_tables, monkeypatch):
+    plans = [build_unb(6, 2), build_appendix_a(), build_equality(4),
+             mutated_unbr(7, 1, "c1", 1e-3), mutated_unbr(7, 1, "gamma", 2e-3), there_and_back_plan()]
+    compiled = []
+    for plan in plans:
+        verify_exactness(plan)
+        for sub in _collect_plans(plan):
+            for node in plan_nodes(sub):
+                if isinstance(node, GadgetStep):
+                    compiled += [(node, maps) for maps in vars(node).get("_batch_cache", {}).items()]
+    # Compiled maps share their layout's arrays, and steps of one label
+    # structure share a layout: the second mutant's steps take the first's.
+    for node, (rows, shared) in compiled:
+        assert shared.keep is batch._layout(node.applications, rows).keep
+    assert len({id(shared.keep) for _, (_, shared) in compiled}) < len(compiled)
+    assert_no_number_in_keys(fresh_tables)
+    for node, (rows, shared) in compiled:
+        monkeypatch.setattr(batch, "_LAYOUTS", {})
+        fresh = _Bindings(node.applications, batch._layout(node.applications, rows))
+        assert shared.rows == fresh.rows
+        assert np.array_equal(shared.keep, fresh.keep)
+        assert len(shared.groups) == len(fresh.groups)
+        for (src, matrix, start, stop), (fresh_src, fresh_matrix, fresh_start, fresh_stop) in zip(
+                shared.groups, fresh.groups):
+            assert np.array_equal(src, fresh_src)
+            assert (matrix.dtype, matrix.shape) == (fresh_matrix.dtype, fresh_matrix.shape)
+            assert matrix.tobytes() == fresh_matrix.tobytes()
+            assert (start, stop) == (fresh_start, fresh_stop)
 
 
 # ---------------------------------------------------------------------------

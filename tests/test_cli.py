@@ -196,6 +196,18 @@ def test_over_limit_n_exits_2_before_building(argv, message, capsys, monkeypatch
     assert captured.err == f"error: {message}\n"
 
 
+def test_poly_refuses_an_over_limit_subroutine_before_extracting(capsys, monkeypatch):
+    # exactkl(8, 0, 1) pads to unb(15, 1): n = 8 passes, its subroutine does not.
+    def refuse(*args, **kwargs):
+        raise AssertionError("extracted before the subroutine limit check")
+
+    monkeypatch.setattr(cli, "extract_multilinear", refuse)
+    assert main(["poly", "--family", "exactkl", "--n", "8", "--k", "0", "--l", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: subroutine n=15 exceeds the extraction limit 14\n"
+
+
 class TestGammaCommand:
     def test_gap_one_table(self, capsys):
         code, out = run(capsys, "gamma", "--d", "1", "--n-max", "9")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +17,14 @@ from exactq import (
     DegenerateCase,
     DivergedChain,
     NoChain,
+    StepConstants,
     chain_gamma_at,
     gamma_chain,
     gamma_next,
     quartic_decay,
     solve_step_constants,
 )
+from exactq import recurrence
 
 # Chain values recomputed independently with exact rational arithmetic.
 KNOWN_GAMMAS = {
@@ -191,3 +194,55 @@ class TestStepConstants:
         cs = solve_step_constants(n, d, chain_gamma_at(d, n - 2))
         assert cs.max_residual() < 1e-10
         assert cs.c2 >= 0.0
+
+
+class TestSymbolicStepConstants:
+    """C1-C12 for the closed form of `solve_step_constants` in exact symbols
+    n, d and gamma_prev, with n > d >= 1 and 0 <= gamma_prev < 1."""
+
+    @staticmethod
+    def closed_form(sympy, n, d, gamma_prev):
+        """`solve_step_constants`' closed form, written with exact roots."""
+        sq = sympy.sqrt
+        denom = n**2 - d**2
+        c1 = -(d**2) / denom
+        c2 = n * (n - 2) / denom * sq(gamma_prev / (1 - gamma_prev))
+        c3 = n**sympy.Rational(3, 2) / denom
+        c5 = c2 / sq(n - 2)
+        c8 = c3 / sq(n)
+        c9 = c5 / sq(n - 2)
+        return StepConstants(
+            n=n, d=d, gamma_prev=gamma_prev,
+            c1=c1, c2=c2, c3=c3, c4=d**2 / n, c5=c5, c6=c3 / sq(n), c7=d**2, c8=c8, c9=c9,
+            c10=c5 / sq(n - 2), c11=sq(c8**2 + c9**2), gamma=c1**2 + c2**2,
+        )
+
+    @staticmethod
+    def symbols(sympy):
+        """n = d + m and gamma_prev = t / (1 + t) with d, m, t > 0, so that
+        n > d > 0 and 0 < gamma_prev < 1."""
+        d, m, t = sympy.symbols("d m t", positive=True)
+        return d, m, t, d + m, t / (1 + t)
+
+    def test_closed_form_matches_the_solver(self):
+        sympy = pytest.importorskip("sympy")
+        d, m, t, n, gamma_prev = self.symbols(sympy)
+        exact = self.closed_form(sympy, n, d, gamma_prev)
+        for (nv, dv) in [(3, 1), (5, 1), (7, 1), (6, 2), (8, 2), (7, 3), (23, 3)]:
+            prev = chain_gamma_at(dv, nv - 2)
+            solved = solve_step_constants(nv, dv, prev)
+            at = {d: dv, m: nv - dv, t: sympy.Rational(prev) / (1 - sympy.Rational(prev))}
+            for field in ("c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9", "c10", "c11", "gamma"):
+                value = float(getattr(exact, field).subs(at))
+                assert value == pytest.approx(getattr(solved, field), rel=1e-12, abs=1e-15), (nv, dv, field)
+
+    def test_constraints_vanish_exactly(self, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        d, m, t, n, gamma_prev = self.symbols(sympy)
+        # Run the library's own constraint formulas with an exact square root.
+        monkeypatch.setattr(recurrence, "math", SimpleNamespace(sqrt=sympy.sqrt))
+        for prev in (gamma_prev, sympy.Integer(0)):
+            residuals = self.closed_form(sympy, n, d, prev).constraint_residuals()
+            assert sorted(residuals) == sorted(f"C{k}" for k in range(1, 13))
+            for name, residual in residuals.items():
+                assert sympy.simplify(residual) == 0, (prev, name)
