@@ -43,6 +43,7 @@ from .plans import (
     PrepareState,
     QueryStep,
     WeightTruth,
+    _Applications,
     const,
     drop_wires,
     identity_wires,
@@ -107,12 +108,10 @@ def _memoized(build: Callable[..., _Built]) -> Callable[..., _Built]:
     step comes from a memoized helper that the default build of the same
     shape uses too: `_unbr_shared` and `_appendix_a_shared` hold the U
     stages' applications and the measurement, `_unb_shared` only the
-    measurement. The override plans of one shape share the measurement node,
-    and the maps the batched walker compiles on it, with the default plan;
-    the U stages' applications go into gadget steps of each build's own,
-    which share the default build's gadget layouts (`batch._Layout`), so
-    only their matrices compile once per plan. Nothing is memoized per knob
-    value.
+    measurement. The override plans of one shape share with the default plan
+    its measurement node and its U stages' applications (in gadget steps of
+    each build's own), and with them the maps the batched walker compiles on
+    each. Nothing is memoized per knob value.
     """
     @functools.wraps(build)
     def cached(*args, **overrides):
@@ -158,7 +157,7 @@ def _u_stages(n: int, index: Callable[[int], Label],
               sub_index: Callable[[Label, int], Label]) -> tuple[_Apps, _Apps]:
     """U_n on the labels index(i), and U_{n-2} per pair p on its right arm,
     the labels sub_index(p, k) of its remaining indices k, and its quads:
-    the applications inverted, then forward."""
+    the applications inverted, then forward, each one object builds share."""
     pairs = _pairs(n)
     bindings = [bind(u_gadget(n), {
         S_LABEL: S_LABEL,
@@ -172,7 +171,7 @@ def _u_stages(n: int, index: Callable[[int], Label],
             **{sub_index(p, k): idx(r[k]) for k in r},
             **_quad_renames(n, i, j),
         }))
-    return tuple((b, True) for b in bindings), tuple((b, False) for b in bindings)
+    return _Applications((b, True) for b in bindings), _Applications((b, False) for b in bindings)
 
 
 def _round(split: _Apps, inverses: _Apps, extractor: Callable[[Label], int | None],

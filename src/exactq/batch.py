@@ -39,13 +39,11 @@ significant, which is the order of `itertools.product((0, 1), repeat=n)`.
 
 Gadget steps, whose bindings touch disjoint labels, are one gather, one
 matrix product and one scatter per group of bindings that share a gadget.
-Their maps, like those of queries and measurements, are compiled once per
-(node, row-label tuple) and kept on the node, so a plan compiles at its
-first walk, never while it is built. The part of a gadget step's maps that
-labels alone fix (`_Layout`) is interned by label structure and shared by
-every step with that structure, so a step whose gadgets differ from another's
-only in their matrices, such as an override build's, compiles only its
-matrices.
+The maps of queries and measurements are compiled once per (node, row-label
+tuple) and kept on the node; a gadget step's are compiled once per row-label
+tuple and kept on its applications, which every build that takes them from
+a default build shares, so an override build compiles only the steps it
+made. A plan compiles at its first walk, never while it is built.
 
 The summary of a block is one (5, columns) float64 matrix (`_Sums`): three
 rows of total mass per output, which branches merge by adding, and two rows
@@ -60,7 +58,8 @@ block are one product of its matrix over (1, xhat), compiled at the first
 walk and kept on the contract, with the block's +-1 encodings; they are
 evaluated wherever a block needs them, and nothing is kept per input. The
 memos belong to one `summarize` call and are freed when it returns; the
-compiled maps stay on plan nodes, which plans of one shape share.
+compiled maps stay on plan nodes and gadget applications, which plans of
+one shape share.
 
 `exit_amplitudes` takes the same steps for the degree audit, but stops at a
 plan's exits: it starts from the raw contract states, prunes nothing and
@@ -493,12 +492,15 @@ def _mark(node, path: tuple):
 def _shared(obj, **changes):
     """A copy of a validated plan, or of a step other than a measurement
     (whose maps name its children), with `changes`, that shares its compiled
-    maps. A plan's shape is computed on the plan first, since a cut copy
-    counts fewer labels and calls."""
+    maps: a gadget step's are on its applications, which the copy keeps. A
+    plan's shape is computed on the plan first, since a cut copy counts
+    fewer labels and calls."""
     if isinstance(obj, Plan):
         _shape(obj)
     copy = object.__new__(type(obj))
-    copy.__dict__.update(vars(obj), _batch_cache=_cache(obj), **changes)
+    copy.__dict__.update(vars(obj), **changes)
+    if not isinstance(obj, GadgetStep):
+        copy.__dict__["_batch_cache"] = _cache(obj)
     return copy
 
 
@@ -602,8 +604,7 @@ def _bits(index: int, n: int) -> tuple[int, ...]:
 
 
 def _cache(obj) -> dict:
-    """Compile cache kept on a frozen plan object, so it lives as long as the
-    plan does."""
+    """A plan object's compile cache, which lives as long as the object."""
     cache = obj.__dict__.get("_batch_cache")
     if cache is None:
         cache = obj.__dict__["_batch_cache"] = {}
@@ -683,72 +684,20 @@ def _prepare(node: PrepareState, weight: np.ndarray) -> tuple[tuple, np.ndarray]
 
 def _gadget(node: GadgetStep, rows: tuple, amps: np.ndarray) -> tuple[tuple, np.ndarray]:
     """Apply a gadget step's bindings, which touch disjoint labels, in one
-    pass."""
-    cache = _cache(node)
+    pass, with maps kept on its applications: every step that holds them
+    shares the maps, which live as long as the applications do."""
+    cache = _cache(node.applications)
     maps = cache.get(rows)
     if maps is None:
-        maps = cache[rows] = _Bindings(node.applications, _layout(node.applications, rows))
+        maps = cache[rows] = _Bindings(node.applications, rows)
     return maps.apply(amps)
 
 
-# Gadget-step layouts by label structure (`_layout`), shared by every step
-# whose bindings place the same gadget slots on the same labels, whatever
-# the gadgets' matrices: an override build's rotation passes, and its steps
-# over the default build's U-stage applications, compile only their matrices.
-# The keys hold labels and small integers, never a float, so the table grows
-# with distinct (row tuple, label structure) pairs, never with constants. Like
-# algorithms._PLANS, it lives as long as the process.
-_LAYOUTS: dict[tuple, _Layout] = {}
-
-
-def _layout(apps, rows: tuple) -> _Layout:
-    """The interned layout of applications `apps` on `rows`, keyed by all it
-    is made from: the rows and, per binding, its global labels in gadget
-    order, its gadget's slot in the order gadgets first appear, and its
-    direction."""
-    slots: dict[int, int] = {}
-    key = (rows, tuple((binding.global_order, slots.setdefault(id(binding.gadget), len(slots)), inverse)
-                       for binding, inverse in apps))
-    layout = _LAYOUTS.get(key)
-    if layout is None:
-        layout = _LAYOUTS[key] = _Layout(*key)
-    return layout
-
-
-class _Layout:
-    """What the maps of disjoint bindings on one row tuple take from labels
-    alone: the untouched rows and their labels, then one group per gadget
-    slot, direction and set of gadget labels present, with the gadget
-    positions present, the source rows of each member (one row per member)
-    and each member's global labels in gadget order."""
-
-    __slots__ = ("keep", "kept", "groups")
-
-    def __init__(self, rows: tuple, bindings: tuple):
-        index = {label: r for r, label in enumerate(rows)}
-        touched = {label for order, _, _ in bindings for label in order}
-        keep = [r for r, label in enumerate(rows) if label not in touched]
-        grouped: dict[tuple, list] = {}
-        for order, slot, inverse in bindings:
-            # A gadget position is the index of its global label in `order`.
-            src = [(p, index[label]) for p, label in enumerate(order) if label in index]
-            if src:
-                key = (slot, inverse, tuple(p for p, _ in src))
-                grouped.setdefault(key, []).append((order, [r for _, r in src]))
-        self.keep = np.array(keep, dtype=np.intp)
-        self.kept = tuple(rows[r] for r in keep)
-        self.groups = tuple((slot, inverse, np.array(positions, dtype=np.intp),
-                             np.array([r for _, r in members], dtype=np.intp),
-                             tuple(order for order, _ in members))
-                            for (slot, inverse, positions), members in grouped.items())
-
-
 class _Bindings:
-    """Disjoint bindings compiled for one row tuple from their `_Layout`,
-    whose arrays it shares: the untouched rows, then one (source rows,
-    matrix, output slice) group per layout group, each group's outputs in
-    gadget order. Only the matrices, and the output labels, which depend on
-    them, are its own.
+    """Disjoint bindings compiled for one row tuple: the untouched rows, then
+    one (source rows, matrix, output slice) group per gadget, direction and
+    set of gadget labels present, in the order each first appears, with one
+    source row per member and each group's outputs in gadget order.
 
     A gadget row whose entries over the present labels sum to at most
     _NEGLIGIBLE in magnitude is left out. The entry it would produce is at
@@ -762,21 +711,31 @@ class _Bindings:
 
     __slots__ = ("rows", "keep", "groups")
 
-    def __init__(self, apps, layout: _Layout):
-        gadgets = list({id(binding.gadget): binding.gadget for binding, _ in apps}.values())
-        out_rows = list(layout.kept)
+    def __init__(self, apps, rows: tuple):
+        index = {label: r for r, label in enumerate(rows)}
+        touched = {label for binding, _ in apps for label in binding.global_order}
+        keep = [r for r, label in enumerate(rows) if label not in touched]
+        grouped: dict[tuple, list] = {}
+        for binding, inverse in apps:
+            # A gadget position is the index of its global label in the order.
+            src = [(p, index[label]) for p, label in enumerate(binding.global_order) if label in index]
+            if src:
+                key = (id(binding.gadget), inverse, tuple(p for p, _ in src))
+                grouped.setdefault(key, []).append((binding, [r for _, r in src]))
+        out_rows = [rows[r] for r in keep]
         self.groups = []
-        for slot, inverse, positions, src, orders in layout.groups:
-            gadget = gadgets[slot]
+        for (_, inverse, positions), members in grouped.items():
+            gadget = members[0][0].gadget
             matrix = _real(gadget.matrix_h if inverse else gadget.matrix,
-                           f"gadget {gadget.name!r}")[:, positions]
+                           f"gadget {gadget.name!r}")[:, list(positions)]
             live = np.abs(matrix).sum(axis=1) > _NEGLIGIBLE
             start = len(out_rows)
-            for order in orders:
-                out_rows.extend(compress(order, live))
-            self.groups.append((src, np.ascontiguousarray(matrix[live]), start, len(out_rows)))
+            for binding, _ in members:
+                out_rows.extend(compress(binding.global_order, live))
+            self.groups.append((np.array([r for _, r in members], dtype=np.intp),
+                                np.ascontiguousarray(matrix[live]), start, len(out_rows)))
         self.rows = tuple(out_rows)
-        self.keep = layout.keep
+        self.keep = np.array(keep, dtype=np.intp)
 
     def apply(self, amps: np.ndarray) -> tuple[tuple, np.ndarray]:
         out = np.empty((len(self.rows), amps.shape[1]), dtype=_DTYPE)
@@ -906,6 +865,8 @@ def _runs(calls, n: int) -> tuple:
         for k, (kind, value) in enumerate(call.wires):
             bit = call.plan.n - 1 - k
             if kind == "var":
+                if value > n:
+                    raise IndexOutOfRange(f"{call.plan.family}: wire var({value}) is past the caller's n={n}")
                 # Parent variable `value` is bit n - value of a parent input.
                 runs[bit - n + value] = runs.get(bit - n + value, 0) | 1 << bit
             else:

@@ -129,8 +129,11 @@ def _emit(config: argparse.Namespace, payload: dict, header: list[str], rows: li
     if config.out is None or config.out == "-":
         sys.stdout.write(text)
     else:
-        with open(config.out, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+        except OSError as exc:
+            raise ValueError(f"--out {config.out}: {exc.strerror or exc}") from None
 
 
 def cmd_verify(config: argparse.Namespace) -> int:

@@ -40,7 +40,7 @@ class PartitionGap(ExactQError):
 
 
 class IndexOutOfRange(ExactQError):
-    """A query extractor produced an index outside 1..n."""
+    """A query index, or a Call wire var(i), lies outside its plan's 1..n."""
 
 
 class ConstraintViolation(ExactQError):

@@ -62,18 +62,26 @@ class PrepareState:
             raise ValueError(f"prepared states must be normalized, got norm^2={self.state.squared_norm()}")
 
 
+class _Applications(tuple):
+    """A GadgetStep's (binding, inverse) pairs, whose `__dict__` holds the
+    batched walker's maps for every step, of any build, that shares them."""
+
+
 @dataclass(frozen=True, eq=False)
 class GadgetStep:
     """Apply bound gadgets at once; True in an entry means the adjoint.
 
     The bindings touch pairwise disjoint global labels, so their order does
-    not matter; two that share a label raise BindingConflict.
+    not matter; two that share a label raise BindingConflict. The pairs are
+    kept as an `_Applications`, the one given if it is one.
     """
 
     applications: tuple[tuple[Binding, bool], ...]
     child: "PlanNode"
 
     def __post_init__(self):
+        if type(self.applications) is not _Applications:
+            object.__setattr__(self, "applications", _Applications(self.applications))
         _owners(self.applications)
 
 

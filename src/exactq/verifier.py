@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import PartitionGap, ZeroWitnessMissing, check_tol
+from .errors import IndexOutOfRange, PartitionGap, ZeroWitnessMissing, check_tol
 from .gadgets import OracleSpec, oracle_apply
 from .plans import (
     Call,
@@ -141,7 +141,11 @@ def _enter(node: Call, state: LabeledState, weight: float,
     its oracle, and its entry state, which is the call's state, or the
     scratch state |0> at the call's weight for a callee without a
     contract."""
-    bits_sub = tuple(bits[w[1] - 1] if w[0] == "var" else w[1] for w in node.wires)
+    try:
+        bits_sub = tuple(bits[w[1] - 1] if w[0] == "var" else w[1] for w in node.wires)
+    except IndexError:
+        wire = max(i for kind, i in node.wires if kind == "var")
+        raise IndexOutOfRange(f"{node.plan.family}: wire var({wire}) is past the caller's n={len(bits)}") from None
     entry = _SCRATCH.scaled(math.sqrt(weight)) if node.plan.contract is None else state
     return bits_sub, OracleSpec.from_bits(bits_sub), entry
 

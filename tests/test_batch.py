@@ -5,9 +5,11 @@ LabeledState reference of tests/reference.py."""
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import math
 import random
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +102,14 @@ def assert_batch_matches_executor(plan):
         [(bits, output) for bits, output, _ in counterexamples]
     for (bits, output, norm_sq), (_, _, total) in zip(report.counterexamples, counterexamples):
         assert norm_sq == pytest.approx(total, abs=1e-12), (bits, output)
+
+
+def final_measurement(plan) -> MeasureStep:
+    """The measurement at the end of a plan's single-child spine."""
+    node = plan.root
+    while not isinstance(node, MeasureStep):
+        node = node.child
+    return node
 
 
 def mutated_unbr(n, d, name, delta):
@@ -709,8 +719,8 @@ def test_complex_amplitudes_are_refused(make_plan):
 
 def cached_arrays(plan):
     """Every array compiled on the `_batch_cache` of the plan, of its
-    subroutines and of their nodes and contracts, by the kind of object it
-    is kept on."""
+    subroutines and of their nodes (a gadget step's applications) and
+    contracts, by the kind of node or object it is kept on."""
     found: dict[str, list] = {}
 
     def collect(kind, value):
@@ -729,7 +739,8 @@ def cached_arrays(plan):
         stack = [sub, sub.root] + ([sub.contract] if sub.contract else [])
         while stack:
             obj = stack.pop()
-            collect(type(obj).__name__, vars(obj).get("_batch_cache", {}))
+            owner = obj.applications if isinstance(obj, GadgetStep) else obj
+            collect(type(obj).__name__, vars(owner).get("_batch_cache", {}))
             if isinstance(obj, MeasureStep):
                 stack += [child for _, _, child in obj.children]
             elif isinstance(obj, (GadgetStep, PrepareState, QueryStep)):
@@ -754,7 +765,7 @@ def test_compiled_amplitudes_are_float64():
 
 
 # ---------------------------------------------------------------------------
-# Gadget layouts shared by label structure
+# Gadget maps kept on the applications that builds share
 # ---------------------------------------------------------------------------
 
 
@@ -775,55 +786,66 @@ OVERRIDE_SERIES = {
 }
 
 
-def assert_no_number_in_keys(table):
-    """No layout key holds a float, a complex or an array: the table grows
-    with label structures, never with the values of step constants."""
-    seen = set()
-    stack = list(table)
-    while stack:
-        item = stack.pop()
-        if id(item) in seen:
-            continue
-        seen.add(id(item))
-        assert not isinstance(item, (float, complex, np.ndarray)), item
-        if isinstance(item, (tuple, frozenset)):
-            stack.extend(item)
-
-
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    """Empty build and layout tables, so that every step and layout a test
-    uses is made, and compiled, within it. Returns the layout table."""
+    """An empty build table, so that every step a test uses is made, and
+    compiled, within it."""
     monkeypatch.setattr(algorithms, "_PLANS", {})
-    monkeypatch.setattr(batch, "_LAYOUTS", {})
-    return batch._LAYOUTS
+
+
+def gadget_applications(plan):
+    """The applications of every gadget step of `plan` and of the plans it
+    calls, each object once."""
+    found = {}
+    for sub in _collect_plans(plan):
+        for node in plan_nodes(sub):
+            if isinstance(node, GadgetStep):
+                assert "_batch_cache" not in vars(node)
+                found[id(node.applications)] = node.applications
+    return list(found.values())
+
+
+def compiled_keys(apps):
+    return set(vars(apps).get("_batch_cache", {}))
 
 
 @pytest.mark.parametrize("name", OVERRIDE_SERIES)
-def test_override_builds_lay_out_their_steps_once(name, fresh_tables, monkeypatch):
-    built = []
+def test_override_builds_compile_only_the_steps_they_made(name, fresh_tables, monkeypatch):
+    compiled = []
 
-    class Counted(batch._Layout):
+    class Counted(_Bindings):
         __slots__ = ()
 
-        def __init__(self, rows, bindings):
-            built.append(rows)
-            super().__init__(rows, bindings)
+        def __init__(self, apps, rows):
+            compiled.append(apps)
+            super().__init__(apps, rows)
 
-    monkeypatch.setattr(batch, "_Layout", Counted)
-    first, *rest = OVERRIDE_SERIES[name]
-    verify_exactness(first())
-    assert built
-    built.clear()
+    monkeypatch.setattr(batch, "_Bindings", Counted)
+    make_first, *rest = OVERRIDE_SERIES[name]
+    first = make_first()
+    verify_exactness(first)
+    assert compiled
+    # The first build's applications include the U stages it shares with
+    # the default build, and its measurement is the default build's.
+    earlier = gadget_applications(first)
+    keys = [compiled_keys(apps) for apps in earlier]
+    measurement = final_measurement(first)
+    measured = set(vars(measurement)["_batch_cache"])
     for make in rest:
-        verify_exactness(make())
-    assert built == []
-    assert_no_number_in_keys(fresh_tables)
+        plan = make()
+        assert final_measurement(plan) is measurement
+        own = [apps for apps in gadget_applications(plan) if all(apps is not old for old in earlier)]
+        compiled.clear()
+        verify_exactness(plan)
+        assert compiled
+        assert all(any(apps is mine for mine in own) for apps in compiled)
+    assert [compiled_keys(apps) for apps in earlier] == keys
+    assert set(vars(measurement)["_batch_cache"]) == measured
 
 
 def there_and_back_plan():
     """A rotation, then its inverse on the same row tuple: two steps whose
-    layouts differ only in direction."""
+    applications hold one binding, in two directions."""
     rotation = identity_binding(q_rotation(1, 2))
     return small_plan(PrepareState(LabeledState({anc(0): 0.6, anc(1): 0.8}),
                       GadgetStep(((rotation, False),),
@@ -831,34 +853,42 @@ def there_and_back_plan():
                         MeasureStep(lambda label: ("a",), ((("a",), None, Output(1)),))))))
 
 
-def test_interned_layouts_compile_as_a_fresh_table_does(fresh_tables, monkeypatch):
+def test_maps_on_applications_compile_as_fresh_maps_do():
     plans = [build_unb(6, 2), build_appendix_a(), build_equality(4),
              mutated_unbr(7, 1, "c1", 1e-3), mutated_unbr(7, 1, "gamma", 2e-3), there_and_back_plan()]
     compiled = []
     for plan in plans:
         verify_exactness(plan)
-        for sub in _collect_plans(plan):
-            for node in plan_nodes(sub):
-                if isinstance(node, GadgetStep):
-                    compiled += [(node, maps) for maps in vars(node).get("_batch_cache", {}).items()]
-    # Compiled maps share their layout's arrays, and steps of one label
-    # structure share a layout: the second mutant's steps take the first's.
-    for node, (rows, shared) in compiled:
-        assert shared.keep is batch._layout(node.applications, rows).keep
-    assert len({id(shared.keep) for _, (_, shared) in compiled}) < len(compiled)
-    assert_no_number_in_keys(fresh_tables)
-    for node, (rows, shared) in compiled:
-        monkeypatch.setattr(batch, "_LAYOUTS", {})
-        fresh = _Bindings(node.applications, batch._layout(node.applications, rows))
-        assert shared.rows == fresh.rows
-        assert np.array_equal(shared.keep, fresh.keep)
-        assert len(shared.groups) == len(fresh.groups)
+        for apps in gadget_applications(plan):
+            compiled += [(apps, rows, maps) for rows, maps in vars(apps).get("_batch_cache", {}).items()]
+    assert compiled
+    for apps, rows, kept in compiled:
+        fresh = _Bindings(apps, rows)
+        assert kept.rows == fresh.rows
+        assert np.array_equal(kept.keep, fresh.keep)
+        assert len(kept.groups) == len(fresh.groups)
         for (src, matrix, start, stop), (fresh_src, fresh_matrix, fresh_start, fresh_stop) in zip(
-                shared.groups, fresh.groups):
+                kept.groups, fresh.groups):
             assert np.array_equal(src, fresh_src)
             assert (matrix.dtype, matrix.shape) == (fresh_matrix.dtype, fresh_matrix.shape)
             assert matrix.tobytes() == fresh_matrix.tobytes()
             assert (start, stop) == (fresh_start, fresh_stop)
+    there = plans[-1].root.child
+    back = there.child
+    assert there.applications is not back.applications
+    (rows, forward), = vars(there.applications)["_batch_cache"].items()
+    assert vars(back.applications)["_batch_cache"][rows] is not forward
+
+
+def test_a_dropped_mutant_is_freed_with_its_compiled_maps():
+    mutant = mutated_unbr(7, 1, "c1", 1e-3)
+    assert not verify_exactness(mutant).exact
+    rotation = weakref.ref(mutant.root)
+    assert compiled_keys(mutant.root.applications)
+    plan = weakref.ref(mutant)
+    del mutant
+    gc.collect()
+    assert plan() is None and rotation() is None
 
 
 # ---------------------------------------------------------------------------

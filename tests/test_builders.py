@@ -9,7 +9,6 @@ import pytest
 from exactq import (
     DegenerateCase,
     InconsistentSpec,
-    MeasureStep,
     NoChain,
     algorithms,
     build_appendix_a,
@@ -29,7 +28,7 @@ from exactq import (
     weight_truth,
 )
 from exactq.state_core import S_LABEL, pair
-from test_batch import mutated_unbr
+from test_batch import final_measurement, mutated_unbr
 
 
 STEP_FIELDS = ("c1", "c2", "c8", "c9", "gamma")
@@ -37,14 +36,6 @@ STEP_FIELDS = ("c1", "c2", "c8", "c9", "gamma")
 
 def exact_and_tight(report):
     return report.exact and report.worst_case_queries == report.claimed_bound
-
-
-def final_measurement(plan) -> MeasureStep:
-    """The measurement at the end of a plan's single-child spine."""
-    node = plan.root
-    while not isinstance(node, MeasureStep):
-        node = node.child
-    return node
 
 
 class TestTruthAndContract:

@@ -196,6 +196,18 @@ def test_over_limit_n_exits_2_before_building(argv, message, capsys, monkeypatch
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", [["verify", "--family", "equality", "--n", "2"],
+                                     ["gamma", "--d", "1", "--n-max", "5"]], ids=["verify", "gamma"])
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_unwritable_out_exits_2(command, where, capsys, tmp_path):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    assert main([*command, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --out {target}: ")
+    assert "Traceback" not in captured.err and len(captured.err.splitlines()) == 1
+
+
 def test_poly_refuses_an_over_limit_subroutine_before_extracting(capsys, monkeypatch):
     # exactkl(8, 0, 1) pads to unb(15, 1): n = 8 passes, its subroutine does not.
     def refuse(*args, **kwargs):

@@ -304,6 +304,15 @@ class TestErrorSemantics:
         with pytest.raises(IndexOutOfRange):
             verify_exactness(small_plan(root, n=2))
 
+    @pytest.mark.parametrize("run", [verify_exactness, extract_multilinear,
+                                     lambda plan: run_on_input(plan, (0, 1))],
+                             ids=["verify", "extract", "run_on_input"])
+    def test_call_wire_past_the_parents_n_raises(self, run):
+        plan = Plan(family="wired", n=2, params=(), root=Call(build_equality(2), (var(1), var(3))),
+                    claimed_queries=1, truth=lambda bits: 1)
+        with pytest.raises(IndexOutOfRange, match=r"equality: wire var\(3\) is past the caller's n=2"):
+            run(plan)
+
     @staticmethod
     def merge_plan(amps):
         """Prepare amplitudes on |1>, |2>, |3>, merge |1> into |2>, then
