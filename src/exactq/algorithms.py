@@ -14,6 +14,14 @@ U_n) and `_ancilla_test_step` (the one place that wires a one-ancilla test
 step to the plans it calls and counts its queries). Each measurement is
 one `MeasureStep`: an outcome function, most often a dict's `get` from
 label to outcome id, and its (id, rewrite, child) entries in branch order.
+
+An override build (a knob of build_unbr, build_unb or build_appendix_a)
+pays only for its values. It makes its 3x3 rotation gadgets, which wrap the
+pair maps that `_rotation_pairs` bound and validated once per n, and its
+Plan; every other step, and the input contract when its gamma is the
+default one, is an object of the default build. So its first walk compiles
+only its rotation passes' group matrices, on the layouts kept on those pair
+maps, its query steps and an input contract of its own.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import math
 from itertools import combinations
 from typing import Callable, Mapping, TypeVar
 
-from .errors import DegenerateCase, InconsistentSpec, NoChain
+from .errors import BindingConflict, DegenerateCase, InconsistentSpec, NoChain, check_gamma
 from .gadgets import (
     extract_leading_index,
     extract_trailing_index,
@@ -101,17 +109,21 @@ _Apps = tuple[tuple[Binding, bool], ...]
 
 
 def _memoized(build: Callable[..., _Built]) -> Callable[..., _Built]:
-    """Memoize a builder's default builds in `_PLANS`.
+    """Memoize a builder's default builds, and the helpers they share with
+    override builds, in `_PLANS`.
 
     A call that passes any keyword argument (the override knobs) builds a
     new Plan. It builds afresh only the steps its knobs set; every other
     step comes from a memoized helper that the default build of the same
     shape uses too: `_unbr_shared` and `_appendix_a_shared` hold the U
-    stages' applications and the measurement, `_unb_shared` only the
-    measurement. The override plans of one shape share with the default plan
-    its measurement node and its U stages' applications (in gadget steps of
-    each build's own), and with them the maps the batched walker compiles on
-    each. Nothing is memoized per knob value.
+    stages' applications, the measurement and the default input contract,
+    `_unb_shared` the measurement, `_uniform_u` a uniform start's U_n, and
+    `_rotation_pairs` the validated pair maps of a rotation pass on n
+    indices, with the layouts the batched walker keeps there. The override
+    plans of one shape share with the default plan these objects (the
+    applications in gadget steps of each build's own), and with them the maps
+    the walker compiles on each. Every key is a helper's name and its
+    integer arguments: nothing is memoized per knob value.
     """
     @functools.wraps(build)
     def cached(*args, **overrides):
@@ -146,11 +158,29 @@ def _quad_renames(n: int, i: int, j: int) -> dict:
     return {quad(i, j, u, v): pair(r[u], r[v]) for u, v in combinations(sorted(r), 2)}
 
 
+@_memoized
+def _rotation_pairs(n: int) -> tuple[tuple[Label, ...], _Applications, _Applications]:
+    """The pair maps of a rotation pass on n indices, bound by `bind` once on
+    a template rotation and so validated against its space: that space, and
+    the split's and the merge's applications. Each holds the `layouts` that
+    every pass in its direction shares."""
+    template = r_rotation(0.0)
+    bindings = [_split_binding(template, i, j) for i, j in _pairs(n)]
+    split, merge = (_Applications(((b, inverse) for b in bindings), layouts={}) for inverse in (False, True))
+    return template.space, split, merge
+
+
 def _rotation_pass(angle: float, n: int, inverse: bool) -> _Apps:
     """One rotation by `angle` on every pair of n indices: a split, or with
-    `inverse` a merge."""
+    `inverse` a merge. Its bindings are `_rotation_pairs`' maps around its
+    own gadget, whose space must be the one they were validated against."""
     gadget = r_rotation(angle)
-    return tuple((_split_binding(gadget, i, j), inverse) for i, j in _pairs(n))
+    space, split, merge = _rotation_pairs(n)
+    if gadget.space != space:
+        raise BindingConflict(f"{gadget.name}: space {gadget.space!r} is not the rotation space {space!r}")
+    pairs = merge if inverse else split
+    return _Applications(((Binding(gadget, b.to_gadget, b.global_order), inverse) for b, _ in pairs),
+                         layouts=pairs.layouts)
 
 
 def _u_stages(n: int, index: Callable[[int], Label],
@@ -185,13 +215,20 @@ def _round(split: _Apps, inverses: _Apps, extractor: Callable[[Label], int | Non
                GadgetStep(merge, child)))))
 
 
+@_memoized
+def _uniform_u(n: int) -> _Applications:
+    """U_n bound to its own labels, forward: the applications of every
+    uniform start's last step on n indices, one object builds share."""
+    return _Applications(((identity_binding(u_gadget(n)), False),))
+
+
 def _uniform_start(n: int, child: PlanNode) -> PlanNode:
     """Uniform superposition over the n index labels, the trailing-index
     query, and U_n, then `child`."""
     uniform = LabeledState({idx(i): 1.0 / math.sqrt(n) for i in range(1, n + 1)})
     return PrepareState(uniform,
             QueryStep(extract_trailing_index,
-             GadgetStep(((identity_binding(u_gadget(n)), False),), child)))
+             GadgetStep(_uniform_u(n), child)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +247,16 @@ def build_unbr(n: int, d: int, *, constants: StepConstants | None = None, valida
 
     Recurses down the d-chain to its base. `constants` overrides the step
     constants (for sensitivity experiments); `validate=False` skips the
-    constraint check so deliberately broken constants reach the simulator.
-    An override build makes only its split and merge rotations, its input
-    contract and its Plan; the U_n/U_{n-2} stages and the measurement are
-    the default build's (`_unbr_shared`). The chain base has no step
-    constants, so either knob there raises DegenerateCase.
+    constraint check so deliberately broken constants reach the simulator;
+    a `constants.gamma` outside [0, 1] raises ValueError either way.
+    An override build makes only its split and merge rotation gadgets
+    (`_rotation_pass`), its input contract when its gamma is not the
+    default's, and its Plan; the U_n/U_{n-2} stages, the measurement and
+    the default contract are the default build's (`_unbr_shared`). Its
+    first walk compiles only its two rotation passes' group matrices, on
+    the layouts of their shape, its query step and a contract of its own.
+    The chain base has no step constants, so either knob there raises
+    DegenerateCase.
     """
     if d not in CHAIN_BASES:
         raise NoChain(f"no recursion chain is known for d={d} (supported: 1, 2, 3)")
@@ -259,11 +301,14 @@ def _build_unbr_base(d: int) -> Plan:
 
 
 @_memoized
-def _unbr_shared(n: int, d: int) -> tuple[_Apps, _Apps, MeasureStep]:
-    """The steps of a build_unbr(n, d) step that no step constant sets: the
-    U_n/U_{n-2} applications inverted and forward, and the measurement
-    whose pair outcomes call build_unbr(n-2, d)."""
+def _unbr_shared(n: int, d: int) -> tuple[StepConstants, _Apps, _Apps, MeasureStep, Contract]:
+    """What a build_unbr(n, d) step takes from its default build: the default
+    step constants; the steps that no step constant sets, the U_n/U_{n-2}
+    applications inverted and forward and the measurement whose pair
+    outcomes call build_unbr(n-2, d); and the input contract of the default
+    gamma."""
     sub = build_unbr(n - 2, d)
+    cs = solve_step_constants(n, d, chain_gamma_at(d, n - 2))
     inverses, forwards = _u_stages(n, idx, lambda p, k: comp(p, idx(k)))
     outcomes = {S_LABEL: ("s",)}
     children: list = [(("s",), None, Output(0))]
@@ -275,16 +320,18 @@ def _unbr_shared(n: int, d: int) -> tuple[_Apps, _Apps, MeasureStep]:
                    tag("L", p): tag("L", ZERO_LABEL), tag("R", p): tag("R", ZERO_LABEL)}
         outcomes.update(dict.fromkeys(rewrite, oid))
         children.append((oid, rewrite, Call(sub, drop_wires(n, (i, j)))))
-    return inverses, forwards, MeasureStep(outcomes.get, tuple(children))
+    return cs, inverses, forwards, MeasureStep(outcomes.get, tuple(children)), precomputed_state(n, cs.gamma)
 
 
 def _build_unbr_step(n: int, d: int, *, constants: StepConstants | None, validate: bool) -> Plan:
-    gamma_prev = chain_gamma_at(d, n - 2)
-    cs = constants if constants is not None else solve_step_constants(n, d, gamma_prev)
+    default, inverses, forwards, measure, contract = _unbr_shared(n, d)
+    cs = default if constants is None else constants
+    gamma = cs.gamma
+    check_gamma(gamma, "constants.gamma")
     if validate:
         cs.validate()
-    gamma = cs.gamma
-    inverses, forwards, measure = _unbr_shared(n, d)
+    if gamma != default.gamma:
+        contract = precomputed_state(n, gamma)
     root = _round(_rotation_pass(math.atan2(cs.c1, cs.c2), n, False), inverses, extract_trailing_index,
                   forwards, _rotation_pass(math.atan2(cs.c8, cs.c9), n, True), measure)
 
@@ -293,7 +340,7 @@ def _build_unbr_step(n: int, d: int, *, constants: StepConstants | None, validat
         family="unbr", n=n, params=(("n", n), ("d", d)),
         root=root, claimed_queries=unbr_claimed_queries(n, d),
         truth=weight_truth(n, frozenset({k, l})),
-        contract=precomputed_state(n, gamma), contract_gamma=gamma,
+        contract=contract, contract_gamma=gamma,
     )
 
 
@@ -358,9 +405,10 @@ def appendix_a_angles(c: Mapping[int, float] | None = None) -> dict[str, float]:
 
 
 @_memoized
-def _appendix_a_shared() -> tuple[_Apps, _Apps, MeasureStep]:
+def _appendix_a_shared() -> tuple[_Apps, _Apps, MeasureStep, Contract]:
     """The steps of build_appendix_a that no angle or gamma sets: the
-    U_5/U_3 applications inverted and forward, and the final measurement."""
+    U_5/U_3 applications inverted and forward, and the final measurement;
+    and the input contract of the default gamma."""
     n = 5
     inverses, forwards = _u_stages(n, lambda i: comp(idx(i), S_LABEL), lambda p, k: comp(idx(k), p))
     outcomes = {S_LABEL: ("s",)}
@@ -374,7 +422,12 @@ def _appendix_a_shared() -> tuple[_Apps, _Apps, MeasureStep]:
         for q in _quad_renames(n, i, j):
             outcomes[q] = ("quad",) + q[1:]
             children.append((outcomes[q], None, Output(0)))
-    return inverses, forwards, MeasureStep(outcomes.get, tuple(children))
+    measure = MeasureStep(outcomes.get, tuple(children))
+    return inverses, forwards, measure, precomputed_state(n, _appendix_a_gamma())
+
+
+def _appendix_a_gamma() -> float:
+    return appendix_a_constants()[1] ** 2
 
 
 @_memoized
@@ -386,20 +439,25 @@ def build_appendix_a(
     """Two-query plan for the weight set {1,4} at n=5 on the precomputed state.
 
     The overrides exist for sensitivity experiments; default builds are
-    cached. An override build makes only its four rotation passes, its
-    input contract and its Plan; the U_5/U_3 stages and the measurement are
-    the default build's (`_appendix_a_shared`).
+    cached. A `gamma_override` outside [0, 1] raises ValueError. An
+    override build makes only its four rotation gadgets (`_rotation_pass`),
+    its input contract when its gamma is not the default's, and its Plan;
+    the U_5/U_3 stages, the measurement and the default contract are the
+    default build's (`_appendix_a_shared`), and its first walk compiles only
+    its rotation passes' group matrices and its query steps.
     """
-    C = appendix_a_constants()
     angles = appendix_a_angles()
     if angle_overrides:
         unknown = set(angle_overrides) - set(angles)
         if unknown:
             raise ValueError(f"unknown angle overrides {sorted(unknown)!r}")
         angles.update(angle_overrides)
-    gamma = C[1] ** 2 if gamma_override is None else gamma_override
-
-    inverses, forwards, measure = _appendix_a_shared()
+    inverses, forwards, measure, contract = _appendix_a_shared()
+    gamma = _appendix_a_gamma()
+    if gamma_override is not None:
+        check_gamma(gamma_override, "gamma_override")
+        if gamma_override != gamma:
+            gamma, contract = gamma_override, precomputed_state(5, gamma_override)
     second = _round(_rotation_pass(angles["split2"], 5, False), inverses, extract_leading_index,
                     forwards, _rotation_pass(angles["merge2"], 5, True), measure)
     root = _round(_rotation_pass(angles["split1"], 5, False), inverses, extract_leading_index,
@@ -408,7 +466,7 @@ def build_appendix_a(
         family="unbr", n=5, params=(("n", 5), ("d", 3)),
         root=root, claimed_queries=2,
         truth=weight_truth(5, frozenset({1, 4})),
-        contract=precomputed_state(5, gamma), contract_gamma=gamma,
+        contract=contract, contract_gamma=gamma,
     )
 
 
@@ -443,10 +501,13 @@ def build_unb(n: int, d: int, *, gamma_override: float | None = None) -> Plan:
     """Full plan deciding whether the weight is (n-d)/2 or (n+d)/2.
 
     `gamma_override` replaces the split angle's gamma (for sensitivity
-    experiments). An override build makes its uniform start, its split
-    rotations and its Plan; the measurement is the default build's
-    (`_unb_shared`). At n = d the plan calls EQUALITY and has no gamma, so
-    an override there raises DegenerateCase.
+    experiments); one outside [0, 1] raises ValueError. An override build
+    makes its uniform preparation and query, its split rotation gadget and
+    its Plan; the uniform start's U_n (`_uniform_u`) and the measurement
+    (`_unb_shared`) are the default build's, so its first walk compiles only
+    its split pass's group matrices and its query step. At n = d the plan
+    calls EQUALITY and has no gamma, so an override there raises
+    DegenerateCase.
     """
     if d not in CHAIN_BASES:
         raise NoChain(f"d={d} is outside the chain family (supported: 1, 2, 3); "
@@ -459,6 +520,8 @@ def build_unb(n: int, d: int, *, gamma_override: float | None = None) -> Plan:
                                  f"gamma_override would be ignored")
         root: PlanNode = Call(build_equality(n), identity_wires(n))
     else:
+        if gamma_override is not None:
+            check_gamma(gamma_override, "gamma_override")
         gamma = chain_gamma_at(d, n) if gamma_override is None else gamma_override
         splits = _rotation_pass(math.asin(math.sqrt(gamma)), n, False)
         root = _uniform_start(n, GadgetStep(splits, _unb_shared(n, d)))

@@ -43,7 +43,10 @@ The maps of queries and measurements are compiled once per (node, row-label
 tuple) and kept on the node; a gadget step's are compiled once per row-label
 tuple and kept on its applications, which every build that takes them from
 a default build shares, so an override build compiles only the steps it
-made. A plan compiles at its first walk, never while it is built.
+made. Of those, a rotation pass compiles only its group matrices and their
+live rows: its label layout comes from the `layouts` its applications share
+with every pass of their shape (`_compile`). A plan compiles at its first
+walk, never while it is built.
 
 The summary of a block is one (5, columns) float64 matrix (`_Sums`): three
 rows of total mass per output, which branches merge by adding, and two rows
@@ -626,21 +629,34 @@ def _shape(plan: Plan) -> tuple[int, int]:
         while stack:
             node = stack.pop()
             if isinstance(node, MeasureStep):
-                for _, rewrite, child in node.children:
-                    labels.update(rewrite.values() if rewrite else ())
-                    stack.append(child)
+                labels |= _written(node)
+                stack.extend(child for _, _, child in node.children)
             elif isinstance(node, Call):
                 callees[id(node.plan)] = node.plan
             elif not isinstance(node, Output):
                 if isinstance(node, PrepareState):
-                    labels.update(node.state.support())
+                    labels |= node.state.support()
                 elif isinstance(node, GadgetStep):
-                    for binding, _ in node.applications:
-                        labels.update(binding.to_gadget)
+                    labels |= _written(node)
                 stack.append(node.child)
         height = 1 + max((_shape(callee)[1] for callee in callees.values()), default=-1)
         shape = cache["shape"] = (_columns(len(labels)), height)
     return shape
+
+
+def _written(step: MeasureStep | GadgetStep) -> frozenset:
+    """The labels a measurement's rewrites or a gadget step's bindings write,
+    kept beside the compile cache of the measurement or the applications,
+    which builds share."""
+    owner = step.applications if isinstance(step, GadgetStep) else step
+    written = owner.__dict__.get("_written")
+    if written is None:
+        if owner is step:
+            parts = [rewrite.values() for _, rewrite, _ in step.children if rewrite]
+        else:
+            parts = [binding.to_gadget for binding, _ in owner]
+        written = owner.__dict__["_written"] = frozenset().union(*parts)
+    return written
 
 
 def _columns(rows: int) -> int:
@@ -685,19 +701,48 @@ def _prepare(node: PrepareState, weight: np.ndarray) -> tuple[tuple, np.ndarray]
 def _gadget(node: GadgetStep, rows: tuple, amps: np.ndarray) -> tuple[tuple, np.ndarray]:
     """Apply a gadget step's bindings, which touch disjoint labels, in one
     pass, with maps kept on its applications: every step that holds them
-    shares the maps, which live as long as the applications do."""
-    cache = _cache(node.applications)
+    shares the maps, which live as long as the applications do. A miss
+    compiles them (`_compile`), on a shared layout where there is one."""
+    apps = node.applications
+    cache = _cache(apps)
     maps = cache.get(rows)
     if maps is None:
-        maps = cache[rows] = _Bindings(node.applications, rows)
+        maps = cache[rows] = _compile(apps, rows)
     return maps.apply(amps)
+
+
+def _compile(apps, rows: tuple) -> _Bindings:
+    """`apps` compiled for `rows`. Applications that share `layouts` (the
+    rotation passes of one shape) take the layout kept there for `rows`
+    while their gadget's live rows are the layout's, and compile only their
+    group matrices; else they lay out afresh, and that layout is kept."""
+    layouts = apps.layouts
+    if layouts is None:
+        return _Bindings(apps, rows)
+    like = layouts.get(rows)
+    maps = None if like is None else like.rebound(apps)
+    if maps is None:
+        maps = layouts[rows] = _Bindings(apps, rows)
+    return maps
+
+
+def _group_matrix(gadget, inverse: bool, positions: list) -> tuple[np.ndarray, np.ndarray]:
+    """A group's matrix, the gadget's (adjoint's) columns at `positions`,
+    and its live-row mask."""
+    matrix = _real(gadget.matrix_h if inverse else gadget.matrix, f"gadget {gadget.name!r}")[:, positions]
+    return matrix, np.abs(matrix).sum(axis=1) > _NEGLIGIBLE
 
 
 class _Bindings:
     """Disjoint bindings compiled for one row tuple: the untouched rows, then
     one (source rows, matrix, output slice) group per gadget, direction and
     set of gadget labels present, in the order each first appears, with one
-    source row per member and each group's outputs in gadget order.
+    source row per member and each group's outputs in gadget order. Per
+    group, `parts` holds what the layout was made from: the index of its
+    first member in the applications, its gadget positions and its live-row
+    mask. `_Bindings(apps, rows)` lays out from scratch; `rebound` compiles
+    other applications of the same structure on this layout, sharing its
+    rows, kept rows, source rows and output slices.
 
     A gadget row whose entries over the present labels sum to at most
     _NEGLIGIBLE in magnitude is left out. The entry it would produce is at
@@ -709,33 +754,48 @@ class _Bindings:
     columns and checks their norms against _MAX_NORM.
     """
 
-    __slots__ = ("rows", "keep", "groups")
+    __slots__ = ("rows", "keep", "groups", "parts")
 
     def __init__(self, apps, rows: tuple):
         index = {label: r for r, label in enumerate(rows)}
         touched = {label for binding, _ in apps for label in binding.global_order}
         keep = [r for r, label in enumerate(rows) if label not in touched]
         grouped: dict[tuple, list] = {}
-        for binding, inverse in apps:
+        for t, (binding, inverse) in enumerate(apps):
             # A gadget position is the index of its global label in the order.
             src = [(p, index[label]) for p, label in enumerate(binding.global_order) if label in index]
             if src:
                 key = (id(binding.gadget), inverse, tuple(p for p, _ in src))
-                grouped.setdefault(key, []).append((binding, [r for _, r in src]))
+                grouped.setdefault(key, []).append((t, [r for _, r in src]))
         out_rows = [rows[r] for r in keep]
-        self.groups = []
+        self.groups, self.parts = [], []
         for (_, inverse, positions), members in grouped.items():
-            gadget = members[0][0].gadget
-            matrix = _real(gadget.matrix_h if inverse else gadget.matrix,
-                           f"gadget {gadget.name!r}")[:, list(positions)]
-            live = np.abs(matrix).sum(axis=1) > _NEGLIGIBLE
+            first = members[0][0]
+            matrix, live = _group_matrix(apps[first][0].gadget, inverse, list(positions))
             start = len(out_rows)
-            for binding, _ in members:
-                out_rows.extend(compress(binding.global_order, live))
+            for t, _ in members:
+                out_rows.extend(compress(apps[t][0].global_order, live))
             self.groups.append((np.array([r for _, r in members], dtype=np.intp),
                                 np.ascontiguousarray(matrix[live]), start, len(out_rows)))
+            self.parts.append((first, list(positions), live))
         self.rows = tuple(out_rows)
         self.keep = np.array(keep, dtype=np.intp)
+
+    def rebound(self, apps) -> _Bindings | None:
+        """These maps for `apps`, applications of the same structure whose
+        gadgets may differ: this layout, each group's matrix compiled from
+        its own gadget. None when a group's live rows differ, since its
+        outputs would then be other labels."""
+        groups = []
+        for (src, _, start, stop), (first, positions, live) in zip(self.groups, self.parts):
+            binding, inverse = apps[first]
+            matrix, mask = _group_matrix(binding.gadget, inverse, positions)
+            if not np.array_equal(mask, live):
+                return None
+            groups.append((src, np.ascontiguousarray(matrix[live]), start, stop))
+        maps = object.__new__(type(self))
+        maps.rows, maps.keep, maps.groups, maps.parts = self.rows, self.keep, groups, self.parts
+        return maps
 
     def apply(self, amps: np.ndarray) -> tuple[tuple, np.ndarray]:
         out = np.empty((len(self.rows), amps.shape[1]), dtype=_DTYPE)
@@ -748,29 +808,32 @@ class _Bindings:
 
 def _query(node: QueryStep, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n: int) -> None:
     """Multiply each row that carries a variable index by that variable's
-    +-1 value, per column, in place."""
+    +-1 value, per column, in place: from a table of the +-1 values of the
+    variables the rows query, one table row per variable, which the rows
+    that query one variable share."""
     cache = _cache(node)
     maps = cache.get((n, rows))
     if maps is None:
-        queried, shifts, bad = [], [], []
+        queried, variables, bad = [], {}, []
         for r, label in enumerate(rows):
             i = node.extractor(label)
             if i is None:
                 continue
             if 1 <= i <= n:
-                queried.append(r)
-                shifts.append(n - i)
+                queried.append((r, variables.setdefault(i, len(variables))))
             else:
                 bad.append((r, f"query index {i} outside 1..{n} for label {label!r}"))
-        maps = cache[(n, rows)] = (np.array(queried, dtype=np.intp),
-                                   np.array(shifts, dtype=np.int64)[:, None], bad)
-    queried, shifts, bad = maps
+        # Which table row each queried row reads; None when each reads its own.
+        which = None if len(variables) == len(queried) else np.array([t for _, t in queried], dtype=np.intp)
+        maps = cache[(n, rows)] = (np.array([r for r, _ in queried], dtype=np.intp),
+                                   np.array([n - i for i in variables], dtype=np.int64)[:, None], which, bad)
+    queried, shifts, which, bad = maps
     for r, message in bad:
         if amps[r].any():
             raise IndexOutOfRange(message)
     if len(queried):
-        signs = 1.0 - 2.0 * ((inputs[None, :] >> shifts) & 1)
-        amps[queried] *= signs
+        signs = 1.0 - 2.0 * ((inputs >> shifts) & 1)
+        amps[queried] *= signs if which is None else signs[which]
 
 
 def _measure_maps(node: MeasureStep, rows: tuple, n: int):

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the check that every
-tolerance passes where it enters.
+"""Exception types shared across the package, and the checks that every
+tolerance and every gamma knob pass where they enter.
 
 Everything derives from ValueError so callers that only care about "bad input
 vs bug" can catch one base class.
@@ -14,6 +14,12 @@ def check_tol(tol: float, name: str = "tol") -> None:
     """Reject a tolerance that is negative, infinite or NaN."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+
+
+def check_gamma(gamma: float, name: str) -> None:
+    """Reject a leakage coefficient gamma outside [0, 1], or NaN."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {gamma!r}")
 
 
 class ExactQError(ValueError):

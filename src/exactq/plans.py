@@ -63,8 +63,24 @@ class PrepareState:
 
 
 class _Applications(tuple):
-    """A GadgetStep's (binding, inverse) pairs, whose `__dict__` holds the
-    batched walker's maps for every step, of any build, that shares them."""
+    """A GadgetStep's (binding, inverse) pairs, checked once, when made, to
+    touch pairwise disjoint global labels: two that share one raise
+    BindingConflict. Its `__dict__` holds the batched walker's maps for every
+    step, of any build, that shares it.
+
+    `layouts` is None, or a dict shared by applications of one label
+    structure: the same bindings' labels and directions, one gadget of one
+    space throughout, whose matrix may differ between them. The walker keeps
+    their layouts there, by row tuple (`batch._compile`)."""
+
+    layouts: dict | None = None
+
+    def __new__(cls, pairs, layouts: dict | None = None):
+        apps = super().__new__(cls, pairs)
+        _owners(apps)
+        if layouts is not None:
+            apps.layouts = layouts
+        return apps
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +88,8 @@ class GadgetStep:
     """Apply bound gadgets at once; True in an entry means the adjoint.
 
     The bindings touch pairwise disjoint global labels, so their order does
-    not matter; two that share a label raise BindingConflict. The pairs are
-    kept as an `_Applications`, the one given if it is one.
+    not matter. The pairs are kept as an `_Applications`, the one given if it
+    is one, so applications that builds share are checked once.
     """
 
     applications: tuple[tuple[Binding, bool], ...]
@@ -82,7 +98,6 @@ class GadgetStep:
     def __post_init__(self):
         if type(self.applications) is not _Applications:
             object.__setattr__(self, "applications", _Applications(self.applications))
-        _owners(self.applications)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from exactq import (
     OUTWARD,
     TWO_SIDED,
+    BindingConflict,
     Call,
     Contract,
     GadgetStep,
@@ -46,7 +47,7 @@ from exactq import (
     verify_exactness,
     weight_truth,
 )
-from exactq import algorithms, batch
+from exactq import algorithms, batch, plans, state_core
 from exactq.batch import (_Bindings, _Sums, _Walker, _route, _runs, _shape, _sub_inputs, exit_amplitudes,
                           leaf_values, summarize)
 from exactq.gadgets import OracleSpec, extract_trailing_index, q_rotation
@@ -809,22 +810,38 @@ def compiled_keys(apps):
     return set(vars(apps).get("_batch_cache", {}))
 
 
-@pytest.mark.parametrize("name", OVERRIDE_SERIES)
-def test_override_builds_compile_only_the_steps_they_made(name, fresh_tables, monkeypatch):
-    compiled = []
+def counted_compiles(monkeypatch):
+    """Lists of the applications each compile is for, and of those laid out
+    from scratch, filled while the test runs."""
+    compiled, laid_out = [], []
 
     class Counted(_Bindings):
         __slots__ = ()
 
         def __init__(self, apps, rows):
-            compiled.append(apps)
+            laid_out.append(apps)
             super().__init__(apps, rows)
 
+    def compile_counted(apps, rows, compile=batch._compile):
+        compiled.append(apps)
+        return compile(apps, rows)
+
     monkeypatch.setattr(batch, "_Bindings", Counted)
+    monkeypatch.setattr(batch, "_compile", compile_counted)
+    return compiled, laid_out
+
+
+def own_applications(plan, earlier):
+    return [apps for apps in gadget_applications(plan) if all(apps is not old for old in earlier)]
+
+
+@pytest.mark.parametrize("name", OVERRIDE_SERIES)
+def test_override_builds_compile_only_the_steps_they_made(name, fresh_tables, monkeypatch):
+    compiled, laid_out = counted_compiles(monkeypatch)
     make_first, *rest = OVERRIDE_SERIES[name]
     first = make_first()
     verify_exactness(first)
-    assert compiled
+    assert laid_out
     # The first build's applications include the U stages it shares with
     # the default build, and its measurement is the default build's.
     earlier = gadget_applications(first)
@@ -834,13 +851,64 @@ def test_override_builds_compile_only_the_steps_they_made(name, fresh_tables, mo
     for make in rest:
         plan = make()
         assert final_measurement(plan) is measurement
-        own = [apps for apps in gadget_applications(plan) if all(apps is not old for old in earlier)]
+        own = own_applications(plan, earlier)
         compiled.clear()
+        laid_out.clear()
         verify_exactness(plan)
+        # It compiles only applications it made, each on a layout that an
+        # earlier build of its shape laid out.
         assert compiled
         assert all(any(apps is mine for mine in own) for apps in compiled)
+        assert not laid_out
+        if name == "unb71":
+            # Its uniform start's U_n is the default build's: only the split
+            # pass is its own.
+            split = plan.root.child.child.child.applications
+            assert {id(apps) for apps in compiled} == {id(split)}
     assert [compiled_keys(apps) for apps in earlier] == keys
     assert set(vars(measurement)["_batch_cache"]) == measured
+
+
+@pytest.mark.parametrize("name", OVERRIDE_SERIES)
+def test_a_further_override_build_binds_nothing_and_checks_only_its_rotation_passes(name, monkeypatch):
+    make_first, make_next = OVERRIDE_SERIES[name][:2]
+    first = make_first()
+    binds, checked = [], []
+    monkeypatch.setattr(algorithms, "bind", lambda *args: binds.append(args) or state_core.bind(*args))
+    monkeypatch.setattr(plans, "_owners", lambda apps: checked.append(apps) or state_core._owners(apps))
+    plan = make_next()
+    assert not binds
+    own = own_applications(plan, gadget_applications(first))
+    assert own and all(apps.layouts is not None for apps in own)
+    assert sorted(map(id, checked)) == sorted(map(id, own))
+
+
+def test_a_rotation_gadget_of_another_space_is_refused(monkeypatch):
+    # The pair maps were validated against the rotation space once; a pass
+    # checks that its gadget has that space before it wraps them.
+    build_unb(7, 1, gamma_override=0.3)
+    monkeypatch.setattr(algorithms, "r_rotation", lambda angle: q_rotation(1, 2))
+    with pytest.raises(BindingConflict, match="is not the rotation space"):
+        build_unb(7, 1, gamma_override=0.2)
+
+
+def assert_compiled_as_fresh_maps(apps, rows, kept):
+    fresh = _Bindings(apps, rows)
+    assert kept.rows == fresh.rows
+    assert np.array_equal(kept.keep, fresh.keep)
+    assert len(kept.groups) == len(fresh.groups)
+    for (src, matrix, start, stop), (fresh_src, fresh_matrix, fresh_start, fresh_stop) in zip(
+            kept.groups, fresh.groups):
+        assert np.array_equal(src, fresh_src)
+        assert (matrix.dtype, matrix.shape) == (fresh_matrix.dtype, fresh_matrix.shape)
+        assert matrix.tobytes() == fresh_matrix.tobytes()
+        assert (start, stop) == (fresh_start, fresh_stop)
+
+
+def compiled_maps(plan):
+    """(applications, rows, maps) for every gadget map compiled on `plan`."""
+    return [(apps, rows, maps) for apps in gadget_applications(plan)
+            for rows, maps in vars(apps).get("_batch_cache", {}).items()]
 
 
 def there_and_back_plan():
@@ -854,30 +922,115 @@ def there_and_back_plan():
 
 
 def test_maps_on_applications_compile_as_fresh_maps_do():
-    plans = [build_unb(6, 2), build_appendix_a(), build_equality(4),
-             mutated_unbr(7, 1, "c1", 1e-3), mutated_unbr(7, 1, "gamma", 2e-3), there_and_back_plan()]
+    built = [build_unb(6, 2), build_appendix_a(), build_equality(4),
+             *(mutated_unbr(7, 1, name, delta)
+               for name, delta in (("c1", 1e-3), ("gamma", 2e-3), ("c9", -4e-3))),
+             appendix_a_override("merge1", 1e-2), build_unb(7, 1, gamma_override=0.3), there_and_back_plan()]
     compiled = []
-    for plan in plans:
+    for plan in built:
         verify_exactness(plan)
-        for apps in gadget_applications(plan):
-            compiled += [(apps, rows, maps) for rows, maps in vars(apps).get("_batch_cache", {}).items()]
+        compiled += compiled_maps(plan)
     assert compiled
     for apps, rows, kept in compiled:
-        fresh = _Bindings(apps, rows)
-        assert kept.rows == fresh.rows
-        assert np.array_equal(kept.keep, fresh.keep)
-        assert len(kept.groups) == len(fresh.groups)
-        for (src, matrix, start, stop), (fresh_src, fresh_matrix, fresh_start, fresh_stop) in zip(
-                kept.groups, fresh.groups):
-            assert np.array_equal(src, fresh_src)
-            assert (matrix.dtype, matrix.shape) == (fresh_matrix.dtype, fresh_matrix.shape)
-            assert matrix.tobytes() == fresh_matrix.tobytes()
-            assert (start, stop) == (fresh_start, fresh_stop)
-    there = plans[-1].root.child
+        assert_compiled_as_fresh_maps(apps, rows, kept)
+    # The later unbr(7,1) mutants' rotation passes compile on the layouts
+    # the first one laid out, so the passes hold fewer layouts than maps.
+    for plan in built[4:6]:
+        for apps in rotation_passes(plan):
+            for rows, kept in vars(apps)["_batch_cache"].items():
+                assert kept.keep is apps.layouts[rows].keep
+    passes = [kept for apps, _, kept in compiled if apps.layouts is not None]
+    assert len({id(kept.keep) for kept in passes}) < len(passes)
+    there = built[-1].root.child
     back = there.child
     assert there.applications is not back.applications
     (rows, forward), = vars(there.applications)["_batch_cache"].items()
     assert vars(back.applications)["_batch_cache"][rows] is not forward
+
+
+def rotated_unbr(split, merge):
+    """unbr(7,1) whose split rotates by the angle atan2(sin split, cos split)
+    and whose merge by that of `merge`."""
+    base = solve_step_constants(7, 1, chain_gamma_at(1, 5))
+    return build_unbr(7, 1, constants=replace(base, c1=math.sin(split), c2=math.cos(split),
+                                              c8=math.sin(merge), c9=math.cos(merge)), validate=False)
+
+
+def rotation_passes(plan):
+    """The split and merge applications of a build_unbr step."""
+    return plan.root.applications, plan.root.child.child.child.child.applications
+
+
+EDGE_ANGLES = (0.0, math.pi / 2, -math.pi / 2, math.pi)
+angles = st.one_of(st.sampled_from(EDGE_ANGLES), st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=10, deadline=None)
+@given(angles, angles)
+@example(0.0, math.pi)
+@example(math.pi / 2, -math.pi / 2)
+@example(math.pi, 0.0)
+@example(-math.pi / 2, math.pi / 2)
+def test_rotation_passes_lay_out_afresh_where_live_rows_differ(split, merge):
+    # Lay out the passes of the shape on ordinary angles first.
+    verify_exactness(mutated_unbr(7, 1, "c1", 1e-3))
+    plan = rotated_unbr(split, merge)
+    before = [dict(apps.layouts) for apps in rotation_passes(plan)]
+    report = verify_exactness(plan).as_dict(verbose=True)
+    for apps, layouts in zip(rotation_passes(plan), before):
+        for rows, maps in vars(apps)["_batch_cache"].items():
+            like = layouts.get(rows)
+            same = like is not None and all(np.array_equal(part[2], like_part[2])
+                                            for part, like_part in zip(maps.parts, like.parts))
+            assert (like is not None and maps.keep is like.keep) == same, rows
+            assert_compiled_as_fresh_maps(apps, rows, maps)
+    for apps in rotation_passes(plan):
+        apps.layouts.clear()
+    assert verify_exactness(rotated_unbr(split, merge)).as_dict(verbose=True) == report
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_a_structural_zero_lays_out_afresh(gamma, monkeypatch):
+    # A split by angle 0 (gamma 0) writes no amplitude on its L arm, and one
+    # by pi/2 (gamma 1) none on its R arm, so the split's live rows are not
+    # those of the layout that other gammas share.
+    verify_exactness(build_unb(7, 1, gamma_override=0.3))
+    _, laid_out = counted_compiles(monkeypatch)
+    plan = build_unb(7, 1, gamma_override=gamma)
+    verify_exactness(plan)
+    split = plan.root.child.child.child.applications
+    assert any(apps is split for apps in laid_out)
+
+
+def has_number(obj) -> bool:
+    """Whether `obj`, a key, holds a float, a complex or an array anywhere."""
+    if isinstance(obj, (float, complex, np.ndarray, np.generic)):
+        return True
+    if isinstance(obj, (tuple, frozenset)):
+        return any(has_number(item) for item in obj)
+    return False
+
+
+def test_no_table_grows_with_knob_values(fresh_tables):
+    shapes = {
+        "unbr71": lambda k: mutated_unbr(7, 1, STEP_FIELDS[k % 5], 1e-4 * (k + 1)),
+        "appendixA": lambda k: (build_appendix_a(gamma_override=0.01 + 1e-3 * k) if k % 2 else
+                                appendix_a_override(sorted(appendix_a_angles())[k % 4], 1e-3 * (k + 1))),
+        "unb71": lambda k: build_unb(7, 1, gamma_override=0.01 * (k + 1)),
+    }
+
+    def layouts():
+        return [rows for key, built in algorithms._PLANS.items() if key[0] == "_rotation_pairs"
+                for apps in built[1:] for rows in apps.layouts]
+
+    for name, make in shapes.items():
+        verify_exactness(make(0))
+        size, laid_out = len(algorithms._PLANS), len(layouts())
+        for k in range(1, 20):
+            verify_exactness(make(k))
+            assert (len(algorithms._PLANS), len(layouts())) == (size, laid_out), (name, k)
+    assert not any(has_number(key) for key in algorithms._PLANS)
+    assert layouts() and not any(has_number(rows) for rows in layouts())
 
 
 def test_a_dropped_mutant_is_freed_with_its_compiled_maps():

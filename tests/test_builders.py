@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -193,6 +195,20 @@ class TestSharedSteps:
         assert final_measurement(override) is final_measurement(default)
         assert override.root.child.applications is default.root.child.applications
 
+    @pytest.mark.parametrize("field", STEP_FIELDS)
+    def test_unbr_mutants_of_the_default_gamma_share_its_contract(self, field):
+        default, mutant = build_unbr(7, 1), mutated_unbr(7, 1, field, 1e-3)
+        assert (mutant.contract is default.contract) == (field != "gamma")
+        assert mutant.contract_gamma == default.contract_gamma + (1e-3 if field == "gamma" else 0.0)
+
+    def test_appendix_overrides_of_the_default_gamma_share_its_contract(self):
+        default = build_appendix_a()
+        angles = algorithms.appendix_a_angles()
+        angles["split1"] += 1e-3
+        assert build_appendix_a(angle_overrides=angles).contract is default.contract
+        assert build_appendix_a(gamma_override=default.contract_gamma).contract is default.contract
+        assert build_appendix_a(gamma_override=0.02).contract is not default.contract
+
     def test_mutants_reuse_the_defaults_compiled_measurement(self):
         default = build_unbr(7, 1)
         verify_exactness(default)
@@ -211,6 +227,39 @@ class TestSharedSteps:
             return verify_exactness(build_unbr(7, 1)).as_dict(verbose=True)
 
         assert default_report(True) == default_report(False)
+
+
+class TestGammaKnobs:
+    """A gamma knob outside [0, 1], or NaN, is refused where it enters, by a
+    ValueError that names the knob, its value and the range."""
+
+    BAD = [-0.1, -1e-3, 1.5, math.nan]
+
+    @pytest.mark.parametrize("gamma", BAD)
+    def test_unb_gamma_override(self, gamma):
+        with pytest.raises(ValueError, match=rf"^gamma_override must be in \[0, 1\], got {gamma!r}$"):
+            build_unb(7, 1, gamma_override=gamma)
+
+    @pytest.mark.parametrize("gamma", BAD)
+    def test_appendix_a_gamma_override(self, gamma):
+        with pytest.raises(ValueError, match=rf"^gamma_override must be in \[0, 1\], got {gamma!r}$"):
+            build_appendix_a(gamma_override=gamma)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("gamma", BAD)
+    def test_unbr_constants_gamma(self, gamma, validate):
+        # validate=False skips only the C1-C12 check.
+        base = solve_step_constants(7, 1, chain_gamma_at(1, 5))
+        with pytest.raises(ValueError, match=rf"^constants\.gamma must be in \[0, 1\], got {gamma!r}$"):
+            build_unbr(7, 1, constants=replace(base, gamma=gamma), validate=validate)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_the_ends_of_the_range_build_refuted_mutants(self, gamma):
+        base = solve_step_constants(7, 1, chain_gamma_at(1, 5))
+        for plan in (build_unb(7, 1, gamma_override=gamma), build_appendix_a(gamma_override=gamma),
+                     build_unbr(7, 1, constants=replace(base, gamma=gamma), validate=False)):
+            assert plan.contract_gamma in (None, gamma)
+            assert verify_exactness(plan).counterexamples
 
 
 class TestGeneralUnbalance:
