@@ -45,8 +45,8 @@ tuple and kept on its applications, which every build that takes them from
 a default build shares, so an override build compiles only the steps it
 made. Of those, a rotation pass compiles only its group matrices and their
 live rows: its label layout comes from the `layouts` its applications share
-with every pass of their shape (`_compile`). A plan compiles at its first
-walk, never while it is built.
+with every pass of their shape (`_compile`). Maps compile at a plan's first
+walk; its label count and height (`Plan`) are set when it is built.
 
 The summary of a block is one (5, columns) float64 matrix (`_Sums`): three
 rows of total mass per output, which branches merge by adding, and two rows
@@ -76,9 +76,7 @@ Since a gap ends only its own branch, the steps off the path are cut.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import compress, groupby, zip_longest
-from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -88,7 +86,7 @@ from .plans import Call, Contract, GadgetStep, MeasureStep, Output, Plan, Prepar
 from .state_core import STORE_TOL, ZERO_LABEL
 
 # Bytes a block of input columns may take (512 KiB): a walk of a plan takes
-# BLOCK_BYTES // (the plan's label count * _DTYPE's item size (8) +
+# BLOCK_BYTES // (`Plan.label_count` * _DTYPE's item size (8) +
 # _COLUMN_BYTES) columns at a time. Blocks of a few hundred KiB keep peak
 # memory within a few MiB of the per-input simulator's; wider blocks run
 # faster and take more. A chunk of
@@ -178,9 +176,13 @@ class _Memo:
         self.size = 0
 
     def missing(self, inputs: np.ndarray) -> np.ndarray:
-        """The distinct inputs without a summary, in increasing order."""
+        """The distinct inputs without a summary, in increasing order: from a
+        table by input where it takes no more bytes than `inputs`, else sorted."""
+        fresh = inputs[self.slot[inputs] < 0]
+        if len(self.slot) > inputs.nbytes:
+            return np.unique(fresh)
         needed = np.zeros(len(self.slot), dtype=bool)
-        needed[inputs] = self.slot[inputs] < 0
+        needed[fresh] = True
         return np.flatnonzero(needed)
 
     def add(self, inputs: np.ndarray, sums: _Sums) -> None:
@@ -207,7 +209,7 @@ def summarize(plan: Plan, *, tol: float, branch_tol: float) -> tuple[np.ndarray,
     count = 1 << plan.n
     entered = np.zeros(count, dtype=bool)
     sums = _Sums.vacuous(count)
-    width = _shape(plan)[0]
+    width = _columns(plan.label_count)
     for start in range(0, count, width):
         block = np.arange(start, min(count, start + width))
         entered[block], part = walker.run(plan, block)
@@ -227,24 +229,23 @@ class _Walker:
         self.branch_tol = branch_tol
         # id(plan) -> (plan, its summaries by input)
         self.memos: dict[int, tuple[Plan, _Memo]] = {}
-        # id(plan) -> (its call height, plan, the inputs of its reads that
-        # found one missing)
-        self.demand: dict[int, tuple[int, Plan, list[np.ndarray]]] = {}
+        # id(plan) -> (plan, the inputs of its reads that found one missing)
+        self.demand: dict[int, tuple[Plan, list[np.ndarray]]] = {}
 
     def fill(self) -> None:
         """Run every plan with demand once, on the sorted union of its missing
         inputs, a block at a time, then resolve those runs, callees first.
 
         A plan runs only when no plan with demand can call it: the highest
-        first (`_shape`). Its runs' reads add demand on lower plans only, so
-        no plan gains demand after it has run."""
+        first (`Plan.height`). Its runs' reads add demand on lower plans only,
+        so no plan gains demand after it has run."""
         runs = []
         while self.demand:
-            _, plan, reads = max(self.demand.values(), key=itemgetter(0))
+            plan, reads = max(self.demand.values(), key=lambda entry: entry[0].height)
             del self.demand[id(plan)]
             memo = self.memos[id(plan)][1]
             missing = memo.missing(np.concatenate(reads))
-            width = _shape(plan)[0]
+            width = _columns(plan.label_count)
             for start in range(0, len(missing), width):
                 block = missing[start:start + width]
                 runs.append((memo, block, self.run(plan, block)[1]))
@@ -282,10 +283,7 @@ class _Walker:
         memo = entry[1]
         if (memo.slot[inputs] >= 0).all():
             return memo.take(inputs)
-        demand = self.demand.get(id(plan))
-        if demand is None:
-            demand = self.demand[id(plan)] = (_shape(plan)[1], plan, [])
-        demand[2].append(inputs)
+        self.demand.setdefault(id(plan), (plan, []))[1].append(inputs)
         return lambda: memo.take(inputs)
 
     def walk(self, node, rows: tuple, amps: np.ndarray, inputs: np.ndarray,
@@ -408,7 +406,7 @@ class _Walker:
         # The other states are outside the callee's input family: walk them
         # through the callee directly, a block at a time.
         rest = np.flatnonzero(~matched)
-        width = _shape(sub)[0]
+        width = _columns(sub.label_count)
         for start in range(0, len(rest), width):
             cols = rest[start:start + width]
 
@@ -485,7 +483,7 @@ def _mark(node, path: tuple):
     if isinstance(node, MeasureStep):
         ids = [oid for oid, _, _ in node.children]
         rest = path[1:] if path[0] in ids else path
-        return replace(node, children=tuple(
+        return _shared(node, children=tuple(
             (oid, rewrite, _mark(child, rest) if oid == path[0] or len(ids) == 1 else None)
             for oid, rewrite, child in node.children))
     child = _mark(node.child, path[1:] if path[0] is None else path)
@@ -493,16 +491,15 @@ def _mark(node, path: tuple):
 
 
 def _shared(obj, **changes):
-    """A copy of a validated plan, or of a step other than a measurement
-    (whose maps name its children), with `changes`, that shares its compiled
-    maps: a gadget step's are on its applications, which the copy keeps. A
-    plan's shape is computed on the plan first, since a cut copy counts
-    fewer labels and calls."""
-    if isinstance(obj, Plan):
-        _shape(obj)
+    """A copy of a validated plan or step with `changes`. A plan copy keeps
+    its original's label count and height, though it is cut. The copy shares
+    its compiled maps, a gadget step's on its applications, except a
+    measurement's, which name its children: its copy starts with none."""
     copy = object.__new__(type(obj))
     copy.__dict__.update(vars(obj), **changes)
-    if not isinstance(obj, GadgetStep):
+    if isinstance(obj, MeasureStep):
+        copy.__dict__.pop("_batch_cache", None)
+    elif isinstance(obj, (Call, PrepareState, QueryStep)):
         copy.__dict__["_batch_cache"] = _cache(obj)
     return copy
 
@@ -531,7 +528,7 @@ def exit_amplitudes(plan: Plan) -> tuple[list[tuple], dict[tuple, int], list[np.
     chunks: list[np.ndarray] = []
     slot: dict[tuple, int] = {}
     queries_of: dict[tuple, int] = {}
-    width = _shape(plan)[0]
+    width = _columns(plan.label_count)
     for start in range(0, count, width):
         inputs = np.arange(start, min(count, start + width))
         if plan.contract is None:
@@ -612,51 +609,6 @@ def _cache(obj) -> dict:
     if cache is None:
         cache = obj.__dict__["_batch_cache"] = {}
     return cache
-
-
-def _shape(plan: Plan) -> tuple[int, int]:
-    """The plan's block width, the input columns per block for its label
-    count (every label a step of the plan, not of its callees, can write),
-    and its call height: one more than the highest height of the plans it
-    calls, 0 when it calls none, so that a plan is higher than every plan it
-    can reach."""
-    cache = _cache(plan)
-    shape = cache.get("shape")
-    if shape is None:
-        labels: set = set()
-        callees: dict[int, Plan] = {}
-        stack = [plan.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, MeasureStep):
-                labels |= _written(node)
-                stack.extend(child for _, _, child in node.children)
-            elif isinstance(node, Call):
-                callees[id(node.plan)] = node.plan
-            elif not isinstance(node, Output):
-                if isinstance(node, PrepareState):
-                    labels |= node.state.support()
-                elif isinstance(node, GadgetStep):
-                    labels |= _written(node)
-                stack.append(node.child)
-        height = 1 + max((_shape(callee)[1] for callee in callees.values()), default=-1)
-        shape = cache["shape"] = (_columns(len(labels)), height)
-    return shape
-
-
-def _written(step: MeasureStep | GadgetStep) -> frozenset:
-    """The labels a measurement's rewrites or a gadget step's bindings write,
-    kept beside the compile cache of the measurement or the applications,
-    which builds share."""
-    owner = step.applications if isinstance(step, GadgetStep) else step
-    written = owner.__dict__.get("_written")
-    if written is None:
-        if owner is step:
-            parts = [rewrite.values() for _, rewrite, _ in step.children if rewrite]
-        else:
-            parts = [binding.to_gadget for binding, _ in owner]
-        written = owner.__dict__["_written"] = frozenset().union(*parts)
-    return written
 
 
 def _columns(rows: int) -> int:

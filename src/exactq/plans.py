@@ -65,8 +65,8 @@ class PrepareState:
 class _Applications(tuple):
     """A GadgetStep's (binding, inverse) pairs, checked once, when made, to
     touch pairwise disjoint global labels: two that share one raise
-    BindingConflict. Its `__dict__` holds the batched walker's maps for every
-    step, of any build, that shares it.
+    BindingConflict. `written` holds the labels it binds, and its `__dict__`
+    the batched walker's maps for every step, of any build, that shares it.
 
     `layouts` is None, or a dict shared by applications of one label
     structure: the same bindings' labels and directions, one gadget of one
@@ -77,7 +77,7 @@ class _Applications(tuple):
 
     def __new__(cls, pairs, layouts: dict | None = None):
         apps = super().__new__(cls, pairs)
-        _owners(apps)
+        apps.written = frozenset(_owners(apps))
         if layouts is not None:
             apps.layouts = layouts
         return apps
@@ -119,7 +119,7 @@ class MeasureStep:
     the collapsed branch before descending. A label that carries amplitude
     and whose id is None or names no child is a gap: a simulated branch ends
     there as output -1, and the per-input `measure` and the degree audit
-    raise PartitionGap.
+    raise PartitionGap. `written` holds the labels its rewrites write.
     """
 
     outcome_of: Callable[[Label], object]
@@ -129,6 +129,8 @@ class MeasureStep:
         ids = [oid for oid, _, _ in self.children]
         if None in ids or len(set(ids)) != len(ids):
             raise ValueError(f"measurement outcome ids must be distinct and not None, got {ids!r}")
+        rewrites = [rewrite.values() for _, rewrite, _ in self.children if rewrite]
+        object.__setattr__(self, "written", frozenset().union(*rewrites))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +203,11 @@ class Plan:
     a PrepareState root; `contract` gives that state as an affine map of the
     +-1 input encoding, and `contract_gamma` records its leakage coefficient
     when meaningful.
+
+    Built, a plan holds what its own nodes, not its callees', give:
+    `label_count`, the labels its steps can write; `callees`, the plans its
+    Calls name, in first-appearance order; and `height`, 1 + the highest
+    callee height (0 with none). A non-node in its tree raises TypeError.
     """
 
     family: str
@@ -211,6 +218,29 @@ class Plan:
     truth: Callable[[tuple[int, ...]], int]
     contract: Contract | None = None
     contract_gamma: float | None = None
+
+    def __post_init__(self):
+        labels: set = set()
+        callees: dict[int, Plan] = {}
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, MeasureStep):
+                labels |= node.written
+                stack.extend(child for _, _, child in reversed(node.children))
+            elif isinstance(node, Call):
+                callees.setdefault(id(node.plan), node.plan)
+            elif isinstance(node, (PrepareState, GadgetStep, QueryStep)):
+                if isinstance(node, PrepareState):
+                    labels |= node.state.support()
+                elif isinstance(node, GadgetStep):
+                    labels |= node.applications.written
+                stack.append(node.child)
+            elif not isinstance(node, Output):
+                raise TypeError(f"{self.family}: {node!r} is not a plan node")
+        object.__setattr__(self, "label_count", len(labels))
+        object.__setattr__(self, "callees", tuple(callees.values()))
+        object.__setattr__(self, "height", 1 + max((callee.height for callee in self.callees), default=-1))
 
     def params_dict(self) -> dict:
         return dict(self.params)

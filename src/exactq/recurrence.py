@@ -30,7 +30,7 @@ def gamma_next(n: int, d: int, gamma_prev: float) -> float:
         raise ValueError(f"gamma_next needs integer n, d, got {n!r}, {d!r}")
     if d < 1 or n <= d:
         raise ValueError(f"gamma_next needs n > d >= 1, got n={n}, d={d}")
-    if gamma_prev < 0.0:
+    if not gamma_prev >= 0.0:
         raise ValueError(f"gamma_prev must be nonnegative, got {gamma_prev}")
     if gamma_prev >= 1.0:
         raise DivergedChain(f"gamma_prev={gamma_prev} is at or past the recurrence pole")
@@ -81,7 +81,7 @@ def gamma_chain(d: int, k0: int | None = None, gamma0: float | None = None, n_ma
         gamma0 = base_gamma0
     if k0 < 0:
         raise ValueError(f"k0 must be nonnegative, got {k0}")
-    if gamma0 < 0.0:
+    if not gamma0 >= 0.0:
         raise ValueError(f"gamma0 must be nonnegative, got {gamma0}")
     n0 = d + 2 * k0
     if n_max < n0:
@@ -154,10 +154,10 @@ class StepConstants:
         }
 
     def validate(self, tol: float = 1e-10) -> None:
-        """Raise ConstraintViolation when a residual exceeds `tol` (finite
-        and >= 0) or c2 or c11 is negative."""
+        """Raise ConstraintViolation when a residual is not within `tol`
+        (finite and >= 0), NaN included, or c2 or c11 is negative."""
         check_tol(tol)
-        bad = {name: r for name, r in self.constraint_residuals().items() if r > tol}
+        bad = {name: r for name, r in self.constraint_residuals().items() if not r <= tol}
         if self.c2 < 0.0:
             bad["c2-sign"] = -self.c2
         if self.c11 < 0.0:
@@ -166,7 +166,9 @@ class StepConstants:
             raise ConstraintViolation(f"step constants violate {sorted(bad)} at n={self.n}, d={self.d}: {bad}")
 
     def max_residual(self) -> float:
-        return max(self.constraint_residuals().values())
+        """The largest residual, or NaN when one is NaN."""
+        residuals = self.constraint_residuals().values()
+        return math.nan if any(map(math.isnan, residuals)) else max(residuals)
 
 
 def solve_step_constants(n: int, d: int, gamma_prev: float) -> StepConstants:
@@ -181,7 +183,7 @@ def solve_step_constants(n: int, d: int, gamma_prev: float) -> StepConstants:
         raise ValueError(f"need n >= d, got n={n}, d={d}")
     if n < 3:
         raise DegenerateCase(f"n={n} has no size n-2 >= 1 sub-instance")
-    if gamma_prev < 0.0:
+    if not gamma_prev >= 0.0:
         raise ValueError(f"gamma_prev must be nonnegative, got {gamma_prev}")
     if gamma_prev >= 1.0:
         raise DivergedChain(f"gamma_prev={gamma_prev} is at or past the recurrence pole")

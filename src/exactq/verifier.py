@@ -436,24 +436,14 @@ class LeafDegreeRecord:
 
 
 def _collect_plans(plan: Plan) -> list[Plan]:
+    """`plan` and every plan it reaches, depth first through `callees`."""
     seen: dict[int, Plan] = {}
-
-    def visit_node(node: PlanNode) -> None:
-        if isinstance(node, Call):
-            visit_plan(node.plan)
-        elif isinstance(node, (PrepareState, GadgetStep, QueryStep)):
-            visit_node(node.child)
-        elif isinstance(node, MeasureStep):
-            for _, _, child in node.children:
-                visit_node(child)
-
-    def visit_plan(p: Plan) -> None:
-        if id(p) in seen:
-            return
-        seen[id(p)] = p
-        visit_node(p.root)
-
-    visit_plan(plan)
+    stack = [plan]
+    while stack:
+        p = stack.pop()
+        if id(p) not in seen:
+            seen[id(p)] = p
+            stack.extend(reversed(p.callees))
     return list(seen.values())
 
 

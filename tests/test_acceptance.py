@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from exactq import (
-    CHAIN_BASES,
     ConstraintViolation,
     DECAY_START,
     OUTWARD,
@@ -22,7 +21,6 @@ from exactq import (
     TWO_SIDED,
     audit_leaf_degrees,
     build_appendix_a,
-    build_general_unbalance,
     build_exact_kl,
     build_sym,
     build_unb,

@@ -9,6 +9,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -48,13 +49,14 @@ from exactq import (
     weight_truth,
 )
 from exactq import algorithms, batch, plans, state_core
-from exactq.batch import (_Bindings, _Sums, _Walker, _route, _runs, _shape, _sub_inputs, exit_amplitudes,
+from exactq.batch import (_Bindings, _Sums, _Walker, _columns, _route, _runs, _sub_inputs, exit_amplitudes,
                           leaf_values, summarize)
 from exactq.gadgets import OracleSpec, extract_trailing_index, q_rotation
 from exactq.plans import WeightTruth, const, identity_wires, var
 from exactq.state_core import S_LABEL, ZERO_LABEL, anc, idx
 from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _collect_plans, _enter, _entry_state, _step
 import reference
+import reports
 import test_verifier
 from reference import Executor
 from test_verifier import GAP_OUTCOMES, s_only_measure, small_plan
@@ -358,13 +360,14 @@ def test_builder_sibling_calls_are_adjacent(name):
 
 
 def plan_nodes(plan):
-    """Every node of `plan`, not of its callees."""
+    """Every node of `plan`, not of its callees, depth first, a
+    measurement's children in branch order."""
     stack = [plan.root]
     while stack:
         node = stack.pop()
         yield node
         if isinstance(node, MeasureStep):
-            stack += [child for _, _, child in node.children]
+            stack += reversed([child for _, _, child in node.children])
         elif not isinstance(node, (Output, Call)):
             stack.append(node.child)
 
@@ -380,6 +383,63 @@ def written_labels(plan):
         elif isinstance(node, PrepareState):
             labels.update(node.state.support())
     return labels
+
+
+def test_a_plan_knows_its_shape_when_built():
+    # Recounted over each plan's nodes: every label its steps write, a
+    # measurement's rewrites included, the plans its calls name in the order
+    # they first appear, and its call height.
+    heights = {}
+
+    def recount(plan):
+        if id(plan) in heights:
+            return heights[id(plan)][1]
+        labels = written_labels(plan)
+        callees = {}
+        for node in plan_nodes(plan):
+            if isinstance(node, MeasureStep):
+                labels.update(label for _, rewrite, _ in node.children if rewrite for label in rewrite.values())
+            elif isinstance(node, Call):
+                callees.setdefault(id(node.plan), node.plan)
+        height = 1 + max(map(recount, callees.values()), default=-1)
+        assert (plan.label_count, plan.callees, plan.height) == (len(labels), tuple(callees.values()), height), plan
+        heights[id(plan)] = (plan, height)
+        return height
+
+    for make in reports.PLANS.values():
+        recount(make())
+    assert max(height for _, height in heights.values()) > 1
+
+
+def test_leaf_copies_keep_their_plans_shape_and_compile_their_own_measurements(monkeypatch):
+    # A cut plan copy holds fewer labels and calls than its original, but
+    # walks in its original's blocks and order. A measurement's maps name
+    # its children, so its copy compiles its own.
+    plan = build_unb(6, 2)
+    verify_exactness(plan)
+    copies = []
+
+    def recorded(obj, shared=batch._shared, **changes):
+        copy = shared(obj, **changes)
+        copies.append((obj, copy, dict(vars(copy).get("_batch_cache", {}))))
+        return copy
+
+    monkeypatch.setattr(batch, "_shared", recorded)
+    for path in reports.LEAF_PATHS:
+        leaf_values(plan, path, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
+    kinds = {type(obj) for obj, _, _ in copies}
+    assert {Plan, MeasureStep} <= kinds
+    for obj, copy, cache in copies:
+        if isinstance(obj, Plan):
+            assert (copy.label_count, copy.height) == (obj.label_count, obj.height)
+        elif isinstance(obj, MeasureStep):
+            assert vars(obj)["_batch_cache"] and cache == {}
+            assert vars(copy).get("_batch_cache") is not vars(obj)["_batch_cache"]
+
+
+def test_a_root_holding_a_non_node_is_refused_when_built():
+    with pytest.raises(TypeError, match="^small: None is not a plan node"):
+        small_plan(PrepareState(LabeledState({S_LABEL: 1.0}), None))
 
 
 def claims_grid_and_symmetric_plans():
@@ -562,7 +622,7 @@ def test_builders_run_no_wrapper_below_the_top(make_plan):
         for sub, runs in block.values():
             missing = np.concatenate(runs)
             assert len(np.unique(missing)) == len(missing), sub.family
-            assert len(runs) <= -(-len(missing) // _shape(sub)[0]), sub.family
+            assert len(runs) <= -(-len(missing) // _columns(sub.label_count)), sub.family
     if plan.family == "sym" and plan.params_dict()["strategy"] == TWO_SIDED:
         # 153 runs over 73 plans when every wrapper filled its own memo, and
         # 69 when every call that reached new inputs filled the memo of its
@@ -580,20 +640,36 @@ def test_builders_run_no_wrapper_below_the_top(make_plan):
 def test_summaries_do_not_depend_on_which_inputs_share_a_block(make_plan, monkeypatch):
     # A memo fills on whichever inputs a top-level block's calls miss, so an
     # input's summary must not depend on the inputs beside it. Smaller blocks
-    # group every input with others (fresh builds, since plans keep their
-    # block widths). BLAS rounds a product by the shape of its block (one
-    # column is a matrix-vector product), so masses may differ by rounding;
-    # all else is equal.
-    monkeypatch.setattr(algorithms, "_PLANS", {})
-    entered, sums = summarize(make_plan(), tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
-    monkeypatch.setattr(batch, "BLOCK_BYTES", 1 << 12)
-    monkeypatch.setattr(algorithms, "_PLANS", {})
+    # group every input with others. BLAS rounds a product by the shape of
+    # its block (one column is a matrix-vector product), so masses may differ
+    # by rounding; all else is equal.
     plan = make_plan()
-    assert _shape(plan)[0] < len(entered)
+    entered, sums = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
+    monkeypatch.setattr(batch, "BLOCK_BYTES", 1 << 12)
+    assert _columns(plan.label_count) < len(entered)
     small_entered, small = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
     assert small_entered.tolist() == entered.tolist()
     assert small.maxq.tolist() == sums.maxq.tolist()
     assert np.abs(small.data - sums.data).max() <= 1e-14
+
+
+def test_missing_inputs_take_memory_in_the_inputs_read():
+    # A padded plan's callees are read at few of their 2^n inputs. A memo
+    # of a small plan finds the same inputs in a table by input.
+    small = batch._Memo(4)
+    small.add(np.array([5]), _Sums.vacuous(1))
+    assert small.missing(np.array([9, 5, 2, 9])).tolist() == [2, 9]
+    memo = batch._Memo(20)
+    memo.add(np.array([5]), _Sums.vacuous(1))
+    memo.missing(np.array([5]))  # numpy imports what it needs at its first call
+    tracemalloc.start()
+    try:
+        missing = memo.missing(np.array([9, 5, 2]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert missing.tolist() == [2, 9]
+    assert peak < 64 << 10
 
 
 def test_branches_fold_in_branch_order_behind_a_pending_read():

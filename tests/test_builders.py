@@ -10,7 +10,6 @@ import pytest
 
 from exactq import (
     DegenerateCase,
-    InconsistentSpec,
     NoChain,
     algorithms,
     build_appendix_a,

@@ -250,6 +250,13 @@ class TestGammaCommand:
     def test_custom_k0_without_gamma0_exits_2(self, capsys):
         assert main(["gamma", "--d", "2", "--k0", "7"]) == 2
 
+    def test_nan_gamma0_exits_2(self, capsys):
+        # It printed `"gamma": NaN`, which is not JSON, and exited 1.
+        assert main(["gamma", "--d", "1", "--gamma0", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gamma0 must be nonnegative, got nan\n"
+
     def test_csv_rows(self, capsys):
         code, out = run(capsys, "gamma", "--d", "1", "--n-max", "5", "--format", "csv")
         assert code == 0

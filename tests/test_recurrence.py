@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -71,6 +72,12 @@ class TestGammaNext:
     def test_diverges_at_pole(self):
         with pytest.raises(DivergedChain):
             gamma_next(5, 1, 1.0)
+        with pytest.raises(DivergedChain):
+            gamma_next(5, 1, math.inf)
+
+    def test_nan_gamma_prev_is_refused(self):
+        with pytest.raises(ValueError, match="^gamma_prev must be nonnegative, got nan"):
+            gamma_next(5, 1, math.nan)
 
 
 class TestGammaChain:
@@ -114,6 +121,11 @@ class TestGammaChain:
         with pytest.raises(NoChain):
             chain_gamma_at(3, 3)
 
+    def test_nan_gamma0_is_refused(self):
+        # It ran to NaN rows that read as a decaying chain.
+        with pytest.raises(ValueError, match="^gamma0 must be nonnegative, got nan"):
+            gamma_chain(1, 0, math.nan)
+
     def test_divergent_custom_start_truncates(self):
         chain = gamma_chain(2, k0=4, gamma0=0.9, n_max=30)
         assert not chain.valid
@@ -151,6 +163,18 @@ class TestStepConstants:
             prev = chain_gamma_at(d, n - 2)
             cs = solve_step_constants(n, d, prev)
             assert cs.gamma == pytest.approx(gamma_next(n, d, prev), abs=1e-15)
+
+    def test_nan_gamma_prev_is_refused(self):
+        # It returned the gamma_prev = 0 constants, labelled nan, which
+        # validate passed.
+        with pytest.raises(ValueError, match="^gamma_prev must be nonnegative, got nan"):
+            solve_step_constants(5, 1, math.nan)
+
+    def test_nan_residual_fails_validation(self):
+        cs = replace(solve_step_constants(7, 1, 0.1), c3=math.nan)
+        assert math.isnan(cs.max_residual())
+        with pytest.raises(ConstraintViolation, match="C2"):
+            cs.validate()
 
     def test_degenerate_when_n_equals_d(self):
         with pytest.raises(DegenerateCase):

@@ -1,8 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or of the tests imports is used in
+that module.
 
 No linter ships with the test dependencies, so this parses each module of
-`src/exactq` with `ast`. `__init__.py` is left out: it imports names to
-re-export them.
+`src/exactq` and of `tests` with `ast`. The package's `__init__.py` is left
+out: it imports names to re-export them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import pytest
 
 import exactq
 
-MODULES = sorted(p for p in Path(exactq.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(p for p in Path(exactq.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,7 +33,7 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", PACKAGE + TESTS, ids=[p.name for p in PACKAGE] + [f"tests/{p.name}" for p in TESTS])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
