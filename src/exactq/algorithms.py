@@ -15,13 +15,12 @@ step to the plans it calls and counts its queries). Each measurement is
 one `MeasureStep`: an outcome function, most often a dict's `get` from
 label to outcome id, and its (id, rewrite, child) entries in branch order.
 
-An override build (a knob of build_unbr, build_unb or build_appendix_a)
-pays only for its values. It makes its 3x3 rotation gadgets, which wrap the
-pair maps that `_rotation_pairs` bound and validated once per n, and its
-Plan; every other step, and the input contract when its gamma is the
-default one, is an object of the default build. So its first walk compiles
-only its rotation passes' group matrices, on the layouts kept on those pair
-maps, its query steps and an input contract of its own.
+An override build (a knob of build_unbr, build_unb or build_appendix_a) is
+a copy of its memoized default build (`_overridden`) in which only the
+rotation passes, and the input contract when its gamma is not the default's,
+are new. Its other steps keep the default's compiled maps, so its first walk
+compiles only its passes' group matrices, on the layouts kept on the pair
+maps that `_rotation_pairs` validated once per n, and a contract of its own.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ from .plans import (
     QueryStep,
     WeightTruth,
     _Applications,
+    _shared,
     const,
     drop_wires,
     identity_wires,
@@ -98,7 +98,7 @@ def precomputed_state(n: int, gamma: float) -> Contract:
     return Contract(n, tuple(labels), (0.0,) * len(labels), tuple(coeffs))
 
 
-# Default builds, and the steps they share with override builds, keyed by
+# Default builds, and the pieces every build of a shape shares, keyed by
 # (builder name, positional args). Plans are immutable and shared:
 # build_unb(8, 2) is build_unb(8, 2).
 _PLANS: dict[tuple[str, tuple], object] = {}
@@ -109,21 +109,13 @@ _Apps = tuple[tuple[Binding, bool], ...]
 
 
 def _memoized(build: Callable[..., _Built]) -> Callable[..., _Built]:
-    """Memoize a builder's default builds, and the helpers they share with
-    override builds, in `_PLANS`.
+    """Memoize a builder's default builds in `_PLANS`, and the pieces builds
+    share: `_uniform_u`, a uniform start's U_n, and `_rotation_pairs`, a
+    rotation pass's validated pair maps on n indices and their layouts.
 
-    A call that passes any keyword argument (the override knobs) builds a
-    new Plan. It builds afresh only the steps its knobs set; every other
-    step comes from a memoized helper that the default build of the same
-    shape uses too: `_unbr_shared` and `_appendix_a_shared` hold the U
-    stages' applications, the measurement and the default input contract,
-    `_unb_shared` the measurement, `_uniform_u` a uniform start's U_n, and
-    `_rotation_pairs` the validated pair maps of a rotation pass on n
-    indices, with the layouts the batched walker keeps there. The override
-    plans of one shape share with the default plan these objects (the
-    applications in gadget steps of each build's own), and with them the maps
-    the walker compiles on each. Every key is a helper's name and its
-    integer arguments: nothing is memoized per knob value.
+    A call that passes any keyword argument (an override knob) builds a new
+    Plan: with a knob set, a copy of the default build (`_overridden`). Every
+    key is a name and integer arguments: nothing is memoized per knob value.
     """
     @functools.wraps(build)
     def cached(*args, **overrides):
@@ -222,6 +214,23 @@ def _uniform_u(n: int) -> _Applications:
     return _Applications(((identity_binding(u_gadget(n)), False),))
 
 
+def _overridden(default: Plan, passes, contract: Contract | None, gamma: float | None) -> Plan:
+    """An override build: a copy (`_shared`) of `default`, of its shape, with
+    the input contract `contract` of leakage `gamma`, and with `passes` in
+    place of its rotation passes, the gadget steps whose applications carry
+    `layouts`, in order from the root. The other steps above its first
+    measurement are copies that keep their originals' compiled maps; the
+    measurement and everything below it are the default's own."""
+    spine, node, passes = [], default.root, list(passes)
+    while not isinstance(node, MeasureStep):
+        spine.append(node)
+        node = node.child
+    for step in reversed(spine):
+        rotation = isinstance(step, GadgetStep) and step.applications.layouts is not None
+        node = GadgetStep(passes.pop(), node) if rotation else _shared(step, child=node)
+    return _shared(default, root=node, contract=contract, contract_gamma=gamma)
+
+
 def _uniform_start(n: int, child: PlanNode) -> PlanNode:
     """Uniform superposition over the n index labels, the trailing-index
     query, and U_n, then `child`."""
@@ -247,16 +256,13 @@ def build_unbr(n: int, d: int, *, constants: StepConstants | None = None, valida
 
     Recurses down the d-chain to its base. `constants` overrides the step
     constants (for sensitivity experiments); `validate=False` skips the
-    constraint check so deliberately broken constants reach the simulator;
-    a `constants.gamma` outside [0, 1] raises ValueError either way.
-    An override build makes only its split and merge rotation gadgets
-    (`_rotation_pass`), its input contract when its gamma is not the
-    default's, and its Plan; the U_n/U_{n-2} stages, the measurement and
-    the default contract are the default build's (`_unbr_shared`). Its
-    first walk compiles only its two rotation passes' group matrices, on
-    the layouts of their shape, its query step and a contract of its own.
-    The chain base has no step constants, so either knob there raises
-    DegenerateCase.
+    constraint check so deliberately broken constants reach the simulator.
+    A `constants.gamma` outside [0, 1], or constants solved for another
+    (n, d), raise ValueError either way, the latter after the constraint
+    check. An override build is the default build with its own split and
+    merge rotation passes, and its own input contract when its gamma is not
+    the default's (`_overridden`). The chain base has no step constants, so
+    either knob there raises DegenerateCase.
     """
     if d not in CHAIN_BASES:
         raise NoChain(f"no recursion chain is known for d={d} (supported: 1, 2, 3)")
@@ -272,7 +278,41 @@ def build_unbr(n: int, d: int, *, constants: StepConstants | None = None, valida
             raise DegenerateCase(f"build_unbr({n}, {d}) is the chain base, which has no step constants: "
                                  f"{' and '.join(knobs)} would be ignored{hint}")
         return _build_unbr_base(d)
-    return _build_unbr_step(n, d, constants=constants, validate=validate)
+    cs = solve_step_constants(n, d, chain_gamma_at(d, n - 2)) if constants is None else constants
+    gamma = cs.gamma
+    check_gamma(gamma, "constants.gamma")
+    if validate:
+        cs.validate()
+    if (cs.n, cs.d) != (n, d):
+        raise ValueError(f"constants were solved for (n, d) = ({cs.n}, {cs.d}), not for ({n}, {d})")
+    split = _rotation_pass(math.atan2(cs.c1, cs.c2), n, False)
+    merge = _rotation_pass(math.atan2(cs.c8, cs.c9), n, True)
+    if constants is not None or not validate:
+        default = build_unbr(n, d)
+        contract = default.contract if gamma == default.contract_gamma else precomputed_state(n, gamma)
+        return _overridden(default, (split, merge), contract, gamma)
+
+    sub = build_unbr(n - 2, d)
+    inverses, forwards = _u_stages(n, idx, lambda p, k: comp(p, idx(k)))
+    outcomes = {S_LABEL: ("s",)}
+    children: list = [(("s",), None, Output(0))]
+    for i, j in _pairs(n):
+        p, oid = pair(i, j), ("pair", i, j)
+        # The pair, its quads and its two rotation arms, which go to labels
+        # that no gadget binds, so the callee never takes them for its own.
+        rewrite = {p: S_LABEL, **_quad_renames(n, i, j),
+                   tag("L", p): tag("L", ZERO_LABEL), tag("R", p): tag("R", ZERO_LABEL)}
+        outcomes.update(dict.fromkeys(rewrite, oid))
+        children.append((oid, rewrite, Call(sub, drop_wires(n, (i, j)))))
+    root = _round(split, inverses, extract_trailing_index, forwards, merge,
+                  MeasureStep(outcomes.get, tuple(children)))
+    k, l = (n - d) // 2, (n + d) // 2
+    return Plan(
+        family="unbr", n=n, params=(("n", n), ("d", d)),
+        root=root, claimed_queries=unbr_claimed_queries(n, d),
+        truth=weight_truth(n, frozenset({k, l})),
+        contract=precomputed_state(n, gamma), contract_gamma=gamma,
+    )
 
 
 def _build_unbr_base(d: int) -> Plan:
@@ -298,50 +338,6 @@ def _build_unbr_base(d: int) -> Plan:
             contract=precomputed_state(2, 0.0), contract_gamma=0.0,
         )
     return build_appendix_a()
-
-
-@_memoized
-def _unbr_shared(n: int, d: int) -> tuple[StepConstants, _Apps, _Apps, MeasureStep, Contract]:
-    """What a build_unbr(n, d) step takes from its default build: the default
-    step constants; the steps that no step constant sets, the U_n/U_{n-2}
-    applications inverted and forward and the measurement whose pair
-    outcomes call build_unbr(n-2, d); and the input contract of the default
-    gamma."""
-    sub = build_unbr(n - 2, d)
-    cs = solve_step_constants(n, d, chain_gamma_at(d, n - 2))
-    inverses, forwards = _u_stages(n, idx, lambda p, k: comp(p, idx(k)))
-    outcomes = {S_LABEL: ("s",)}
-    children: list = [(("s",), None, Output(0))]
-    for i, j in _pairs(n):
-        p, oid = pair(i, j), ("pair", i, j)
-        # The pair, its quads and its two rotation arms, which go to labels
-        # that no gadget binds, so the callee never takes them for its own.
-        rewrite = {p: S_LABEL, **_quad_renames(n, i, j),
-                   tag("L", p): tag("L", ZERO_LABEL), tag("R", p): tag("R", ZERO_LABEL)}
-        outcomes.update(dict.fromkeys(rewrite, oid))
-        children.append((oid, rewrite, Call(sub, drop_wires(n, (i, j)))))
-    return cs, inverses, forwards, MeasureStep(outcomes.get, tuple(children)), precomputed_state(n, cs.gamma)
-
-
-def _build_unbr_step(n: int, d: int, *, constants: StepConstants | None, validate: bool) -> Plan:
-    default, inverses, forwards, measure, contract = _unbr_shared(n, d)
-    cs = default if constants is None else constants
-    gamma = cs.gamma
-    check_gamma(gamma, "constants.gamma")
-    if validate:
-        cs.validate()
-    if gamma != default.gamma:
-        contract = precomputed_state(n, gamma)
-    root = _round(_rotation_pass(math.atan2(cs.c1, cs.c2), n, False), inverses, extract_trailing_index,
-                  forwards, _rotation_pass(math.atan2(cs.c8, cs.c9), n, True), measure)
-
-    k, l = (n - d) // 2, (n + d) // 2
-    return Plan(
-        family="unbr", n=n, params=(("n", n), ("d", d)),
-        root=root, claimed_queries=unbr_claimed_queries(n, d),
-        truth=weight_truth(n, frozenset({k, l})),
-        contract=contract, contract_gamma=gamma,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +401,39 @@ def appendix_a_angles(c: Mapping[int, float] | None = None) -> dict[str, float]:
 
 
 @_memoized
-def _appendix_a_shared() -> tuple[_Apps, _Apps, MeasureStep, Contract]:
-    """The steps of build_appendix_a that no angle or gamma sets: the
-    U_5/U_3 applications inverted and forward, and the final measurement;
-    and the input contract of the default gamma."""
+def build_appendix_a(
+    *,
+    angle_overrides: Mapping[str, float] | None = None,
+    gamma_override: float | None = None,
+) -> Plan:
+    """Two-query plan for the weight set {1,4} at n=5 on the precomputed state.
+
+    The overrides exist for sensitivity experiments; default builds are
+    cached. An override angle that is not finite, or a `gamma_override`
+    outside [0, 1], raises ValueError. An override build is the default
+    build with its own four rotation passes, and its own input contract when
+    its gamma is not the default's (`_overridden`).
+    """
+    angles = appendix_a_angles()
+    if angle_overrides is not None:
+        unknown = set(angle_overrides) - set(angles)
+        if unknown:
+            raise ValueError(f"unknown angle overrides {sorted(unknown)!r}")
+        for name, angle in angle_overrides.items():
+            if not math.isfinite(angle):
+                raise ValueError(f"angle_overrides[{name!r}] must be finite, got {angle!r}")
+        angles.update(angle_overrides)
+    if gamma_override is not None:
+        check_gamma(gamma_override, "gamma_override")
+    gamma = appendix_a_constants()[1] ** 2 if gamma_override is None else gamma_override
     n = 5
+    passes = [_rotation_pass(angles[name], n, name.startswith("merge"))
+              for name in ("split1", "merge1", "split2", "merge2")]
+    if angle_overrides is not None or gamma_override is not None:
+        default = build_appendix_a()
+        contract = default.contract if gamma == default.contract_gamma else precomputed_state(n, gamma)
+        return _overridden(default, passes, contract, gamma)
+
     inverses, forwards = _u_stages(n, lambda i: comp(idx(i), S_LABEL), lambda p, k: comp(idx(k), p))
     outcomes = {S_LABEL: ("s",)}
     children: list = [(("s",), None, Output(0))]
@@ -422,51 +446,15 @@ def _appendix_a_shared() -> tuple[_Apps, _Apps, MeasureStep, Contract]:
         for q in _quad_renames(n, i, j):
             outcomes[q] = ("quad",) + q[1:]
             children.append((outcomes[q], None, Output(0)))
-    measure = MeasureStep(outcomes.get, tuple(children))
-    return inverses, forwards, measure, precomputed_state(n, _appendix_a_gamma())
-
-
-def _appendix_a_gamma() -> float:
-    return appendix_a_constants()[1] ** 2
-
-
-@_memoized
-def build_appendix_a(
-    *,
-    angle_overrides: Mapping[str, float] | None = None,
-    gamma_override: float | None = None,
-) -> Plan:
-    """Two-query plan for the weight set {1,4} at n=5 on the precomputed state.
-
-    The overrides exist for sensitivity experiments; default builds are
-    cached. A `gamma_override` outside [0, 1] raises ValueError. An
-    override build makes only its four rotation gadgets (`_rotation_pass`),
-    its input contract when its gamma is not the default's, and its Plan;
-    the U_5/U_3 stages, the measurement and the default contract are the
-    default build's (`_appendix_a_shared`), and its first walk compiles only
-    its rotation passes' group matrices and its query steps.
-    """
-    angles = appendix_a_angles()
-    if angle_overrides:
-        unknown = set(angle_overrides) - set(angles)
-        if unknown:
-            raise ValueError(f"unknown angle overrides {sorted(unknown)!r}")
-        angles.update(angle_overrides)
-    inverses, forwards, measure, contract = _appendix_a_shared()
-    gamma = _appendix_a_gamma()
-    if gamma_override is not None:
-        check_gamma(gamma_override, "gamma_override")
-        if gamma_override != gamma:
-            gamma, contract = gamma_override, precomputed_state(5, gamma_override)
-    second = _round(_rotation_pass(angles["split2"], 5, False), inverses, extract_leading_index,
-                    forwards, _rotation_pass(angles["merge2"], 5, True), measure)
-    root = _round(_rotation_pass(angles["split1"], 5, False), inverses, extract_leading_index,
-                  forwards, _rotation_pass(angles["merge1"], 5, True), second)
+    split1, merge1, split2, merge2 = passes
+    second = _round(split2, inverses, extract_leading_index, forwards, merge2,
+                    MeasureStep(outcomes.get, tuple(children)))
+    root = _round(split1, inverses, extract_leading_index, forwards, merge1, second)
     return Plan(
-        family="unbr", n=5, params=(("n", 5), ("d", 3)),
+        family="unbr", n=n, params=(("n", n), ("d", 3)),
         root=root, claimed_queries=2,
-        truth=weight_truth(5, frozenset({1, 4})),
-        contract=contract, contract_gamma=gamma,
+        truth=weight_truth(n, frozenset({1, 4})),
+        contract=precomputed_state(n, gamma), contract_gamma=gamma,
     )
 
 
@@ -480,34 +468,14 @@ def unb_claimed_queries(n: int, d: int) -> int:
 
 
 @_memoized
-def _unb_shared(n: int, d: int) -> MeasureStep:
-    """The step of build_unb(n, d), n > d, that gamma does not set: the
-    measurement that calls build_unb(n-2, d) on each pair outcome and
-    build_unbr(n, d) on the rest."""
-    sub_pair = build_unb(n - 2, d)
-    sub_rest = build_unbr(n, d)
-    if unb_claimed_queries(n, d) != 1 + max(sub_pair.claimed_queries, sub_rest.claimed_queries):
-        raise InconsistentSpec(f"query count recursion broke at n={n}, d={d}")
-    pairs = _pairs(n)
-    right_arms = {tag("R", pair(i, j)): ("pair", i, j) for i, j in pairs}
-    children: list = [(("pair", i, j), None, Call(sub_pair, drop_wires(n, (i, j)))) for i, j in pairs]
-    rewrite = {tag("L", pair(i, j)): pair(i, j) for i, j in pairs}
-    children.append((("rest",), rewrite, Call(sub_rest, identity_wires(n))))
-    return MeasureStep(lambda l: right_arms.get(l, ("rest",)), tuple(children))
-
-
-@_memoized
 def build_unb(n: int, d: int, *, gamma_override: float | None = None) -> Plan:
     """Full plan deciding whether the weight is (n-d)/2 or (n+d)/2.
 
     `gamma_override` replaces the split angle's gamma (for sensitivity
-    experiments); one outside [0, 1] raises ValueError. An override build
-    makes its uniform preparation and query, its split rotation gadget and
-    its Plan; the uniform start's U_n (`_uniform_u`) and the measurement
-    (`_unb_shared`) are the default build's, so its first walk compiles only
-    its split pass's group matrices and its query step. At n = d the plan
-    calls EQUALITY and has no gamma, so an override there raises
-    DegenerateCase.
+    experiments); one outside [0, 1] raises ValueError. An override build is
+    the default build with its own split rotation pass (`_overridden`). At
+    n = d the plan calls EQUALITY and has no gamma, so an override there
+    raises DegenerateCase.
     """
     if d not in CHAIN_BASES:
         raise NoChain(f"d={d} is outside the chain family (supported: 1, 2, 3); "
@@ -524,7 +492,19 @@ def build_unb(n: int, d: int, *, gamma_override: float | None = None) -> Plan:
             check_gamma(gamma_override, "gamma_override")
         gamma = chain_gamma_at(d, n) if gamma_override is None else gamma_override
         splits = _rotation_pass(math.asin(math.sqrt(gamma)), n, False)
-        root = _uniform_start(n, GadgetStep(splits, _unb_shared(n, d)))
+        if gamma_override is not None:
+            return _overridden(build_unb(n, d), (splits,), None, None)
+        sub_pair = build_unb(n - 2, d)
+        sub_rest = build_unbr(n, d)
+        if unb_claimed_queries(n, d) != 1 + max(sub_pair.claimed_queries, sub_rest.claimed_queries):
+            raise InconsistentSpec(f"query count recursion broke at n={n}, d={d}")
+        pairs = _pairs(n)
+        right_arms = {tag("R", pair(i, j)): ("pair", i, j) for i, j in pairs}
+        children: list = [(("pair", i, j), None, Call(sub_pair, drop_wires(n, (i, j)))) for i, j in pairs]
+        rewrite = {tag("L", pair(i, j)): pair(i, j) for i, j in pairs}
+        children.append((("rest",), rewrite, Call(sub_rest, identity_wires(n))))
+        root = _uniform_start(n, GadgetStep(splits, MeasureStep(lambda l: right_arms.get(l, ("rest",)),
+                                                                tuple(children))))
     k, l = (n - d) // 2, (n + d) // 2
     return Plan(
         family="unb", n=n, params=(("n", n), ("d", d)),

@@ -40,13 +40,13 @@ significant, which is the order of `itertools.product((0, 1), repeat=n)`.
 Gadget steps, whose bindings touch disjoint labels, are one gather, one
 matrix product and one scatter per group of bindings that share a gadget.
 The maps of queries and measurements are compiled once per (node, row-label
-tuple) and kept on the node; a gadget step's are compiled once per row-label
-tuple and kept on its applications, which every build that takes them from
-a default build shares, so an override build compiles only the steps it
-made. Of those, a rotation pass compiles only its group matrices and their
-live rows: its label layout comes from the `layouts` its applications share
-with every pass of their shape (`_compile`). Maps compile at a plan's first
-walk; its label count and height (`Plan`) are set when it is built.
+tuple) and kept on the node, a gadget step's on its applications. An
+override build holds its default build's measurement and copies of its other
+steps that share their maps (`plans._shared`), so it compiles only its
+rotation passes, each only its group matrices and live rows: its label
+layout comes from the `layouts` its applications share with every pass of
+their shape (`_compile`). Maps compile at a plan's first walk; its label
+count and height (`Plan`) are set when it is built.
 
 The summary of a block is one (5, columns) float64 matrix (`_Sums`): three
 rows of total mass per output, which branches merge by adding, and two rows
@@ -82,7 +82,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import IndexOutOfRange, PartitionGap
-from .plans import Call, Contract, GadgetStep, MeasureStep, Output, Plan, PrepareState, QueryStep
+from .plans import Call, Contract, GadgetStep, MeasureStep, Output, Plan, PrepareState, QueryStep, _shared
 from .state_core import STORE_TOL, ZERO_LABEL
 
 # Bytes a block of input columns may take (512 KiB): a walk of a plan takes
@@ -488,20 +488,6 @@ def _mark(node, path: tuple):
             for oid, rewrite, child in node.children))
     child = _mark(node.child, path[1:] if path[0] is None else path)
     return None if child is None else _shared(node, child=child)
-
-
-def _shared(obj, **changes):
-    """A copy of a validated plan or step with `changes`. A plan copy keeps
-    its original's label count and height, though it is cut. The copy shares
-    its compiled maps, a gadget step's on its applications, except a
-    measurement's, which name its children: its copy starts with none."""
-    copy = object.__new__(type(obj))
-    copy.__dict__.update(vars(obj), **changes)
-    if isinstance(obj, MeasureStep):
-        copy.__dict__.pop("_batch_cache", None)
-    elif isinstance(obj, (Call, PrepareState, QueryStep)):
-        copy.__dict__["_batch_cache"] = _cache(obj)
-    return copy
 
 
 # ---------------------------------------------------------------------------

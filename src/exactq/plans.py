@@ -65,19 +65,20 @@ class PrepareState:
 class _Applications(tuple):
     """A GadgetStep's (binding, inverse) pairs, checked once, when made, to
     touch pairwise disjoint global labels: two that share one raise
-    BindingConflict. `written` holds the labels it binds, and its `__dict__`
-    the batched walker's maps for every step, of any build, that shares it.
+    BindingConflict. Its `__dict__` holds the batched walker's maps for every
+    step, of any build, that shares it.
 
     `layouts` is None, or a dict shared by applications of one label
     structure: the same bindings' labels and directions, one gadget of one
     space throughout, whose matrix may differ between them. The walker keeps
-    their layouts there, by row tuple (`batch._compile`)."""
+    their layouts there, by row tuple (`batch._compile`). Only rotation passes
+    have them, which is how an override build finds its own."""
 
     layouts: dict | None = None
 
     def __new__(cls, pairs, layouts: dict | None = None):
         apps = super().__new__(cls, pairs)
-        apps.written = frozenset(_owners(apps))
+        _owners(apps)
         if layouts is not None:
             apps.layouts = layouts
         return apps
@@ -119,7 +120,7 @@ class MeasureStep:
     the collapsed branch before descending. A label that carries amplitude
     and whose id is None or names no child is a gap: a simulated branch ends
     there as output -1, and the per-input `measure` and the degree audit
-    raise PartitionGap. `written` holds the labels its rewrites write.
+    raise PartitionGap.
     """
 
     outcome_of: Callable[[Label], object]
@@ -129,8 +130,6 @@ class MeasureStep:
         ids = [oid for oid, _, _ in self.children]
         if None in ids or len(set(ids)) != len(ids):
             raise ValueError(f"measurement outcome ids must be distinct and not None, got {ids!r}")
-        rewrites = [rewrite.values() for _, rewrite, _ in self.children if rewrite]
-        object.__setattr__(self, "written", frozenset().union(*rewrites))
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +225,7 @@ class Plan:
         while stack:
             node = stack.pop()
             if isinstance(node, MeasureStep):
-                labels |= node.written
+                labels.update(*(rewrite.values() for _, rewrite, _ in node.children if rewrite))
                 stack.extend(child for _, _, child in reversed(node.children))
             elif isinstance(node, Call):
                 callees.setdefault(id(node.plan), node.plan)
@@ -234,7 +233,7 @@ class Plan:
                 if isinstance(node, PrepareState):
                     labels |= node.state.support()
                 elif isinstance(node, GadgetStep):
-                    labels |= node.applications.written
+                    labels.update(*(binding.to_gadget for binding, _ in node.applications))
                 stack.append(node.child)
             elif not isinstance(node, Output):
                 raise TypeError(f"{self.family}: {node!r} is not a plan node")
@@ -248,3 +247,18 @@ class Plan:
     def __repr__(self) -> str:
         extra = f", gamma={self.contract_gamma!r}" if self.contract is not None else ""
         return f"Plan({self.family}, n={self.n}, claimed={self.claimed_queries}{extra})"
+
+
+def _shared(obj, **changes):
+    """A copy of a validated plan or step with `changes`. A plan copy keeps
+    its original's shape: an override build has the same shape, and a cut
+    copy walks in its original's blocks. The copy shares its compiled maps,
+    a gadget step's on its applications, except a measurement's, which name
+    its children: its copy starts with none."""
+    copy = object.__new__(type(obj))
+    copy.__dict__.update(vars(obj), **changes)
+    if isinstance(obj, MeasureStep):
+        copy.__dict__.pop("_batch_cache", None)
+    elif isinstance(obj, (Call, PrepareState, QueryStep)):
+        copy.__dict__["_batch_cache"] = obj.__dict__.setdefault("_batch_cache", {})
+    return copy

@@ -28,6 +28,7 @@ from exactq import (
     verify_exactness,
     weight_truth,
 )
+from exactq.plans import GadgetStep, MeasureStep, QueryStep
 from exactq.state_core import S_LABEL, pair
 from test_batch import final_measurement, mutated_unbr
 
@@ -129,6 +130,15 @@ class TestUnbR:
         constants = solve_step_constants(7, 1, chain_gamma_at(1, 5))
         with pytest.raises(DegenerateCase, match="build_appendix_a"):
             build_unbr(5, 3, constants=constants, validate=False)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("n,d,gamma", [(9, 1, chain_gamma_at(1, 7)), (7, 2, 0.05)])
+    def test_constants_of_another_n_or_d_are_refused(self, n, d, gamma, validate):
+        # Each set passes its own constraint check, which reads its own n.
+        constants = solve_step_constants(n, d, gamma)
+        with pytest.raises(ValueError, match=rf"^constants were solved for \(n, d\) = \({n}, {d}\), "
+                                             rf"not for \(7, 1\)$"):
+            build_unbr(7, 1, constants=constants, validate=validate)
 
 
 class TestUnb:
@@ -259,6 +269,78 @@ class TestGammaKnobs:
                      build_unbr(7, 1, constants=replace(base, gamma=gamma), validate=False)):
             assert plan.contract_gamma in (None, gamma)
             assert verify_exactness(plan).counterexamples
+
+
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_appendix_a_angle_is_refused(angle):
+    with pytest.raises(ValueError, match=rf"^angle_overrides\['split1'\] must be finite, got {angle!r}$"):
+        build_appendix_a(angle_overrides={"split1": angle})
+
+
+def appendix_a_override():
+    angles = algorithms.appendix_a_angles()
+    angles["split2"] += 1e-3
+    return build_appendix_a(angle_overrides=angles)
+
+
+# (default build, override build, the override's rotation pass count)
+OVERRIDES = {
+    "unbr71": (lambda: build_unbr(7, 1), lambda: mutated_unbr(7, 1, "c1", 1e-3), 2),
+    "unbr62": (lambda: build_unbr(6, 2), lambda: mutated_unbr(6, 2, "gamma", 1e-3), 2),
+    "unb51": (lambda: build_unb(5, 1), lambda: build_unb(5, 1, gamma_override=0.05), 1),
+    "appendixA": (build_appendix_a, appendix_a_override, 4),
+}
+
+
+def spine(plan):
+    """The steps of `plan` from its root down to its first measurement, and
+    that measurement."""
+    steps, node = [], plan.root
+    while not isinstance(node, MeasureStep):
+        steps.append(node)
+        node = node.child
+    return steps, node
+
+
+class TestOverrideCopies:
+    """An override build is a copy of its default build in which only the
+    rotation passes are new."""
+
+    @pytest.mark.parametrize("name", OVERRIDES)
+    def test_an_override_is_its_default_with_new_rotation_passes(self, name):
+        make_default, make_override, count = OVERRIDES[name]
+        default, override = make_default(), make_override()
+        (steps, measurement), (copies, own_measurement) = spine(default), spine(override)
+        assert own_measurement is measurement
+        assert [type(copy) for copy in copies] == [type(step) for step in steps]
+        assert (override.label_count, override.callees, override.height) == \
+            (default.label_count, default.callees, default.height)
+        passes = 0
+        for step, copy in zip(steps, copies):
+            assert copy is not step
+            if isinstance(step, GadgetStep) and step.applications.layouts is not None:
+                passes += 1
+                assert copy.applications is not step.applications
+                assert copy.applications.layouts is step.applications.layouts
+            elif isinstance(step, GadgetStep):
+                assert copy.applications is step.applications
+            else:
+                assert vars(copy)["_batch_cache"] is vars(step)["_batch_cache"]
+        assert passes == count
+
+    @pytest.mark.parametrize("name", OVERRIDES)
+    def test_an_override_of_a_verified_default_compiles_no_query_map(self, name):
+        make_default, make_override, _ = OVERRIDES[name]
+        verify_exactness(make_default())
+        override = make_override()
+        queries = [step for step in spine(override)[0] if isinstance(step, QueryStep)]
+
+        def compiled():
+            return [set(vars(query).get("_batch_cache", {})) for query in queries]
+        before = compiled()
+        assert queries and all(before)
+        verify_exactness(override)
+        assert compiled() == before
 
 
 class TestGeneralUnbalance:

@@ -1,9 +1,9 @@
 """Every name a module of the package or of the tests imports is used in
-that module.
+that module, and every private helper of the package is used somewhere in it.
 
 No linter ships with the test dependencies, so this parses each module of
 `src/exactq` and of `tests` with `ast`. The package's `__init__.py` is left
-out: it imports names to re-export them.
+out of the import check: it imports names to re-export them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import pytest
 
 import exactq
 
-PACKAGE = sorted(p for p in Path(exactq.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(Path(exactq.__file__).resolve().parent.glob("*.py"))
+PACKAGE = [p for p in SOURCES if p.name != "__init__.py"]
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
@@ -41,3 +42,26 @@ def test_every_import_is_used(path):
 def test_the_guard_sees_an_unused_import():
     source = "from os import path, sep\nimport numpy as np\nprint(sep)\n"
     assert unused_imports(source) == ["line 1: path", "line 2: np"]
+
+
+def unused_private_defs(sources: dict[str, str]) -> list[str]:
+    """The module-level private functions and classes of `sources`, a source
+    per module name, that no module names as a name or an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees.values() for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    return [f"{module}: {node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__") and node.name not in named]
+
+
+def test_every_private_helper_is_used():
+    assert unused_private_defs({path.name: path.read_text() for path in SOURCES}) == []
+
+
+def test_the_guard_sees_an_unused_private_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _dead():\n    pass\n\nclass _Gone:\n    pass\n",
+        "b.py": "import a\n\na._used()\n",
+    }
+    assert unused_private_defs(sources) == ["a.py: _dead", "a.py: _Gone"]
