@@ -14,13 +14,18 @@ U_n) and `_ancilla_test_step` (the one place that wires a one-ancilla test
 step to the plans it calls and counts its queries). Each measurement is
 one `MeasureStep`: an outcome function, most often a dict's `get` from
 label to outcome id, and its (id, rewrite, child) entries in branch order.
+Every plan of the unbr family (a pair-elimination step, the d = 1 and d = 2
+chain bases, and Appendix A's plan) takes its fields from (n, d, root,
+gamma) by one rule, `_unbr_plan`.
 
-An override build (a knob of build_unbr, build_unb or build_appendix_a) is
-a copy of its memoized default build (`_overridden`) in which only the
-rotation passes, and the input contract when its gamma is not the default's,
-are new. Its other steps keep the default's compiled maps, so its first walk
-compiles only its passes' group matrices, on the layouts kept on the pair
-maps that `_rotation_pairs` validated once per n, and a contract of its own.
+An override build (a knob of build_unbr, build_unb or build_appendix_a set
+off its declared default) is a copy of its memoized default build
+(`_overridden`) in which only the rotation passes, and the input contract
+when its gamma is not the default's, are new. Its other steps keep the
+default's compiled maps, so its first walk compiles only its passes' group
+matrices, on the layouts kept on the pair maps that `_rotation_pairs`
+validated once per n, and a contract of its own. A knob passed at its
+default is no override: the call returns the default build.
 """
 
 from __future__ import annotations
@@ -76,7 +81,10 @@ from .state_core import (
 
 
 def weight_truth(n: int, weights: frozenset[int]) -> WeightTruth:
-    """Truth function: 1 iff the Hamming weight lies in `weights`."""
+    """Truth function: 1 iff the Hamming weight lies in `weights`, each of
+    which must be a weight of n bits (ValueError otherwise)."""
+    if not all(0 <= w <= n for w in weights):
+        raise ValueError(f"weights {sorted(weights)!r} must lie in 0..{n}")
     return WeightTruth(frozenset(weights))
 
 
@@ -113,12 +121,17 @@ def _memoized(build: Callable[..., _Built]) -> Callable[..., _Built]:
     share: `_uniform_u`, a uniform start's U_n, and `_rotation_pairs`, a
     rotation pass's validated pair maps on n indices and their layouts.
 
-    A call that passes any keyword argument (an override knob) builds a new
-    Plan: with a knob set, a copy of the default build (`_overridden`). Every
-    key is a name and integer arguments: nothing is memoized per knob value.
+    A keyword argument equal to the builder's declared default is dropped,
+    so a call with every knob at its default returns the memoized default
+    build. A call with a knob set builds a new Plan: a copy of the default
+    build (`_overridden`). Every key is a name and integer arguments:
+    nothing is memoized per knob value.
     """
+    defaults = build.__kwdefaults__ or {}
+
     @functools.wraps(build)
-    def cached(*args, **overrides):
+    def cached(*args, **knobs):
+        overrides = {name: value for name, value in knobs.items() if name not in defaults or value != defaults[name]}
         if overrides:
             return build(*args, **overrides)
         key = (build.__name__, args)
@@ -214,13 +227,14 @@ def _uniform_u(n: int) -> _Applications:
     return _Applications(((identity_binding(u_gadget(n)), False),))
 
 
-def _overridden(default: Plan, passes, contract: Contract | None, gamma: float | None) -> Plan:
+def _overridden(default: Plan, passes, gamma: float | None) -> Plan:
     """An override build: a copy (`_shared`) of `default`, of its shape, with
-    the input contract `contract` of leakage `gamma`, and with `passes` in
-    place of its rotation passes, the gadget steps whose applications carry
-    `layouts`, in order from the root. The other steps above its first
-    measurement are copies that keep their originals' compiled maps; the
-    measurement and everything below it are the default's own."""
+    `passes` in place of its rotation passes, the gadget steps whose
+    applications carry `layouts`, in order from the root, and an input
+    contract of leakage `gamma`: the default's own when `gamma` is the
+    default's, else `precomputed_state(n, gamma)`. The other steps above its
+    first measurement are copies that keep their originals' compiled maps;
+    the measurement and everything below it are the default's own."""
     spine, node, passes = [], default.root, list(passes)
     while not isinstance(node, MeasureStep):
         spine.append(node)
@@ -228,6 +242,7 @@ def _overridden(default: Plan, passes, contract: Contract | None, gamma: float |
     for step in reversed(spine):
         rotation = isinstance(step, GadgetStep) and step.applications.layouts is not None
         node = GadgetStep(passes.pop(), node) if rotation else _shared(step, child=node)
+    contract = default.contract if gamma == default.contract_gamma else precomputed_state(default.n, gamma)
     return _shared(default, root=node, contract=contract, contract_gamma=gamma)
 
 
@@ -248,6 +263,15 @@ def _uniform_start(n: int, child: PlanNode) -> PlanNode:
 def unbr_claimed_queries(n: int, d: int) -> int:
     k0, _, base_t = CHAIN_BASES[d]
     return (n - (d + 2 * k0)) // 2 + base_t
+
+
+def _unbr_plan(n: int, d: int, root: PlanNode, gamma: float) -> Plan:
+    """A plan of the unbr family: it decides weight (n-d)/2 against (n+d)/2
+    on the precomputed state of leakage `gamma`, in the chain's query count."""
+    return Plan(family="unbr", n=n, params=(("n", n), ("d", d)), root=root,
+                claimed_queries=unbr_claimed_queries(n, d),
+                truth=weight_truth(n, frozenset({(n - d) // 2, (n + d) // 2})),
+                contract=precomputed_state(n, gamma), contract_gamma=gamma)
 
 
 @_memoized
@@ -288,9 +312,7 @@ def build_unbr(n: int, d: int, *, constants: StepConstants | None = None, valida
     split = _rotation_pass(math.atan2(cs.c1, cs.c2), n, False)
     merge = _rotation_pass(math.atan2(cs.c8, cs.c9), n, True)
     if constants is not None or not validate:
-        default = build_unbr(n, d)
-        contract = default.contract if gamma == default.contract_gamma else precomputed_state(n, gamma)
-        return _overridden(default, (split, merge), contract, gamma)
+        return _overridden(build_unbr(n, d), (split, merge), gamma)
 
     sub = build_unbr(n - 2, d)
     inverses, forwards = _u_stages(n, idx, lambda p, k: comp(p, idx(k)))
@@ -306,37 +328,20 @@ def build_unbr(n: int, d: int, *, constants: StepConstants | None = None, valida
         children.append((oid, rewrite, Call(sub, drop_wires(n, (i, j)))))
     root = _round(split, inverses, extract_trailing_index, forwards, merge,
                   MeasureStep(outcomes.get, tuple(children)))
-    k, l = (n - d) // 2, (n + d) // 2
-    return Plan(
-        family="unbr", n=n, params=(("n", n), ("d", d)),
-        root=root, claimed_queries=unbr_claimed_queries(n, d),
-        truth=weight_truth(n, frozenset({k, l})),
-        contract=precomputed_state(n, gamma), contract_gamma=gamma,
-    )
+    return _unbr_plan(n, d, root, gamma)
 
 
 def _build_unbr_base(d: int) -> Plan:
     if d == 1:
         # One variable: the weight is always 0 or 1, so the answer is 1.
-        return Plan(
-            family="unbr", n=1, params=(("n", 1), ("d", 1)),
-            root=Output(1), claimed_queries=0,
-            truth=weight_truth(1, frozenset({0, 1})),
-            contract=precomputed_state(1, 0.0), contract_gamma=0.0,
-        )
+        return _unbr_plan(1, 1, Output(1), 0.0)
     if d == 2:
         # Two variables, gamma = 0: the contract is (xhat_1+xhat_2)|S>,
         # nonzero exactly when the bits agree.
-        root = MeasureStep(lambda l: ("s",) if l == S_LABEL else ("pair", 1, 2), (
+        return _unbr_plan(2, 2, MeasureStep(lambda l: ("s",) if l == S_LABEL else ("pair", 1, 2), (
             (("s",), None, Output(1)),
             (("pair", 1, 2), None, Output(0)),
-        ))
-        return Plan(
-            family="unbr", n=2, params=(("n", 2), ("d", 2)),
-            root=root, claimed_queries=0,
-            truth=weight_truth(2, frozenset({0, 2})),
-            contract=precomputed_state(2, 0.0), contract_gamma=0.0,
-        )
+        )), 0.0)
     return build_appendix_a()
 
 
@@ -406,13 +411,16 @@ def build_appendix_a(
     angle_overrides: Mapping[str, float] | None = None,
     gamma_override: float | None = None,
 ) -> Plan:
-    """Two-query plan for the weight set {1,4} at n=5 on the precomputed state.
+    """Two-query plan for the weight set {1,4} at n=5 on the precomputed state:
+    the d=3 chain base, an unbr plan (`_unbr_plan`) whose query count is the
+    base's in CHAIN_BASES.
 
-    The overrides exist for sensitivity experiments; default builds are
-    cached. An override angle that is not finite, or a `gamma_override`
-    outside [0, 1], raises ValueError. An override build is the default
-    build with its own four rotation passes, and its own input contract when
-    its gamma is not the default's (`_overridden`).
+    The overrides exist for sensitivity experiments. A call with both at
+    None returns the cached default build. An override angle that is not
+    finite, or a `gamma_override` outside [0, 1], raises ValueError. An
+    override build is the default build with its own four rotation passes,
+    and its own input contract when its gamma is not the default's
+    (`_overridden`).
     """
     angles = appendix_a_angles()
     if angle_overrides is not None:
@@ -430,9 +438,7 @@ def build_appendix_a(
     passes = [_rotation_pass(angles[name], n, name.startswith("merge"))
               for name in ("split1", "merge1", "split2", "merge2")]
     if angle_overrides is not None or gamma_override is not None:
-        default = build_appendix_a()
-        contract = default.contract if gamma == default.contract_gamma else precomputed_state(n, gamma)
-        return _overridden(default, passes, contract, gamma)
+        return _overridden(build_appendix_a(), passes, gamma)
 
     inverses, forwards = _u_stages(n, lambda i: comp(idx(i), S_LABEL), lambda p, k: comp(idx(k), p))
     outcomes = {S_LABEL: ("s",)}
@@ -449,13 +455,7 @@ def build_appendix_a(
     split1, merge1, split2, merge2 = passes
     second = _round(split2, inverses, extract_leading_index, forwards, merge2,
                     MeasureStep(outcomes.get, tuple(children)))
-    root = _round(split1, inverses, extract_leading_index, forwards, merge1, second)
-    return Plan(
-        family="unbr", n=n, params=(("n", n), ("d", 3)),
-        root=root, claimed_queries=2,
-        truth=weight_truth(n, frozenset({1, 4})),
-        contract=precomputed_state(n, gamma), contract_gamma=gamma,
-    )
+    return _unbr_plan(n, 3, _round(split1, inverses, extract_leading_index, forwards, merge1, second), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +493,7 @@ def build_unb(n: int, d: int, *, gamma_override: float | None = None) -> Plan:
         gamma = chain_gamma_at(d, n) if gamma_override is None else gamma_override
         splits = _rotation_pass(math.asin(math.sqrt(gamma)), n, False)
         if gamma_override is not None:
-            return _overridden(build_unb(n, d), (splits,), None, None)
+            return _overridden(build_unb(n, d), (splits,), None)
         sub_pair = build_unb(n - 2, d)
         sub_rest = build_unbr(n, d)
         if unb_claimed_queries(n, d) != 1 + max(sub_pair.claimed_queries, sub_rest.claimed_queries):

@@ -50,7 +50,6 @@ from .verifier import (
     EXTRACTION_LIMIT,
     audit_leaf_degrees,
     check_limit,
-    check_subroutine_limits,
     extract_multilinear,
     symmetrize_to_univariate,
     verify_exactness,
@@ -171,10 +170,9 @@ def cmd_gamma(config: argparse.Namespace) -> int:
 def cmd_poly(config: argparse.Namespace) -> int:
     check_limit("n", _requested_n(config), EXTRACTION_LIMIT, "extraction")
     plan = build_family(config)
-    check_subroutine_limits(plan)
+    records = audit_leaf_degrees(plan)
     poly = extract_multilinear(plan, tol=config.tol, branch_tol=config.branch_tol)
     sym_poly = symmetrize_to_univariate(poly)
-    records = audit_leaf_degrees(plan)
     audit_ok = all(r.ok for r in records)
     payload = {
         "family": plan.family, "params": plan.params_dict(),

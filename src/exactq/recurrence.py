@@ -24,16 +24,20 @@ CHAIN_BASES: dict[int, tuple[int, float, int]] = {
 DECAY_START: dict[int, int] = {1: 5, 2: 12, 3: 23}
 
 
+def _check_gamma_prev(gamma_prev: float) -> None:
+    if not gamma_prev >= 0.0:
+        raise ValueError(f"gamma_prev must be nonnegative, got {gamma_prev}")
+    if gamma_prev >= 1.0:
+        raise DivergedChain(f"gamma_prev={gamma_prev} is at or past the recurrence pole")
+
+
 def gamma_next(n: int, d: int, gamma_prev: float) -> float:
     """One step of the leakage recurrence: gamma at size n from size n-2."""
     if not (isinstance(n, int) and isinstance(d, int)):
         raise ValueError(f"gamma_next needs integer n, d, got {n!r}, {d!r}")
     if d < 1 or n <= d:
         raise ValueError(f"gamma_next needs n > d >= 1, got n={n}, d={d}")
-    if not gamma_prev >= 0.0:
-        raise ValueError(f"gamma_prev must be nonnegative, got {gamma_prev}")
-    if gamma_prev >= 1.0:
-        raise DivergedChain(f"gamma_prev={gamma_prev} is at or past the recurrence pole")
+    _check_gamma_prev(gamma_prev)
     num = n * n * (n - 2) ** 2 * gamma_prev / (1.0 - gamma_prev) + d**4
     return num / (n * n - d * d) ** 2
 
@@ -183,10 +187,7 @@ def solve_step_constants(n: int, d: int, gamma_prev: float) -> StepConstants:
         raise ValueError(f"need n >= d, got n={n}, d={d}")
     if n < 3:
         raise DegenerateCase(f"n={n} has no size n-2 >= 1 sub-instance")
-    if not gamma_prev >= 0.0:
-        raise ValueError(f"gamma_prev must be nonnegative, got {gamma_prev}")
-    if gamma_prev >= 1.0:
-        raise DivergedChain(f"gamma_prev={gamma_prev} is at or past the recurrence pole")
+    _check_gamma_prev(gamma_prev)
     denom = n * n - d * d
     c4 = d * d / n
     c3 = n**1.5 / denom

@@ -447,16 +447,6 @@ def _collect_plans(plan: Plan) -> list[Plan]:
     return list(seen.values())
 
 
-def check_subroutine_limits(plan: Plan) -> list[Plan]:
-    """The plans reachable from `plan`, `plan` first. Raises ValueError when
-    one has an n above EXTRACTION_LIMIT, so that a caller can refuse the
-    plan before any walk."""
-    plans = _collect_plans(plan)
-    for sub in plans:
-        check_limit("subroutine n", sub.n, EXTRACTION_LIMIT, "extraction")
-    return plans
-
-
 def audit_leaf_degrees(plan: Plan, *, coeff_tol: float = 1e-9) -> tuple[LeafDegreeRecord, ...]:
     """Check, for every subroutine reachable from the plan, that every exit
     amplitude is a multilinear polynomial of degree at most (entry degree +
@@ -466,13 +456,17 @@ def audit_leaf_degrees(plan: Plan, *, coeff_tol: float = 1e-9) -> tuple[LeafDegr
     plans consuming the precomputed input family (its amplitudes are linear
     in xhat). Together with linearity of every step this bounds each composed
     leaf amplitude's degree by its full path query count. `coeff_tol` must
-    be finite and >= 0.
+    be finite and >= 0. A reachable plan with an n above EXTRACTION_LIMIT
+    raises ValueError before any walk.
     """
     check_tol(coeff_tol, "coeff_tol")
+    plans = _collect_plans(plan)
+    for sub in plans:
+        check_limit("subroutine n", sub.n, EXTRACTION_LIMIT, "extraction")
     # The batched walker is imported at the first audit, as in _summarize.
     from .batch import exit_amplitudes
     records: list[LeafDegreeRecord] = []
-    for sub in check_subroutine_limits(plan):
+    for sub in plans:
         entry_degree = 0 if sub.contract is None else 1
         keys, queries_of, tables = exit_amplitudes(sub)
         sizes = _popcounts(sub.n)
@@ -510,33 +504,19 @@ def symmetrize_to_univariate(poly: MultilinearPoly) -> SymmetrizedPoly:
     """Average coefficients over subset-size classes and restrict to the
     Hamming weight axis.
 
-    The class-averaged polynomial is evaluated at every input and q(s) is its
-    mean over weight class s. It is constant on each class by construction
-    (each e_m(xhat) is an exact small integer that depends only on the
-    weight), so a broken extraction shows in `q_values`, not here.
+    With avg_m the mean coefficient of the subsets of size m, q(s) is
+    sum_m avg_m K_m(s), where the Krawtchouk integer K_m(s) = sum_j (-1)^j
+    C(s, j) C(n-s, m-j) is the exact value of the elementary symmetric
+    polynomial e_m(xhat) at every input of weight s. So a broken extraction
+    shows in `q_values`, not here.
     """
     n = poly.n
     class_sum = [0.0] * (n + 1)
     for subset, c in poly.coeffs:
         class_sum[len(subset)] += c
     avg = [class_sum[m] / math.comb(n, m) for m in range(n + 1)]
-
-    # Row k holds bit k of every input, columns in lexicographic order.
-    bits = (np.arange(1 << n)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
-    # e[m]: the elementary symmetric polynomial of degree m at every input,
-    # by the recurrence over the variables in order.
-    e = np.zeros((n + 1, 1 << n))
-    e[0] = 1.0
-    for v in 1 - 2 * bits:
-        for j in range(n, 0, -1):
-            e[j] += v * e[j - 1]
-    values = np.zeros(1 << n)
-    for m in range(n + 1):
-        values += avg[m] * e[m]
-    weight = bits.sum(axis=0)
-    counts = np.bincount(weight, minlength=n + 1)
-    # bincount adds each class's values in input order.
-    q_values = (np.bincount(weight, weights=values, minlength=n + 1) / counts).tolist()
+    q_values = [sum(avg[m] * sum((-1) ** j * math.comb(s, j) * math.comb(n - s, m - j) for j in range(m + 1))
+                    for m in range(n + 1)) for s in range(n + 1)]
 
     vander = np.vander(np.arange(n + 1, dtype=float), n + 1, increasing=True)
     coeffs = np.linalg.solve(vander, np.asarray(q_values))

@@ -47,6 +47,11 @@ class TestTruthAndContract:
         assert f((1, 1, 0, 0)) == 0
         assert f((1, 1, 1, 0)) == 1
 
+    @pytest.mark.parametrize("weight", [-1, 4])
+    def test_weight_truth_refuses_a_weight_outside_0_to_n(self, weight):
+        with pytest.raises(ValueError, match=r"must lie in 0\.\.3"):
+            weight_truth(3, frozenset({1, weight}))
+
     def test_precomputed_state_amplitudes(self):
         make = precomputed_state(3, 0.25)
         s = make((1, -1, 1))
@@ -302,9 +307,28 @@ def spine(plan):
     return steps, node
 
 
+# (a call with every knob passed at its default, the default call)
+KNOBS_AT_DEFAULT = {
+    "unb51": (lambda: build_unb(5, 1, gamma_override=None), lambda: build_unb(5, 1)),
+    "unbr71": (lambda: build_unbr(7, 1, constants=None, validate=True), lambda: build_unbr(7, 1)),
+    "appendixA": (lambda: build_appendix_a(angle_overrides=None, gamma_override=None), build_appendix_a),
+}
+
+
 class TestOverrideCopies:
     """An override build is a copy of its default build in which only the
     rotation passes are new."""
+
+    @pytest.mark.parametrize("name", KNOBS_AT_DEFAULT)
+    def test_a_knob_passed_at_its_default_returns_the_default_build(self, name):
+        at_default, default = KNOBS_AT_DEFAULT[name]
+        assert at_default() is default()
+
+    @pytest.mark.parametrize("name", OVERRIDES)
+    def test_a_set_knob_builds_a_new_override_on_every_call(self, name):
+        make_default, make_override, _ = OVERRIDES[name]
+        default, first, second = make_default(), make_override(), make_override()
+        assert first is not second and default is not first and default is not second
 
     @pytest.mark.parametrize("name", OVERRIDES)
     def test_an_override_is_its_default_with_new_rotation_passes(self, name):

@@ -210,6 +210,18 @@ def assert_same_polynomial(poly, expected):
 
 
 class TestSymmetrization:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_q_is_the_mean_of_each_weight_class(self, seed):
+        # Averaging coefficients per subset size averages the polynomial over
+        # variable permutations, so q(s) is the table's mean over weight s.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 11))
+        values = rng.standard_normal(2**n)
+        weights = [sum(bits) for bits in itertools.product((0, 1), repeat=n)]
+        brute = [np.mean([v for v, w in zip(values, weights) if w == s]) for s in range(n + 1)]
+        sym = symmetrize_to_univariate(MultilinearPoly.from_values(n, values, tol=0.0))
+        assert sym.q_values == pytest.approx(brute, rel=0.0, abs=1e-12)
+
     def test_linear_character(self):
         values = []
         for bits in itertools.product((0, 1), repeat=3):

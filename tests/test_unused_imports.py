@@ -1,5 +1,6 @@
 """Every name a module of the package or of the tests imports is used in
-that module, and every private helper of the package is used somewhere in it.
+that module, every private helper of the package is used somewhere in it,
+and every parameter of a function of the package is read in its body.
 
 No linter ships with the test dependencies, so this parses each module of
 `src/exactq` and of `tests` with `ast`. The package's `__init__.py` is left
@@ -65,3 +66,30 @@ def test_the_guard_sees_an_unused_private_helper():
         "b.py": "import a\n\na._used()\n",
     }
     assert unused_private_defs(sources) == ["a.py: _dead", "a.py: _Gone"]
+
+
+def unused_parameters(source: str) -> list[str]:
+    """The parameters, `self` and `cls` aside, of every function and lambda
+    in `source` that its body never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {name.id for stmt in body for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            found += [f"line {node.lineno}: {getattr(node, 'name', 'lambda')}({p})" for p in params
+                      if p not in read and p not in ("self", "cls")]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_parameter_is_read(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_the_guard_sees_an_unused_parameter():
+    source = ("def f(a, b, *, c=1, **rest):\n    b = a\n    return b\n\n"
+              "class K:\n    def m(self, x):\n        return lambda y, z: y\n")
+    assert unused_parameters(source) == ["line 1: f(c)", "line 1: f(rest)", "line 6: m(x)", "line 7: lambda(z)"]
