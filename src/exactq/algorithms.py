@@ -31,6 +31,7 @@ default is no override: the call returns the default build.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from itertools import combinations
 from typing import Callable, Mapping, TypeVar
@@ -123,14 +124,19 @@ def _memoized(build: Callable[..., _Built]) -> Callable[..., _Built]:
 
     A keyword argument equal to the builder's declared default is dropped,
     so a call with every knob at its default returns the memoized default
-    build. A call with a knob set builds a new Plan: a copy of the default
-    build (`_overridden`). Every key is a name and integer arguments:
-    nothing is memoized per knob value.
+    build, and a positional parameter passed by name is bound into the
+    positional key. A call with a knob set builds a new Plan: a copy of the
+    default build (`_overridden`). Every key is a name and integer
+    arguments: nothing is memoized per knob value.
     """
+    signature = inspect.signature(build)
     defaults = build.__kwdefaults__ or {}
 
     @functools.wraps(build)
     def cached(*args, **knobs):
+        if not knobs.keys() <= defaults.keys():
+            bound = signature.bind(*args, **knobs)
+            args, knobs = bound.args, bound.kwargs
         overrides = {name: value for name, value in knobs.items() if name not in defaults or value != defaults[name]}
         if overrides:
             return build(*args, **overrides)

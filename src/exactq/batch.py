@@ -16,12 +16,14 @@ stay the reference:
   the callee's summary from a per-plan memo, scaled by |c|^2 ||kappa||^2.
   Other columns walk the callee as one batch.
 
-The memos fill once per top-level block (`_Walker`). The walk of a block
+The memos fill on full blocks (`_Walker`). The walk of a top-level block
 issues every memo read of its call tree before any callee runs; a read that
-misses leaves a pending summary. Then each plan read that way runs once on
-the union of its missing inputs, callers before callees, and the pending
-summaries resolve, callees first, each measurement folding its branches in
-branch order.
+misses leaves a pending summary. Once some plan waits on at least its own
+block width of read inputs, or after the last top-level block, each plan
+read that way runs once on the union of its missing inputs, callers before
+callees, and the pending summaries resolve, callees first and then the
+waiting top-level blocks in block order, each measurement folding its
+branches in branch order.
 
 A contract-free plan whose root calls a contract-free plan (a padding or
 renaming reduction) enters it from |0> with weight 1.0 and no queries, so it
@@ -52,9 +54,9 @@ The summary of a block is one (5, columns) float64 matrix (`_Sums`): three
 rows of total mass per output, which branches merge by adding, and two rows
 merged by maximum (deepest query count, call residual).
 Adjacent sibling branches of a measurement that call one plan run as one
-call over all their columns, and their summaries fold into the
-measurement's in one pass: one accumulation of the totals in branch order
-and one maximum over the rest.
+call over all their columns, which reads a contract-free callee's memo
+once, and their summaries fold into the measurement's in one pass: one
+accumulation of the totals in branch order and one maximum over the rest.
 
 An input contract is affine in the +-1 input, so the contract states of a
 block are one product of its matrix over (1, xhat), compiled at the first
@@ -203,26 +205,34 @@ def summarize(plan: Plan, *, tol: float, branch_tol: float) -> tuple[np.ndarray,
     """Run `plan` from its entry state on all 2^n inputs.
 
     Returns which inputs entered the plan (those whose entry contract does
-    not vanish) and their summaries.
+    not vanish) and their summaries. The memos fill once some plan waits on
+    a block width of read inputs (`_Walker.due`), or after the last block;
+    the blocks walked since the last fill resolve after it, in block order.
     """
     walker = _Walker(tol, branch_tol)
     count = 1 << plan.n
     entered = np.zeros(count, dtype=bool)
     sums = _Sums.vacuous(count)
     width = _columns(plan.label_count)
+    waiting = []
     for start in range(0, count, width):
         block = np.arange(start, min(count, start + width))
         entered[block], part = walker.run(plan, block)
-        walker.fill()
-        sums.put(block, _done(part))
+        waiting.append((block, part))
+        if start + width >= count or walker.due():
+            walker.fill()
+            for block, part in waiting:
+                sums.put(block, _done(part))
+            waiting = []
     return entered, sums
 
 
 class _Walker:
     """Walks blocks of inputs through plans, and fills the memos of the plans
-    they call. A memo read whose inputs all have summaries returns them; any
-    other records its inputs as demand on the plan and returns a `_Pending`
-    summary, and so does every walk that waits on one until `fill` runs."""
+    they call. A memo read whose inputs all have summaries (as a read of no
+    inputs has) returns them; any other records its inputs as demand on the
+    plan and returns a `_Pending` summary, and so does every walk that waits
+    on one until `fill` runs."""
 
     def __init__(self, tol: float, branch_tol: float):
         self.tol = tol
@@ -231,6 +241,11 @@ class _Walker:
         self.memos: dict[int, tuple[Plan, _Memo]] = {}
         # id(plan) -> (plan, the inputs of its reads that found one missing)
         self.demand: dict[int, tuple[Plan, list[np.ndarray]]] = {}
+
+    def due(self) -> bool:
+        """Whether some plan waits on at least its own block width of read
+        inputs, so that a fill would run it on full blocks."""
+        return any(sum(map(len, reads)) >= _columns(plan.label_count) for plan, reads in self.demand.values())
 
     def fill(self) -> None:
         """Run every plan with demand once, on the sorted union of its missing
@@ -281,8 +296,9 @@ class _Walker:
         if entry is None:
             entry = self.memos[id(plan)] = (plan, _Memo(plan.n))
         memo = entry[1]
-        if (memo.slot[inputs] >= 0).all():
-            return memo.take(inputs)
+        slots = memo.slot[inputs]
+        if not len(slots) or slots.min() >= 0:
+            return memo.sums.take(slots)
         self.demand.setdefault(id(plan), (plan, []))[1].append(inputs)
         return lambda: memo.take(inputs)
 
@@ -291,8 +307,8 @@ class _Walker:
         """Summaries of the columns of `amps` from `node` on. `inputs` are the
         columns' inputs to the node's plan, which has `n` variables. The walk
         owns `amps` and may change it in place."""
+        weight = _weights(amps)
         while True:
-            weight = _weights(amps)
             live = weight > self.branch_tol
             if not live.all():
                 pieces = []
@@ -308,7 +324,10 @@ class _Walker:
             if isinstance(node, MeasureStep):
                 return self.measure(node, rows, amps, weight, inputs, n, queries)
             rows, amps = _advance(node, rows, amps, inputs, n, weight)
-            queries += isinstance(node, QueryStep)
+            if isinstance(node, QueryStep):
+                queries += 1  # +-1 signs leave every square as it was
+            else:
+                weight = _weights(amps)
             node = node.child
 
     def measure(self, node: MeasureStep, rows: tuple, amps: np.ndarray, weight: np.ndarray,
@@ -341,7 +360,11 @@ class _Walker:
                 folded = k + group[2]
 
         def fold(*parts):
-            sums = _Sums.vacuous(len(inputs))
+            # 0.0 + x is x, so a first part of every column can be the start.
+            if parts and parts[0].data.shape[1] == len(inputs):
+                sums, parts = parts[0], parts[1:]
+            else:
+                sums = _Sums.vacuous(len(inputs))
             for part in parts:
                 sums.merge(part)
             return sums
@@ -350,7 +373,14 @@ class _Walker:
     def call_group(self, group: tuple, rows: tuple, amps: np.ndarray,
                    block_inputs: np.ndarray, queries: int) -> _Sums | _Pending:
         """Sibling calls into one plan as one call over all their columns, a
-        member's columns after another's."""
+        member's columns after another's.
+
+        A callee with a contract takes the members' states a block of
+        members at a time. A contract-free callee takes only their weights
+        and inputs, so one memo read serves every live member column; that
+        needs no bound of its own, since a group's block width falls as its
+        member count grows: at exact(n, n/2) a group stays near 50 k member
+        columns, about 5 MiB, up to n = 20."""
         sub, union, count, sources, order, starts, runs = group
         width = len(block_inputs)
         padded = np.zeros((len(rows) + 1, width), dtype=_DTYPE)
@@ -361,10 +391,7 @@ class _Walker:
         live = weight > self.branch_tol
         sub_inputs = _route(block_inputs, runs).ravel()
         pieces = []
-        # A block of members at a time: a callee with a contract needs
-        # their states, one without only their weights.
-        rows_needed = 0 if sub.contract is None else len(union)
-        step = max(1, _columns(rows_needed) // width)
+        step = count if sub.contract is None else max(1, _columns(len(union)) // width)
         for first in range(0, count, step):
             span = slice(first * width, min(count, first + step) * width)
             part = np.flatnonzero(live[span]) + span.start
@@ -382,8 +409,8 @@ class _Walker:
         ignores the states, so `amps` may then be None."""
         if sub.contract is None:
             def scale(sums):
-                sums.maxq[:] = np.where(sums.maxq >= 0, queries + sums.maxq, -1)
-                np.multiply(sums.total, weight, out=sums.total)
+                np.add(sums.maxq, queries, out=sums.maxq, where=sums.maxq >= 0)
+                sums.data[:3] *= weight
                 return sums
             return _then(scale, self.memo(sub, sub_inputs))
 
@@ -438,6 +465,8 @@ def _assemble(width: int, pieces: list) -> _Sums | _Pending:
     for _, part in pieces:
         if not isinstance(part, _Sums):
             return lambda: _assemble(width, [(cols, _done(part)) for cols, part in pieces])
+    if len(pieces) == 1 and pieces[0][1].data.shape[1] == width:
+        return pieces[0][1]
     sums = _Sums.vacuous(width)
     for cols, part in pieces:
         sums.put(cols, part)
@@ -737,10 +766,12 @@ class _Bindings:
 
     def apply(self, amps: np.ndarray) -> tuple[tuple, np.ndarray]:
         out = np.empty((len(self.rows), amps.shape[1]), dtype=_DTYPE)
-        out[:len(self.keep)] = amps[self.keep]
+        kept = len(self.keep)
+        out[:kept] = amps[self.keep]
         for src, matrix, start, stop in self.groups:
             np.matmul(matrix, amps[src], out=out[start:stop].reshape(len(src), len(matrix), -1))
-        _zero_small(out)
+        # Every state a step receives is zero-clean, so the kept rows are.
+        _zero_small(out[kept:])
         return self.rows, out
 
 

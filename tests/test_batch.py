@@ -214,18 +214,22 @@ DROP_PLANS = {
 }
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.sampled_from(sorted(DROP_PLANS)), st.data())
-def test_dropped_outcome_mutants_match(name, data):
-    # A structural mutant: one measurement, at the root plan or inside a
-    # callee, gives the labels of one of its outcomes no outcome. Wherever
-    # the reference puts weight on output -1, the mutant is refuted.
-    plan = DROP_PLANS[name]()
+def dropped_outcome_mutant(data, plan):
+    """A structural mutant of `plan`: one drawn measurement, at the root plan
+    or inside a callee, gives the labels of one of its outcomes no outcome."""
     spine, measure = draw_spine(data, plan.root)
     dropped = data.draw(st.sampled_from([oid for oid, _, _ in measure.children]), label="dropped")
     node = replace(measure, outcome_of=lambda label: None if measure.outcome_of(label) == dropped
                    else measure.outcome_of(label))
-    mutant = replace(plan, root=rebuilt(spine, node))
+    return replace(plan, root=rebuilt(spine, node))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(DROP_PLANS)), st.data())
+def test_dropped_outcome_mutants_match(name, data):
+    # Wherever the reference puts weight on output -1, the mutant is refuted.
+    plan = DROP_PLANS[name]()
+    mutant = dropped_outcome_mutant(data, plan)
     assert_batch_matches_executor(mutant)
     executor = Executor()
     if any(dict(executor.run_plan(mutant, bits).mass).get(-1, 0.0) > 0
@@ -258,6 +262,92 @@ def test_wrong_mass_spread_over_branches_is_not_exact():
 # ---------------------------------------------------------------------------
 # Folding the summaries of sibling calls
 # ---------------------------------------------------------------------------
+
+
+def bits_of(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+def check_zero_clean(patch):
+    """Patch the walkers to check, at every step, the premise that lets a
+    walk skip work bit for bit: every state a step receives is zero-clean
+    (`_zero_small` leaves it as it is), so `_Bindings.apply` may copy its
+    kept rows unzeroed, and a QueryStep leaves the weights as they were.
+    Returns a one-item list that counts the steps checked."""
+    steps = [0]
+    advance, query, apply = batch._advance, batch._query, _Bindings.apply
+
+    def checked_advance(node, rows, amps, *rest):
+        clean = amps.copy()
+        batch._zero_small(clean)
+        assert np.array_equal(bits_of(clean), bits_of(amps)), node
+        steps[0] += 1
+        return advance(node, rows, amps, *rest)
+
+    def checked_query(node, rows, amps, *rest):
+        weight = batch._weights(amps)
+        query(node, rows, amps, *rest)
+        assert np.array_equal(bits_of(batch._weights(amps)), bits_of(weight))
+
+    def checked_apply(self, amps):
+        rows, out = apply(self, amps)
+        assert np.array_equal(bits_of(out[:len(self.keep)]), bits_of(amps[self.keep]))
+        clean = out.copy()
+        batch._zero_small(clean)
+        assert np.array_equal(bits_of(clean), bits_of(out))
+        return rows, out
+
+    patch.setattr(batch, "_advance", checked_advance)
+    patch.setattr(batch, "_query", checked_query)
+    patch.setattr(_Bindings, "apply", checked_apply)
+    return steps
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(sorted(DROP_PLANS)), st.data())
+def test_steps_receive_zero_clean_states_on_dropped_outcome_mutants(name, data):
+    with pytest.MonkeyPatch.context() as patch:
+        steps = check_zero_clean(patch)
+        summarize(dropped_outcome_mutant(data, DROP_PLANS[name]()), tol=DEFAULT_TOL,
+                  branch_tol=DEFAULT_BRANCH_TOL)
+    assert steps[0]
+
+
+# The plans of the verify-chain and verify-dispatch benchmark workloads.
+BENCHMARK_PLANS = {
+    "unb82": lambda: build_unb(8, 2),
+    "unb71": lambda: build_unb(7, 1),
+    "unb73": lambda: build_unb(7, 3),
+    "exact105": lambda: build_exact_k(10, 5),
+    "equality12": lambda: build_equality(12),
+    "exactkl826": lambda: build_exact_kl(8, 2, 6),
+    "sym0011100": lambda: build_sym(SymSpec("0011100")),
+    "general82": lambda: build_general_unbalance(8, 2),
+}
+
+
+def residue_plans():
+    """Plans whose steps leave entries of at most STORE_TOL for the walk to
+    zero before the next step: a PrepareState entered at weight 0.36, whose
+    1.5e-13 entry becomes 9e-14, and a rewrite that merges 0.1 + 0.2 with
+    -0.3 into 5.6e-17."""
+    prepared = PrepareState(LabeledState({S_LABEL: 1.0, idx(1): 1.5e-13}),
+                            QueryStep(extract_trailing_index, s_i_measure(Output(0), Output(1))))
+    merged = MeasureStep(lambda label: ("all",), ((("all",), {idx(1): idx(2)},
+                                                   QueryStep(extract_trailing_index, Output(1))),))
+    state = LabeledState({idx(1): 0.1 + 0.2, idx(2): -0.3, idx(3): math.sqrt(0.82)})
+    return {"prepare": split_plan(prepared, Output(1)),
+            "merge": small_plan(PrepareState(state, merged), n=3)}
+
+
+@pytest.mark.parametrize("name", [*BENCHMARK_PLANS, "prepare", "merge"])
+def test_steps_receive_zero_clean_states(name, monkeypatch):
+    steps = check_zero_clean(monkeypatch)
+    plan = BENCHMARK_PLANS[name]() if name in BENCHMARK_PLANS else residue_plans()[name]
+    summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
+    for sub in _collect_plans(plan):
+        exit_amplitudes(sub)
+    assert steps[0]
 
 
 def random_sums(rng, width):
@@ -508,18 +598,19 @@ def collapsible(plan):
     return plan.contract is None and isinstance(plan.root, Call) and plan.root.plan.contract is None
 
 
-def plans_run(plan):
-    """The plans `_Walker.run` walks, each with the inputs of that run, in
-    order, while `plan` is verified."""
+def plans_run(plan, method="run"):
+    """The plans `_Walker.run` walks (or, with `method` "memo", whose memos
+    `_Walker.memo` reads), each with the inputs of that call, in order,
+    while `plan` is verified."""
     seen = []
-    original = _Walker.run
+    original = getattr(_Walker, method)
 
     def run(self, sub, inputs):
         seen.append((sub, inputs))
         return original(self, sub, inputs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_Walker, "run", run)
+        patch.setattr(_Walker, method, run)
         verify_exactness(plan)
     return seen
 
@@ -610,8 +701,10 @@ def test_builders_run_no_wrapper_below_the_top(make_plan):
     plan = make_plan()
     run = plans_run(plan)
     assert all(sub is plan or not collapsible(sub) for sub, _ in run)
-    # A subroutine's memo fills once per top-level block, on every input that
-    # block's calls miss, a block width at a time, and no input runs twice.
+    # The memos fill once some subroutine waits on a block width of reads,
+    # or after the last top-level block. A fill runs each subroutine on
+    # every input the calls since the last fill miss, a block width at a
+    # time, and no input runs twice.
     blocks = []
     for sub, inputs in run:
         if sub is plan:
@@ -628,6 +721,51 @@ def test_builders_run_no_wrapper_below_the_top(make_plan):
         # 69 when every call that reached new inputs filled the memo of its
         # callee: 24 plans, each run once.
         assert len(run) == 24
+
+
+def test_a_chain_runs_each_callee_once_per_fill_of_full_blocks():
+    # equality(12) walks 4096 inputs in three top-level blocks, and its
+    # chain of eleven callees fills once, after the last (twelve runs, the
+    # first callee's in two blocks). A fill after each block would run the
+    # chain three times: 27 runs in all.
+    plan = build_equality(12)
+    assert 1 << plan.n > 2 * _columns(plan.label_count)
+    assert len(plans_run(plan)) == 15
+
+
+def test_a_call_group_reads_its_memo_once():
+    # exact(10,5) measures 45 pairs, each calling one plan on 8 bits. Reads
+    # of 2 members at a time, as a 744-column block allows a callee with
+    # a contract, would make 38.
+    assert len(plans_run(build_exact_k(10, 5), "memo")) == 7
+
+
+# unb(10,2)'s subroutines wait on a block width of reads after each of its
+# three top-level blocks.
+@pytest.mark.parametrize("make_plan", [*BENCHMARK_PLANS.values(), lambda: build_unb(10, 2)],
+                         ids=[*BENCHMARK_PLANS, "unb102"])
+def test_no_top_level_block_starts_while_a_plan_waits_on_a_block_width(make_plan, monkeypatch):
+    plan = make_plan()
+    starts = []
+    run = _Walker.run
+
+    def checked(self, sub, inputs):
+        if sub is plan:
+            starts.append(len(inputs))
+            for waiting, reads in self.demand.values():
+                assert sum(map(len, reads)) < _columns(waiting.label_count), waiting.family
+        return run(self, sub, inputs)
+
+    monkeypatch.setattr(_Walker, "run", checked)
+    verify_exactness(plan)
+    assert sum(starts) == 1 << plan.n
+
+
+def test_a_memo_read_of_no_inputs_is_a_hit():
+    walker = _Walker(DEFAULT_TOL, DEFAULT_BRANCH_TOL)
+    sums = walker.memo(build_unb(5, 1), np.zeros(0, dtype=np.int64))
+    assert isinstance(sums, _Sums) and sums.data.shape == (5, 0)
+    assert walker.demand == {}
 
 
 @pytest.mark.parametrize("make_plan", [

@@ -14,6 +14,7 @@ from exactq import (
     algorithms,
     build_appendix_a,
     build_equality,
+    build_exact_k,
     build_exact_kl,
     build_general_unbalance,
     build_unb,
@@ -314,6 +315,13 @@ KNOBS_AT_DEFAULT = {
     "appendixA": (lambda: build_appendix_a(angle_overrides=None, gamma_override=None), build_appendix_a),
 }
 
+# (a call with positional parameters passed by name, the positional call)
+PARAMETERS_BY_NAME = {
+    "unb51": (lambda: build_unb(n=5, d=1), lambda: build_unb(5, 1)),
+    "unbr71": (lambda: build_unbr(7, d=1, validate=True), lambda: build_unbr(7, 1)),
+    "exactk63": (lambda: build_exact_k(k=3, n=6), lambda: build_exact_k(6, 3)),
+}
+
 
 class TestOverrideCopies:
     """An override build is a copy of its default build in which only the
@@ -323,6 +331,11 @@ class TestOverrideCopies:
     def test_a_knob_passed_at_its_default_returns_the_default_build(self, name):
         at_default, default = KNOBS_AT_DEFAULT[name]
         assert at_default() is default()
+
+    @pytest.mark.parametrize("name", PARAMETERS_BY_NAME)
+    def test_a_parameter_passed_by_name_returns_the_default_build(self, name):
+        by_name, default = PARAMETERS_BY_NAME[name]
+        assert by_name() is default()
 
     @pytest.mark.parametrize("name", OVERRIDES)
     def test_a_set_knob_builds_a_new_override_on_every_call(self, name):

@@ -46,6 +46,7 @@ from exactq.verifier import (
     LeafDegreeRecord,
     _SCRATCH,
     _collect_plans,
+    _power_coefficients,
     _step,
 )
 from reference import leaf_values, leaf_weight, output_leaf_paths
@@ -209,6 +210,19 @@ def assert_same_polynomial(poly, expected):
                                                         rel=0.0, abs=1e-15)
 
 
+def exact_power_coefficients(vectors):
+    """Per value vector q(0..n), the float nearest each coefficient in
+    powers of s of the polynomial through it: a rational solve of the
+    Vandermonde system, by sympy, on the values as exact fractions."""
+    sympy = pytest.importorskip("sympy")
+    n = len(vectors[0]) - 1
+    vander = sympy.Matrix(n + 1, n + 1, lambda s, i: sympy.Integer(s) ** i)
+    values = sympy.Matrix(n + 1, len(vectors),
+                          lambda s, v: sympy.Rational(*float(vectors[v][s]).as_integer_ratio()))
+    solved = vander.LUsolve(values)
+    return [tuple(float(solved[i, v]) for i in range(n + 1)) for v in range(len(vectors))]
+
+
 class TestSymmetrization:
     @pytest.mark.parametrize("seed", range(12))
     def test_q_is_the_mean_of_each_weight_class(self, seed):
@@ -249,6 +263,38 @@ class TestSymmetrization:
         poly = MultilinearPoly.from_values(2, [0.0, 1.0, 0.0, 0.0])
         sym = symmetrize_to_univariate(poly)
         assert tuple(sym.q_values) == pytest.approx((0.0, 0.5, 0.0))
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_power_coefficients_of_weight_indicators_are_exact(self, n):
+        # The 0/1 indicator of each weight, and of the two weights n/2 -+ 1
+        # that unb(n,2) accepts.
+        indicators = [[float(s == w) for s in range(n + 1)] for w in range(n + 1)]
+        if n >= 2:
+            indicators.append([float(abs(2 * s - n) == 2) for s in range(n + 1)])
+        assert [_power_coefficients(q) for q in indicators] == exact_power_coefficients(indicators)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_power_coefficients_of_dyadic_vectors_are_exact(self, n):
+        # Integers below 2^52 over powers of two up to 2^60, so over their
+        # common denominator the values take up to 112 bits.
+        rng = np.random.default_rng(n)
+        vectors = [[int(m) / 2.0 ** int(e) for m, e in zip(rng.integers(-2**52, 2**52, n + 1),
+                                                            rng.integers(0, 61, n + 1))]
+                   for _ in range(4)]
+        assert [_power_coefficients(q) for q in vectors] == exact_power_coefficients(vectors)
+
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_unb_indicator_has_exact_coefficients_and_full_degree(self, n):
+        # A float Vandermonde solve is off by 2.4e-5 at n = 12 and 3.0e-3 at
+        # n = 14 on this indicator.
+        table = [float(abs(2 * bits.count(1) - n) == 2) for bits in itertools.product((0, 1), repeat=n)]
+        sym = symmetrize_to_univariate(MultilinearPoly.from_values(n, table))
+        assert sym.q_values == tuple(float(abs(2 * s - n) == 2) for s in range(n + 1))
+        assert [sym.coeffs] == exact_power_coefficients([sym.q_values])
+        assert sym.degree() == n
+
+    def test_non_finite_values_give_nan_coefficients(self):
+        assert all(math.isnan(c) for c in _power_coefficients([0.0, math.inf, 1.0]))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=6))
