@@ -54,9 +54,12 @@ The summary of a block is one (5, columns) float64 matrix (`_Sums`): three
 rows of total mass per output, which branches merge by adding, and two rows
 merged by maximum (deepest query count, call residual).
 Adjacent sibling branches of a measurement that call one plan run as one
-call over all their columns, which reads a contract-free callee's memo
-once, and their summaries fold into the measurement's in one pass: one
-accumulation of the totals in branch order and one maximum over the rest.
+call over all their live columns, which reads a contract-free callee's
+memo once, and each live column's summary folds straight into its
+measurement column, in member order: the totals add one at a time
+(`np.add.at`) and the other rows take the maximum (`np.maximum.at`). A
+member column without weight would fold a vacuous summary, which changes
+no bit, so it is left out.
 
 An input contract is affine in the +-1 input, so the contract states of a
 block are one product of its matrix over (1, xhat), compiled at the first
@@ -142,25 +145,22 @@ class _Sums:
     def put(self, cols, other: _Sums) -> None:
         self.data[:, cols] = other.data
 
-    def merge(self, other: _Sums) -> None:
-        """Fold branches into these columns, in branch order. `other` holds
-        one block of as many columns per branch, the branches one after
-        another; several branches use it up."""
+    def merge(self, other: _Sums, cols: np.ndarray | None = None) -> None:
+        """Fold a branch into these columns: `other` holds one column per
+        column here or, with `cols`, one per entry of `cols`, the column it
+        folds into. A column may recur in `cols` (a call group's members);
+        its totals then add in the order of `cols`, one at a time from the
+        current sums, since `ufunc.at` adds unbuffered, index by index."""
         mine = self.data
-        if other.data.shape[1] == mine.shape[1]:
+        if cols is None:
             mine[:3] += other.data[:3]
             np.maximum(mine[3:], other.data[3:], out=mine[3:])
-        else:
-            # The totals accumulate in place, one branch after another from
-            # the current sums. np.add.reduce would not keep that order: it
-            # sums pairwise where numpy makes the branch axis its inner loop,
-            # as it does for one column.
-            branches = other.data.reshape(len(mine), -1, mine.shape[1])
-            totals = branches[:3]
-            totals[:, 0] += mine[:3]
-            np.add.accumulate(totals, axis=1, out=totals)
-            mine[:3] = totals[:, -1]
-            np.maximum(mine[3:], branches[3:].max(axis=1), out=mine[3:])
+            return
+        # One row at a time: `ufunc.at` on a 1-d row takes numpy's fast path.
+        for r in range(3):
+            np.add.at(mine[r], cols, other.data[r])
+        for r in (3, 4):
+            np.maximum.at(mine[r], cols, other.data[r])
 
 
 # A summary that waits on memo reads: it returns the summary once `_Walker.fill`
@@ -211,9 +211,13 @@ def summarize(plan: Plan, *, tol: float, branch_tol: float) -> tuple[np.ndarray,
     """
     walker = _Walker(tol, branch_tol)
     count = 1 << plan.n
+    width = _columns(plan.label_count)
+    if width >= count:  # one block: its summary is the table
+        entered, part = walker.run(plan, np.arange(count))
+        walker.fill()
+        return entered, _done(part)
     entered = np.zeros(count, dtype=bool)
     sums = _Sums.vacuous(count)
-    width = _columns(plan.label_count)
     waiting = []
     for start in range(0, count, width):
         block = np.arange(start, min(count, start + width))
@@ -336,8 +340,9 @@ class _Walker:
         A column that gaps ends here, as output -1 with its `weight`.
 
         Adjacent children that call one plan without merging labels run as
-        one call over all their columns when the first of them is reached,
-        and their summaries fold into the columns in one pass.
+        one call over their live columns when the first of them that holds
+        a row is reached, and each of those columns' summaries folds into
+        its column, in member order.
         """
         gap, branches, groups = _split(node, rows, amps, n)
         if gap.any():
@@ -347,60 +352,65 @@ class _Walker:
                 pieces.append((rest, self.measure(node, rows, amps[:, rest], weight[rest], inputs[rest],
                                                   n, queries)))
             return _assemble(len(inputs), pieces)
-        held = []
+        held = []  # (the columns a part folds into, None for all; the part)
         folded = 0
         for k, (child, members, labels, _) in enumerate(branches):
             if k < folded or child is None or not len(members):
                 continue
             group = groups.get(k)
             if group is None:
-                held.append(self.walk(child, labels, _branch(branches[k], amps), inputs, n, queries))
+                held.append((None, self.walk(child, labels, _branch(branches[k], amps), inputs, n, queries)))
             else:
-                held.append(self.call_group(group, rows, amps, inputs, queries))
-                folded = k + group[2]
+                held += self.call_group(group, rows, amps, inputs, queries)
+                folded = group[-1]
+        spots = [cols for cols, _ in held]
 
         def fold(*parts):
             # 0.0 + x is x, so a first part of every column can be the start.
-            if parts and parts[0].data.shape[1] == len(inputs):
-                sums, parts = parts[0], parts[1:]
+            if spots and spots[0] is None:
+                sums, rest = parts[0], zip(spots[1:], parts[1:])
             else:
-                sums = _Sums.vacuous(len(inputs))
-            for part in parts:
-                sums.merge(part)
+                sums, rest = _Sums.vacuous(len(inputs)), zip(spots, parts)
+            for cols, part in rest:
+                sums.merge(part, cols)
             return sums
-        return _then(fold, *held)
+        return _then(fold, *(part for _, part in held))
 
     def call_group(self, group: tuple, rows: tuple, amps: np.ndarray,
-                   block_inputs: np.ndarray, queries: int) -> _Sums | _Pending:
-        """Sibling calls into one plan as one call over all their columns, a
-        member's columns after another's.
+                   block_inputs: np.ndarray, queries: int) -> list[tuple[np.ndarray, _Sums | _Pending]]:
+        """Sibling calls into one plan as one call over all their live
+        columns, a member's columns after another's: (measurement columns,
+        summary) parts, which `measure` folds in member order. A member
+        column without weight is left out, as its summary would be vacuous
+        and fold to nothing.
 
         A callee with a contract takes the members' states a block of
         members at a time. A contract-free callee takes only their weights
         and inputs, so one memo read serves every live member column; that
         needs no bound of its own, since a group's block width falls as its
-        member count grows: at exact(n, n/2) a group stays near 50 k member
-        columns, about 5 MiB, up to n = 20."""
-        sub, union, count, sources, order, starts, runs = group
+        member count grows: at exact(n, n/2) a group spans at most 51 k
+        member columns up to n = 20 and keeps the live ones, about half of
+        them: 26 k at most, which take 2.8 MiB."""
+        sub, union, count, sources, order, starts, runs, _ = group
         width = len(block_inputs)
-        padded = np.zeros((len(rows) + 1, width), dtype=_DTYPE)
-        padded[:-1] = amps
-        weight = np.add.reduceat(np.square(padded)[order], starts, axis=0).ravel()
-        if sub.contract is None:
-            padded = None
-        live = weight > self.branch_tol
+        weight = np.add.reduceat(np.square(amps[order]), starts, axis=0).ravel()
+        live = np.flatnonzero(weight > self.branch_tol)
         sub_inputs = _route(block_inputs, runs).ravel()
-        pieces = []
-        step = count if sub.contract is None else max(1, _columns(len(union)) // width)
+        padded = None
+        if sub.contract is not None:
+            padded = np.zeros((len(rows) + 1, width), dtype=_DTYPE)
+            padded[:-1] = amps
+        step = count if padded is None else max(1, _columns(len(union)) // width)
+        parts = []
         for first in range(0, count, step):
-            span = slice(first * width, min(count, first + step) * width)
-            part = np.flatnonzero(live[span]) + span.start
-            if not len(part):
+            lo, hi = np.searchsorted(live, (first * width, (first + step) * width))
+            if lo == hi:
                 continue
-            joined = None if sub.contract is None else \
-                padded[sources[:, first:first + step]].reshape(len(union), -1)[:, part - span.start]
-            pieces.append((part, self.enter(sub, union, joined, weight[part], sub_inputs[part], queries)))
-        return _assemble(count * width, pieces)
+            part = live[lo:hi]
+            joined = None if padded is None else \
+                padded[sources[:, first:first + step]].reshape(len(union), -1)[:, part - first * width]
+            parts.append((part % width, self.enter(sub, union, joined, weight[part], sub_inputs[part], queries)))
+        return parts
 
     def enter(self, sub: Plan, rows: tuple, amps: np.ndarray | None, weight: np.ndarray,
               sub_inputs: np.ndarray, queries: int) -> _Sums | _Pending:
@@ -809,8 +819,9 @@ def _measure_maps(node: MeasureStep, rows: tuple, n: int):
     """Rows whose outcome names no child; per child, its rows, its labels
     after the rewrite, and where each row lands when the rewrite merges
     labels; and the groups of adjacent children that call one plan without
-    merging labels, keyed by their first member, in a plan of `n`
-    variables."""
+    merging labels, of at least two members that hold a row, each keyed by
+    its first such member and ending with the index past its last child, in
+    a plan of `n` variables."""
     cache = _cache(node)
     maps = cache.get((n, rows))
     if maps is not None:
@@ -841,22 +852,23 @@ def _measure_maps(node: MeasureStep, rows: tuple, n: int):
     groups = {}
     for plan_id, run in groupby(range(len(branches)), callee):
         ks = list(run)
-        if plan_id is None or len(ks) < 2:
+        # Members that hold no row here add nothing, so the group leaves
+        # them out and spans the branches up to its last sibling call.
+        held = [k for k in ks if len(branches[k][1])]
+        if plan_id is None or len(held) < 2:
             continue
-        union = tuple(dict.fromkeys(label for k in ks for label in branches[k][2]))
+        union = tuple(dict.fromkeys(label for k in held for label in branches[k][2]))
         where = {label: u for u, label in enumerate(union)}
         # sources[u, m]: the row holding union label u for member m, or the
         # zero row past the end
-        sources = np.full((len(union), len(ks)), len(rows), dtype=np.intp)
-        for m, k in enumerate(ks):
+        sources = np.full((len(union), len(held)), len(rows), dtype=np.intp)
+        for m, k in enumerate(held):
             for r, label in zip(branches[k][1], branches[k][2]):
                 sources[where[label], m] = r
-        # Each member's rows, then the zero row, so that no member is empty
-        # when their weights are summed.
-        order = np.concatenate([np.append(branches[k][1], len(rows)) for k in ks])
-        starts = np.cumsum([0] + [len(branches[k][1]) + 1 for k in ks[:-1]])
-        groups[ks[0]] = (branches[ks[0]][0].plan, union, len(ks), sources, order, starts,
-                         _runs([branches[k][0] for k in ks], n))
+        order = np.concatenate([branches[k][1] for k in held])
+        starts = np.cumsum([0] + [len(branches[k][1]) for k in held[:-1]])
+        groups[held[0]] = (branches[held[0]][0].plan, union, len(held), sources, order, starts,
+                           _runs([branches[k][0] for k in held], n), ks[-1] + 1)
     maps = cache[(n, rows)] = (np.array(gap, dtype=np.intp), branches, groups)
     return maps
 

@@ -361,15 +361,26 @@ def random_sums(rng, width):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 25), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
-def test_fold_equals_sequential_merges(count, width, seed):
+@given(st.integers(1, 25), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["some", "none", "all", "one"]))
+@example(count=25, width=3, seed=0, live="one")
+def test_fold_equals_sequential_merges(count, width, seed, live):
+    # A call group folds only its members' live columns, each into its
+    # measurement column, in member order; a dead column is vacuous, so it
+    # would add exactly nothing. "one" leaves one column live in every
+    # member, so its totals take `count` additions in a row.
     rng = np.random.default_rng(seed)
     prior = random_sums(rng, width)
-    shares = random_sums(rng, count * width)
+    members = random_sums(rng, count * width)
+    spot = np.arange(count * width) % width
+    alive = {"some": rng.random(count * width) < 0.5, "none": np.zeros(count * width, dtype=bool),
+             "all": np.ones(count * width, dtype=bool), "one": spot == rng.integers(width)}[live]
+    members.data[:, ~alive] = _Sums.vacuous(1).data
     folded, sequential = _Sums(prior.data.copy()), _Sums(prior.data.copy())
-    folded.merge(_Sums(shares.data.copy()))
+    cols = np.flatnonzero(alive)
+    folded.merge(members.take(cols), spot[cols])
     for m in range(count):
-        sequential.merge(shares.take(slice(m * width, (m + 1) * width)))
+        sequential.merge(members.take(slice(m * width, (m + 1) * width)))
     assert folded.data.tobytes() == sequential.data.tobytes()
 
 
@@ -405,6 +416,88 @@ def test_sibling_calls_group_only_when_adjacent(order, groups):
     assert_batch_matches_executor(plan)
     compiled = [maps[2] for maps in vars(measure)["_batch_cache"].values()]
     assert compiled and all({k: group[2] for k, group in found.items()} == groups for found in compiled)
+
+
+def measured_plan(state, children):
+    """A two-variable plan that prepares `state` and measures each label of
+    the (label, child) pairs `children` into its own child."""
+    measure = MeasureStep({label: (k,) for k, (label, _) in enumerate(children)}.get,
+                          tuple(((k,), None, child) for k, (_, child) in enumerate(children)))
+    return small_plan(PrepareState(state, measure), n=2), measure
+
+
+def group_results(monkeypatch):
+    """The parts every `_Walker.call_group` returns, as they are returned."""
+    results = []
+    call_group = _Walker.call_group
+
+    def recorded(self, *args):
+        results.append(call_group(self, *args))
+        return results[-1]
+
+    monkeypatch.setattr(_Walker, "call_group", recorded)
+    return results
+
+
+@pytest.mark.parametrize("empty,first", [(1, 0), (0, 1)], ids=["middle", "first"])
+def test_a_sibling_call_without_rows_leaves_its_group(empty, first, monkeypatch):
+    # The label |S> of child `empty` is not in the state, so its call holds
+    # no row: the group has two members, starts at child `first` and spans
+    # the three children.
+    bit = read_plan(1, 1)
+    labels = [idx(1), idx(2)]
+    labels.insert(empty, S_LABEL)
+    plan, measure = measured_plan(LabeledState({idx(1): 0.6, idx(2): 0.8}), [
+        (label, Call(bit, (var(1 + k % 2),))) for k, label in enumerate(labels)])
+    results = group_results(monkeypatch)
+    assert_batch_matches_executor(plan)
+    compiled = [maps[2] for maps in vars(measure)["_batch_cache"].values()]
+    assert compiled and all({k: (group[2], group[-1]) for k, group in found.items()} == {first: (2, 3)}
+                            for found in compiled)
+    assert results and all(len(cols) == 2 * 4 for parts in results for cols, _ in parts)
+
+
+def test_a_group_whose_member_columns_are_all_dead_folds_nothing(monkeypatch):
+    # Both calls carry weight 1e-10 <= DEFAULT_BRANCH_TOL on every input.
+    bit = read_plan(1, 1)
+    plan, measure = measured_plan(
+        LabeledState({idx(1): 1e-5, idx(2): 1e-5, S_LABEL: math.sqrt(1.0 - 2e-10)}),
+        [(idx(1), Call(bit, (var(1),))), (idx(2), Call(bit, (var(2),))), (S_LABEL, Output(1))])
+    results = group_results(monkeypatch)
+    assert_batch_matches_executor(plan)
+    assert results and all(parts == [] for parts in results)
+    entered, sums = summarize(plan, tol=DEFAULT_TOL, branch_tol=DEFAULT_BRANCH_TOL)
+    assert sums.total[2].tolist() == [1.0 - 2e-10] * 4
+    assert sums.maxq.tolist() == [0.0] * 4
+
+
+# The live member columns, those with weight above DEFAULT_BRANCH_TOL, of all
+# call groups while the plan is verified: half of the 54 304 (exact(10,5))
+# and 53 698 (general(8,2)) member columns.
+@pytest.mark.parametrize("make_plan,live", [(lambda: build_exact_k(10, 5), 27152),
+                                            (lambda: build_general_unbalance(8, 2), 25810)],
+                         ids=["exact105", "general82"])
+def test_call_groups_fold_their_live_columns_into_no_wider_block(make_plan, live, monkeypatch):
+    plan = make_plan()
+    widths, folded = [], []
+    vacuous, merge = _Sums.vacuous.__func__, _Sums.merge
+
+    def recorded_vacuous(cls, width):
+        widths.append(width)
+        return vacuous(cls, width)
+
+    def recorded_merge(self, other, *cols):
+        if cols and cols[0] is not None:
+            folded.append(len(cols[0]))
+        merge(self, other, *cols)
+
+    monkeypatch.setattr(_Sums, "vacuous", classmethod(recorded_vacuous))
+    monkeypatch.setattr(_Sums, "merge", recorded_merge)
+    verify_exactness(plan)
+    # Every block built to fold into is at most a block wide; only the one
+    # memo read of a group spans its live member columns.
+    assert max(widths) <= max(_columns(sub.label_count) for sub in _collect_plans(plan))
+    assert sum(folded) == live
 
 
 def groups_by_callee(branches):
