@@ -41,14 +41,18 @@ significant, which is the order of `itertools.product((0, 1), repeat=n)`.
 
 Gadget steps, whose bindings touch disjoint labels, are one gather, one
 matrix product and one scatter per group of bindings that share a gadget.
-The maps of queries and measurements are compiled once per (node, row-label
-tuple) and kept on the node, a gadget step's on its applications. An
-override build holds its default build's measurement and copies of its other
-steps that share their maps (`plans._shared`), so it compiles only its
-rotation passes, each only its group matrices and live rows: its label
-layout comes from the `layouts` its applications share with every pass of
-their shape (`_compile`). Maps compile at a plan's first walk; its label
-count and height (`Plan`) are set when it is built.
+Every compiled map is found, made on a miss, and kept in one place
+(`_compiled`), in the compile cache of the plan object it belongs to: a
+gadget step's per row-label tuple on its applications, a query's and a
+measurement's per (n, row-label tuple) and a call's wires per n on the node,
+a prepared state on its node, and a contract's matrix and its alignment to
+each row-label tuple on the contract. An override build holds its default
+build's measurement and copies of its other steps that share their maps
+(`plans._shared`), so it compiles only its rotation passes, each only its
+group matrices and live rows: its label layout comes from the `layouts` its
+applications share with every pass of their shape (`_compile`). Maps
+compile at a plan's first walk; its label count and height (`Plan`) are set
+when it is built.
 
 The summary of a block is one (5, columns) float64 matrix (`_Sums`): three
 rows of total mass per output, which branches merge by adding, and two rows
@@ -628,12 +632,16 @@ def _bits(index: int, n: int) -> tuple[int, ...]:
     return tuple((index >> (n - 1 - k)) & 1 for k in range(n))
 
 
-def _cache(obj) -> dict:
-    """A plan object's compile cache, which lives as long as the object."""
+def _compiled(obj, key, make: Callable[[], object]):
+    """What the compile cache of the plan object `obj` keeps under `key`,
+    made by `make()` on a miss and kept; the cache lives as long as `obj`."""
     cache = obj.__dict__.get("_batch_cache")
     if cache is None:
         cache = obj.__dict__["_batch_cache"] = {}
-    return cache
+    maps = cache.get(key)
+    if maps is None:
+        maps = cache[key] = make()
+    return maps
 
 
 def _columns(rows: int) -> int:
@@ -663,13 +671,8 @@ def _advance(node, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n: int,
 
 
 def _prepare(node: PrepareState, weight: np.ndarray) -> tuple[tuple, np.ndarray]:
-    cache = _cache(node)
-    prepared = cache.get("state")
-    if prepared is None:
-        items = node.state.items()
-        prepared = cache["state"] = (tuple(l for l, _ in items),
-                                     _real([a for _, a in items], "PrepareState state"))
-    rows, vec = prepared
+    rows, vec = _compiled(node, "state", lambda: (tuple(l for l, _ in node.state.items()),
+                                                  _real([a for _, a in node.state.items()], "PrepareState state")))
     amps = np.multiply.outer(vec, np.sqrt(weight))
     _zero_small(amps)
     return rows, amps
@@ -681,11 +684,7 @@ def _gadget(node: GadgetStep, rows: tuple, amps: np.ndarray) -> tuple[tuple, np.
     shares the maps, which live as long as the applications do. A miss
     compiles them (`_compile`), on a shared layout where there is one."""
     apps = node.applications
-    cache = _cache(apps)
-    maps = cache.get(rows)
-    if maps is None:
-        maps = cache[rows] = _compile(apps, rows)
-    return maps.apply(amps)
+    return _compiled(apps, rows, lambda: _compile(apps, rows)).apply(amps)
 
 
 def _compile(apps, rows: tuple) -> _Bindings:
@@ -790,29 +789,31 @@ def _query(node: QueryStep, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n
     +-1 value, per column, in place: from a table of the +-1 values of the
     variables the rows query, one table row per variable, which the rows
     that query one variable share."""
-    cache = _cache(node)
-    maps = cache.get((n, rows))
-    if maps is None:
-        queried, variables, bad = [], {}, []
-        for r, label in enumerate(rows):
-            i = node.extractor(label)
-            if i is None:
-                continue
-            if 1 <= i <= n:
-                queried.append((r, variables.setdefault(i, len(variables))))
-            else:
-                bad.append((r, f"query index {i} outside 1..{n} for label {label!r}"))
-        # Which table row each queried row reads; None when each reads its own.
-        which = None if len(variables) == len(queried) else np.array([t for _, t in queried], dtype=np.intp)
-        maps = cache[(n, rows)] = (np.array([r for r, _ in queried], dtype=np.intp),
-                                   np.array([n - i for i in variables], dtype=np.int64)[:, None], which, bad)
-    queried, shifts, which, bad = maps
+    queried, shifts, which, bad = _compiled(node, (n, rows), lambda: _query_maps(node, rows, n))
     for r, message in bad:
         if amps[r].any():
             raise IndexOutOfRange(message)
     if len(queried):
         signs = 1.0 - 2.0 * ((inputs >> shifts) & 1)
         amps[queried] *= signs if which is None else signs[which]
+
+
+def _query_maps(node: QueryStep, rows: tuple, n: int) -> tuple:
+    """The rows that query a variable; per variable they query, its shift in
+    an input; which of those each queried row reads, None when each reads
+    its own; and (row, message) for each row whose index is outside 1..n."""
+    queried, variables, bad = [], {}, []
+    for r, label in enumerate(rows):
+        i = node.extractor(label)
+        if i is None:
+            continue
+        if 1 <= i <= n:
+            queried.append((r, variables.setdefault(i, len(variables))))
+        else:
+            bad.append((r, f"query index {i} outside 1..{n} for label {label!r}"))
+    which = None if len(variables) == len(queried) else np.array([t for _, t in queried], dtype=np.intp)
+    return (np.array([r for r, _ in queried], dtype=np.intp),
+            np.array([n - i for i in variables], dtype=np.int64)[:, None], which, bad)
 
 
 def _measure_maps(node: MeasureStep, rows: tuple, n: int):
@@ -822,10 +823,6 @@ def _measure_maps(node: MeasureStep, rows: tuple, n: int):
     merging labels, of at least two members that hold a row, each keyed by
     its first such member and ending with the index past its last child, in
     a plan of `n` variables."""
-    cache = _cache(node)
-    maps = cache.get((n, rows))
-    if maps is not None:
-        return maps
     slot = {oid: k for k, (oid, _, _) in enumerate(node.children)}
     members: list[list[int]] = [[] for _ in node.children]
     gap = []
@@ -869,15 +866,14 @@ def _measure_maps(node: MeasureStep, rows: tuple, n: int):
         starts = np.cumsum([0] + [len(branches[k][1]) for k in held[:-1]])
         groups[held[0]] = (branches[held[0]][0].plan, union, len(held), sources, order, starts,
                            _runs([branches[k][0] for k in held], n), ks[-1] + 1)
-    maps = cache[(n, rows)] = (np.array(gap, dtype=np.intp), branches, groups)
-    return maps
+    return np.array(gap, dtype=np.intp), branches, groups
 
 
 def _split(node: MeasureStep, rows: tuple, amps: np.ndarray, n: int):
     """`_measure_maps` on a block: per column, whether a label whose outcome
     names no child carries amplitude (a gap), and the children's branches
     and call groups."""
-    gap_rows, branches, groups = _measure_maps(node, rows, n)
+    gap_rows, branches, groups = _compiled(node, (n, rows), lambda: _measure_maps(node, rows, n))
     if len(gap_rows):
         return (amps[gap_rows] != 0).any(axis=0), branches, groups
     return np.zeros(amps.shape[1], dtype=bool), branches, groups
@@ -941,11 +937,7 @@ def _route(inputs: np.ndarray, runs: tuple) -> np.ndarray:
 
 def _sub_inputs(node: Call, inputs: np.ndarray, n: int) -> np.ndarray:
     """The callee's input for each column of a plan of `n` variables."""
-    cache = _cache(node)
-    runs = cache.get(n)
-    if runs is None:
-        runs = cache[n] = _runs([node], n)
-    return _route(inputs, runs)[0]
+    return _route(inputs, _compiled(node, n, lambda: _runs([node], n)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -958,13 +950,10 @@ def contract_columns(contract: Contract, inputs: np.ndarray) -> tuple[np.ndarray
     their squared norms: the contract's matrix over (1, xhat) times the
     inputs' +-1 encodings. The matrix is compiled at the first call and kept
     on the contract; a complex contract raises ValueError."""
-    cache = _cache(contract)
-    matrix = cache.get("matrix")
-    if matrix is None:
-        entries = [(c,) + row for c, row in zip(contract.constants, contract.coeffs)]
-        matrix = _real(entries, f"input contract of a {contract.n}-variable plan")
-        matrix = cache["matrix"] = matrix.reshape(len(contract.labels), contract.n + 1)
     n = contract.n
+    matrix = _compiled(contract, "matrix", lambda: _real(
+        [(c,) + row for c, row in zip(contract.constants, contract.coeffs)],
+        f"input contract of a {n}-variable plan").reshape(len(contract.labels), n + 1))
     xhat = np.ones((n + 1, len(inputs)))
     xhat[1:] -= 2 * ((inputs[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1)
     kappa = matrix @ xhat
@@ -975,18 +964,12 @@ def contract_columns(contract: Contract, inputs: np.ndarray) -> tuple[np.ndarray
 def _align(contract: Contract, rows: tuple) -> tuple:
     """The contract's labels found in the state rows `rows`, the state rows
     that hold them, and the contract's labels outside `rows`."""
-    cache = _cache(contract)
-    maps = cache.get(rows)
-    if maps is None:
-        where = {label: r for r, label in enumerate(rows)}
-        labels = contract.labels
-        inside = [k for k, label in enumerate(labels) if label in where]
-        maps = cache[rows] = (
-            np.array(inside, dtype=np.intp),
+    where = {label: r for r, label in enumerate(rows)}
+    labels = contract.labels
+    inside = [k for k, label in enumerate(labels) if label in where]
+    return (np.array(inside, dtype=np.intp),
             np.array([where[labels[k]] for k in inside], dtype=np.intp),
-            np.array([k for k, label in enumerate(labels) if label not in where], dtype=np.intp),
-        )
-    return maps
+            np.array([k for k, label in enumerate(labels) if label not in where], dtype=np.intp))
 
 
 def _least_squares(contract: Contract, kappa: np.ndarray, k_norm_sq: np.ndarray,
@@ -994,7 +977,7 @@ def _least_squares(contract: Contract, kappa: np.ndarray, k_norm_sq: np.ndarray,
     """Per column, the best c with state ~ c * kappa and the norm of the
     stored state - c * kappa, as the reference `least_squares_match` of
     tests/reference.py computes them."""
-    inside, at, outside = _align(contract, rows)
+    inside, at, outside = _compiled(contract, rows, lambda: _align(contract, rows))
     overlap = (kappa[inside] * amps[at]).sum(axis=0)
     coeff = overlap / np.where(k_norm_sq > 0.0, k_norm_sq, 1.0)
     mismatch = amps.copy()

@@ -41,7 +41,7 @@ from .algorithms import (
 )
 from .errors import DegenerateCase, DivergedChain, ExactQError, check_tol
 from .plans import Plan
-from .recurrence import chain_gamma_at, gamma_chain, solve_step_constants
+from .recurrence import CHAIN_LIMIT, chain_gamma_at, gamma_chain, solve_step_constants
 from .sym import STRATEGIES, SymSpec, TWO_SIDED, build_sym
 from .verifier import (
     DEFAULT_BRANCH_TOL,
@@ -153,6 +153,7 @@ def cmd_verify(config: argparse.Namespace) -> int:
 
 
 def cmd_gamma(config: argparse.Namespace) -> int:
+    check_limit("--n-max", config.n_max, CHAIN_LIMIT, "gamma chain")
     chain = gamma_chain(config.d, config.k0, config.gamma0, n_max=config.n_max)
     rows = [(n, g, bool(g <= 1.0 / n + 1e-15)) for n, g in chain.entries]
     payload = {
@@ -211,6 +212,7 @@ def cmd_constants(config: argparse.Namespace) -> int:
         header = ["index", "value"]
     else:
         n, d = _require(config, "n", "d")
+        check_limit("--n", n, CHAIN_LIMIT, "gamma chain")
         if n == d:
             raise DegenerateCase(f"step constants are undefined at n = d = {n}")
         gamma_prev = chain_gamma_at(d, n - 2)

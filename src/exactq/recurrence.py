@@ -23,6 +23,12 @@ CHAIN_BASES: dict[int, tuple[int, float, int]] = {
 # Smallest chain n with sustained gamma_n <= 1/n decay.
 DECAY_START: dict[int, int] = {1: 5, 2: 12, 3: 23}
 
+# The largest chain size the CLI runs a chain to. A chain takes one step and
+# keeps one (n, gamma) entry per two sizes, so this bounds its time and output;
+# it is far above the 39 that the widest build needs (exactkl(20,0,1) pads to
+# unb(39,1)).
+CHAIN_LIMIT = 10_000
+
 
 def _check_gamma_prev(gamma_prev: float) -> None:
     if not gamma_prev >= 0.0:
@@ -87,6 +93,8 @@ def gamma_chain(d: int, k0: int | None = None, gamma0: float | None = None, n_ma
         raise ValueError(f"k0 must be nonnegative, got {k0}")
     if not gamma0 >= 0.0:
         raise ValueError(f"gamma0 must be nonnegative, got {gamma0}")
+    if math.isinf(gamma0):
+        raise ValueError(f"gamma0 must be finite, got {gamma0}")
     n0 = d + 2 * k0
     if n_max < n0:
         raise NoChain(f"n_max={n_max} is below the chain base n={n0}")

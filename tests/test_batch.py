@@ -4,6 +4,7 @@ LabeledState reference of tests/reference.py."""
 
 from __future__ import annotations
 
+import collections
 import functools
 import gc
 import itertools
@@ -1349,6 +1350,64 @@ def test_a_dropped_mutant_is_freed_with_its_compiled_maps():
     del mutant
     gc.collect()
     assert plan() is None and rotation() is None
+
+
+# ---------------------------------------------------------------------------
+# Every compiled map is made once
+# ---------------------------------------------------------------------------
+
+
+# The benchmark's chain and dispatch plans (perfbench/workloads.py), and a
+# mutant: its contracts mismatch, so its walks enter callees directly.
+COMPILED_ONCE_PLANS = (
+    lambda: build_unb(8, 2), lambda: build_unb(7, 1), lambda: build_unb(7, 3),
+    lambda: build_exact_k(10, 5), lambda: build_equality(12), lambda: build_exact_kl(8, 2, 6),
+    lambda: build_sym(SymSpec("0011100")), lambda: build_general_unbalance(8, 2),
+    lambda: mutated_unbr(7, 1, "c1", 1e-3),
+)
+# The functions that make maps, beside `batch._compiled`, which keeps them:
+# `_real` makes prepared states, contract matrices and group matrices.
+COMPILE_FUNCTIONS = ("_compile", "_query_maps", "_measure_maps", "_runs", "_align", "_real")
+
+
+def counted_maps(monkeypatch):
+    """Lists of the compile functions called, by name, and of the (object,
+    key) of every map `batch._compiled` makes, filled while the test runs."""
+    calls, made = [], []
+    for name in COMPILE_FUNCTIONS:
+        def counted(*args, name=name, compile=getattr(batch, name)):
+            calls.append(name)
+            return compile(*args)
+        monkeypatch.setattr(batch, name, counted)
+
+    def compiled(obj, key, make, keep=batch._compiled):
+        def counted_make():
+            made.append((obj, key))
+            return make()
+        return keep(obj, key, counted_make)
+
+    monkeypatch.setattr(batch, "_compiled", compiled)
+    return calls, made
+
+
+def test_each_map_compiles_once_and_a_second_verification_compiles_none(fresh_tables, monkeypatch):
+    calls, made = counted_maps(monkeypatch)
+    plans_ = [make() for make in COMPILED_ONCE_PLANS]
+    for plan in plans_:
+        verify_exactness(plan)
+    # Each (object, key) is made at most once; `made` keeps every object
+    # alive, so no two share an id.
+    counts = collections.Counter((id(obj), key) for obj, key in made)
+    assert made and max(counts.values()) == 1
+    kinds = {(type(obj).__name__, key if key in ("state", "matrix") else type(key).__name__) for obj, key in made}
+    assert {("_Applications", "tuple"), ("QueryStep", "tuple"), ("MeasureStep", "tuple"), ("Call", "int"),
+            ("Contract", "matrix"), ("Contract", "tuple")} <= kinds, kinds
+    assert {"_compile", "_query_maps", "_measure_maps", "_runs", "_align"} <= set(calls)
+    calls.clear()
+    made.clear()
+    for plan in plans_:
+        verify_exactness(plan)
+    assert calls == [] and made == []
 
 
 # ---------------------------------------------------------------------------

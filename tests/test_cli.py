@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import exactq
-from exactq import __version__, cli
+from exactq import __version__, cli, recurrence
 from exactq.cli import main
+from exactq.recurrence import CHAIN_LIMIT
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -208,6 +209,68 @@ def test_unwritable_out_exits_2(command, where, capsys, tmp_path):
     assert "Traceback" not in captured.err and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [["gamma", "--d", "1", "--n-max"], ["constants", "--d", "1", "--n"]],
+                         ids=["gamma", "constants"])
+def test_an_over_limit_chain_exits_2_before_any_recurrence_step(argv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"ran the recurrence for {argv}")
+
+    for owner, name in ((cli, "gamma_chain"), (recurrence, "gamma_chain"), (recurrence, "gamma_next")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert main([*argv, str(CHAIN_LIMIT + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[-1]}={CHAIN_LIMIT + 1} exceeds the gamma chain limit {CHAIN_LIMIT}\n"
+
+
+def test_a_chain_at_the_limit_runs(capsys):
+    code, out = run(capsys, "gamma", "--d", "2", "--n-max", str(CHAIN_LIMIT))
+    assert code == 0
+    assert strict_json(out)["rows"][-1]["n"] == CHAIN_LIMIT
+    code, out = run(capsys, "constants", "--d", "2", "--n", str(CHAIN_LIMIT))
+    assert code == 0
+    assert strict_json(out)["n"] == CHAIN_LIMIT
+
+
+def strict_json(text: str):
+    """`text` parsed as JSON, refusing NaN and Infinity, which JSON lacks."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "unb", "--n", "5", "--d", "1", "--verbose"],
+    ["verify", "--family", "unbr", "--n", "4", "--d", "2"],
+    ["verify", "--family", "sym", "--a", "0110"],
+    ["verify", "--family", "unb", "--n", "21", "--d", "1"],
+    ["poly", "--family", "unbr", "--n", "3", "--d", "1"],
+    ["poly", "--family", "equality", "--n", "15"],
+    ["gamma", "--d", "1", "--n-max", "9"],
+    ["gamma", "--d", "3"],
+    ["gamma", "--d", "2", "--k0", "4", "--gamma0", "0.9"],
+    ["gamma", "--d", "1", "--k0", "0", "--gamma0", "1e308"],
+    ["gamma", "--d", "1", "--k0", "0", "--gamma0", "inf"],
+    ["gamma", "--d", "1", "--gamma0", "nan"],
+    ["gamma", "--d", "1", "--n-max", str(CHAIN_LIMIT + 1)],
+    ["constants", "--n", "3", "--d", "1"],
+    ["constants", "--n", "5", "--d", "3"],
+    ["constants", "--appendix-a"],
+    ["constants", "--n", "3", "--d", "3"],
+    ["constants", "--n", str(CHAIN_LIMIT + 1), "--d", "1"],
+])
+def test_every_json_report_is_json(argv, capsys):
+    # A float NaN or infinity prints as `NaN` or `Infinity`, which no JSON
+    # parser need accept: a report prints neither, and a refusal prints
+    # nothing.
+    code, out = run(capsys, *argv)
+    if code == 2:
+        assert out == ""
+    else:
+        assert code in (0, 1)
+        assert isinstance(strict_json(out), dict)
+
+
 def test_poly_refuses_an_over_limit_subroutine_before_extracting(capsys, monkeypatch):
     # exactkl(8, 0, 1) pads to unb(15, 1): n = 8 passes, its subroutine does not.
     def refuse(*args, **kwargs):
@@ -256,6 +319,13 @@ class TestGammaCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: gamma0 must be nonnegative, got nan\n"
+
+    def test_infinite_gamma0_exits_2(self, capsys):
+        # It printed `"gamma": Infinity`, which is not JSON, and exited 1.
+        assert main(["gamma", "--d", "1", "--k0", "0", "--gamma0", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gamma0 must be finite, got inf\n"
 
     def test_csv_rows(self, capsys):
         code, out = run(capsys, "gamma", "--d", "1", "--n-max", "5", "--format", "csv")

@@ -126,6 +126,11 @@ class TestGammaChain:
         with pytest.raises(ValueError, match="^gamma0 must be nonnegative, got nan"):
             gamma_chain(1, 0, math.nan)
 
+    def test_infinite_gamma0_is_refused(self):
+        # It made an infinite base row, which JSON cannot hold.
+        with pytest.raises(ValueError, match="^gamma0 must be finite, got inf"):
+            gamma_chain(1, 0, math.inf)
+
     def test_divergent_custom_start_truncates(self):
         chain = gamma_chain(2, k0=4, gamma0=0.9, n_max=30)
         assert not chain.valid
