@@ -75,7 +75,11 @@ one shape share.
 
 `exit_amplitudes` takes the same steps for the degree audit, but stops at a
 plan's exits: it starts from the raw contract states, prunes nothing and
-never enters a callee.
+never enters a callee. At a measurement, each run of adjacent children that
+exit without merging labels is put as one block, with a constant number of
+numpy calls however many exits it holds: the rows that carry amplitude are
+taken straight into the table (`_Table`), in child order, keyed by their
+outcome path and label. Other children are walked one at a time.
 
 `leaf_values` reads a leaf polynomial, the weight at the end of one outcome
 path of the run tree, as the output-1 mass of `summarize`, memos and
@@ -348,7 +352,7 @@ class _Walker:
         a row is reached, and each of those columns' summaries folds into
         its column, in member order.
         """
-        gap, branches, groups = _split(node, rows, amps, n)
+        gap, branches, groups, _ = _split(node, rows, amps, n)
         if gap.any():
             pieces = [(gap, _Sums.output(-1, weight[gap], queries))]
             if not gap.all():
@@ -546,16 +550,13 @@ def exit_amplitudes(plan: Plan) -> tuple[list[tuple], dict[tuple, int], list[np.
     contract), prunes nothing and descends every measurement child. Returns
     the (outcome path, label) keys that are nonzero on some input, in the
     order first reached; the queries spent on each path; and the table of
-    values, one row per key and one column per input. The table comes in
-    chunks of rows of at most BLOCK_BYTES each, so that it grows without
-    being copied. Raises PartitionGap where a populated label has no outcome
+    values, one row per key and one column per input, in chunks of rows
+    (`_Table`). Raises PartitionGap where a populated label has no outcome
     at a measurement, and ValueError for a contract column whose norm
     exceeds _MAX_NORM.
     """
     count = 1 << plan.n
-    chunk_rows = max(1, BLOCK_BYTES // (8 * count))
-    chunks: list[np.ndarray] = []
-    slot: dict[tuple, int] = {}
+    table = _Table(count)
     queries_of: dict[tuple, int] = {}
     width = _columns(plan.label_count)
     for start in range(0, count, width):
@@ -569,37 +570,90 @@ def exit_amplitudes(plan: Plan) -> tuple[list[tuple], dict[tuple, int], list[np.
                 bits = _bits(int(inputs[np.argmax(norm_sq)]), plan.n)
                 raise ValueError(f"input {bits}: contract norm {np.sqrt(norm_sq.max()):.3g} "
                                  f"exceeds {_MAX_NORM:.3g}")
-        for path, queries, labels, block in _exits(plan.root, rows, amps, inputs, plan.n, (), 0):
-            queries_of[path] = queries
-            for r in np.flatnonzero(block.any(axis=1)):
-                k = slot.setdefault((path, labels[r]), len(slot))
-                if k == len(chunks) * chunk_rows:
-                    chunks.append(np.zeros((chunk_rows, count)))
-                chunks[k // chunk_rows][k % chunk_rows, start:start + len(inputs)] = block[r]
-    if chunks:
-        chunks[-1] = chunks[-1][:len(slot) - (len(chunks) - 1) * chunk_rows]
-    return list(slot), queries_of, chunks
+        table.cols = slice(start, start + len(inputs))
+        _exits(plan.root, rows, amps, inputs, plan.n, (), 0, table, queries_of)
+    return list(table.slot), queries_of, table.chunks
 
 
 def _exits(node, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n: int,
-           path: tuple, queries: int):
-    """Yield (outcome path, queries, row labels, amplitudes) at every Output
-    or Call exit below `node`. The walk owns `amps`."""
+           path: tuple, queries: int, table: _Table, queries_of: dict) -> None:
+    """Put the rows that carry amplitude at every Output or Call exit below
+    `node` in `table`, and the queries spent on each exit's path in
+    `queries_of`, in the order reached. A run of adjacent measurement
+    children that exit without merging labels is put as one block. The walk
+    owns `amps`."""
     while not isinstance(node, (Output, Call)):
         if isinstance(node, MeasureStep):
-            gap, branches, _ = _split(node, rows, amps, n)
+            gap, branches, _, segments = _split(node, rows, amps, n)
             if gap.any():
                 bits = _bits(int(inputs[np.argmax(gap)]), n)
                 raise PartitionGap(f"input {bits}: a branch state has a label that matches "
                                    "no measurement outcome")
-            for (oid, _, _), branch in zip(node.children, branches):
-                yield from _exits(branch[0], branch[2], _branch(branch, amps), inputs, n,
-                                  path + (oid,), queries)
+            held = None
+            for segment in segments:
+                if isinstance(segment, int):
+                    branch = branches[segment]
+                    _exits(branch[0], branch[2], _branch(branch, amps), inputs, n,
+                           path + (node.children[segment][0],), queries, table, queries_of)
+                    continue
+                oids, members, owners, labels = segment
+                paths = [path + (oid,) for oid in oids]
+                queries_of.update(dict.fromkeys(paths, queries))
+                if held is None:
+                    held = amps.any(axis=1)
+                found = np.flatnonzero(held[members])
+                table.put([(paths[owners[i]], labels[i]) for i in found.tolist()], amps, members[found])
             return
         rows, amps = _advance(node, rows, amps, inputs, n, None)
         queries += isinstance(node, QueryStep)
         node = node.child
-    yield path, queries, rows, amps
+    queries_of[path] = queries
+    found = np.flatnonzero(amps.any(axis=1))
+    table.put([(path, rows[r]) for r in found.tolist()], amps, found)
+
+
+class _Table:
+    """The exit walk's value table: one row per key, in the order first
+    put, and one column per input, in chunks of `step` rows of at most
+    BLOCK_BYTES each. Every chunk but the last is full; the last grows in
+    place (`ndarray.resize`) to the rows found, so the table is never copied
+    and holds no unused row. `cols` is the slice of the inputs being walked."""
+
+    def __init__(self, count: int):
+        self.count = count
+        self.step = max(1, BLOCK_BYTES // (8 * count))
+        self.chunks: list[np.ndarray] = []
+        self.slot: dict[tuple, int] = {}
+        self.cols = slice(0, count)
+
+    def put(self, keys: list, source: np.ndarray, at: np.ndarray) -> None:
+        """Write the rows `at` of `source` into the current columns of the
+        rows of `keys`, adding each key not yet in the table."""
+        if not keys:
+            return
+        slot, step, chunks = self.slot, self.step, self.chunks
+        first = len(slot)
+        slots = [slot.setdefault(key, len(slot)) for key in keys]
+        total = len(slot)
+        if total > first:
+            # The chunks hold `first` rows.
+            if chunks and len(chunks[-1]) < step:
+                chunks[-1].resize((min(step, total - (len(chunks) - 1) * step), self.count))
+            while len(chunks) * step < total:
+                chunks.append(np.zeros((min(step, total - len(chunks) * step), self.count)))
+        if total - first == len(keys):
+            # Every key is new: rows first .. total - 1, taken straight into
+            # each chunk they span (np.take buffers `out` unless the mode is
+            # "clip"; every index is in range).
+            for c in range(first // step, (total - 1) // step + 1):
+                lo, hi = max(first, c * step), min(total, (c + 1) * step)
+                np.take(source, at[lo - first:hi - first], axis=0, mode="clip",
+                        out=chunks[c][lo - c * step:hi - c * step, self.cols])
+            return
+        slots = np.array(slots, dtype=np.intp)
+        for c in set((slots // step).tolist()):
+            mine = slots // step == c
+            chunks[c][slots[mine] - c * step, self.cols] = source[at[mine]]
 
 
 # ---------------------------------------------------------------------------
@@ -819,10 +873,10 @@ def _query_maps(node: QueryStep, rows: tuple, n: int) -> tuple:
 def _measure_maps(node: MeasureStep, rows: tuple, n: int):
     """Rows whose outcome names no child; per child, its rows, its labels
     after the rewrite, and where each row lands when the rewrite merges
-    labels; and the groups of adjacent children that call one plan without
+    labels; the groups of adjacent children that call one plan without
     merging labels, of at least two members that hold a row, each keyed by
     its first such member and ending with the index past its last child, in
-    a plan of `n` variables."""
+    a plan of `n` variables; and the exit walk's segments (`_exit_segments`)."""
     slot = {oid: k for k, (oid, _, _) in enumerate(node.children)}
     members: list[list[int]] = [[] for _ in node.children]
     gap = []
@@ -866,17 +920,38 @@ def _measure_maps(node: MeasureStep, rows: tuple, n: int):
         starts = np.cumsum([0] + [len(branches[k][1]) for k in held[:-1]])
         groups[held[0]] = (branches[held[0]][0].plan, union, len(held), sources, order, starts,
                            _runs([branches[k][0] for k in held], n), ks[-1] + 1)
-    return np.array(gap, dtype=np.intp), branches, groups
+    return np.array(gap, dtype=np.intp), branches, groups, _exit_segments(node, branches)
+
+
+def _exit_segments(node: MeasureStep, branches: list) -> list:
+    """The exit walk's segments of a measurement whose children have the
+    branches `branches` (`_measure_maps`), in child order: the index of a
+    child it walks on, or a run of adjacent children that exit (Output or
+    Call) without merging labels, as their outcome ids, their rows one child
+    after another, and per such row the index in the run of its child and
+    its label."""
+    segments: list = []
+    for exits, run in groupby(range(len(branches)), lambda k: isinstance(branches[k][0], (Output, Call))
+                              and branches[k][3] is None):
+        ks = list(run)
+        if not exits:
+            segments += ks
+            continue
+        segments.append((tuple(node.children[k][0] for k in ks),
+                         np.concatenate([branches[k][1] for k in ks]),
+                         tuple(m for m, k in enumerate(ks) for _ in branches[k][2]),
+                         tuple(label for k in ks for label in branches[k][2])))
+    return segments
 
 
 def _split(node: MeasureStep, rows: tuple, amps: np.ndarray, n: int):
     """`_measure_maps` on a block: per column, whether a label whose outcome
-    names no child carries amplitude (a gap), and the children's branches
-    and call groups."""
-    gap_rows, branches, groups = _compiled(node, (n, rows), lambda: _measure_maps(node, rows, n))
+    names no child carries amplitude (a gap), and the children's branches,
+    call groups and exit segments."""
+    gap_rows, branches, groups, segments = _compiled(node, (n, rows), lambda: _measure_maps(node, rows, n))
     if len(gap_rows):
-        return (amps[gap_rows] != 0).any(axis=0), branches, groups
-    return np.zeros(amps.shape[1], dtype=bool), branches, groups
+        return (amps[gap_rows] != 0).any(axis=0), branches, groups, segments
+    return np.zeros(amps.shape[1], dtype=bool), branches, groups, segments
 
 
 def _branch(branch: tuple, amps: np.ndarray) -> np.ndarray:

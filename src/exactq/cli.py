@@ -39,9 +39,9 @@ from .algorithms import (
     build_unbr,
     build_uw_step,
 )
-from .errors import DegenerateCase, DivergedChain, ExactQError, check_tol
+from .errors import DegenerateCase, DivergedChain, ExactQError, NoChain, check_tol
 from .plans import Plan
-from .recurrence import CHAIN_LIMIT, chain_gamma_at, gamma_chain, solve_step_constants
+from .recurrence import CHAIN_BASES, CHAIN_LIMIT, chain_gamma_at, gamma_chain, solve_step_constants
 from .sym import STRATEGIES, SymSpec, TWO_SIDED, build_sym
 from .verifier import (
     DEFAULT_BRANCH_TOL,
@@ -215,6 +215,12 @@ def cmd_constants(config: argparse.Namespace) -> int:
         check_limit("--n", n, CHAIN_LIMIT, "gamma chain")
         if n == d:
             raise DegenerateCase(f"step constants are undefined at n = d = {n}")
+        if d in CHAIN_BASES:
+            # A step at n starts from the chain's gamma at n - 2.
+            n0 = d + 2 * CHAIN_BASES[d][0]
+            if n < n0 + 2 or (n - n0) % 2:
+                raise NoChain(f"--n={n} is off the d={d} chain: --n takes "
+                              f"{'odd' if n0 % 2 else 'even'} values from {n0 + 2} up")
         gamma_prev = chain_gamma_at(d, n - 2)
         cs = solve_step_constants(n, d, gamma_prev)
         residuals = cs.constraint_residuals()

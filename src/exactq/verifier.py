@@ -318,22 +318,31 @@ def verify_exactness(
 
 
 def _fourier(table: np.ndarray, n: int) -> np.ndarray:
-    """Fourier inversion of each row of a float (rows x 2^n) table, in place:
-    alpha_S = 2^-n sum_x A(x) prod_{i in S} xhat_i.
+    """Fourier inversion of each row of a float (rows x 2^n) table:
+    alpha_S = 2^-n sum_x A(x) prod_{i in S} xhat_i. Returns the coefficients
+    as a (rows x 2^n) view of an inputs-major (2^n x rows) array; `table`'s
+    memory serves as scratch, so its values are lost.
 
     Columns are inputs in lexicographic bit order (first bit most
     significant), and the coefficient of S lands in the column whose bits
     mark the members of S.
+
+    The first butterfly pass reads `table` across its rows into a fresh
+    inputs-major buffer; later passes alternate between that buffer and
+    `table`'s memory, each over contiguous runs of at least `rows` values.
+    Each coefficient is still lo + hi or lo - hi of the same operands, pass
+    by pass, then / 2^n, as a butterfly on each row alone computes it.
     """
     rows = len(table)
+    source, buffers = table.T, (np.empty((1 << n, rows)), table.reshape(1 << n, rows))
     for axis in range(n):
-        view = table.reshape(rows, 1 << axis, 2, 1 << (n - 1 - axis))
-        lo, hi = view[:, :, 0], view[:, :, 1]
-        diff = lo - hi
-        lo += hi
-        hi[...] = diff
-    table /= 1 << n
-    return table
+        view = source.reshape(1 << axis, 2, -1, rows)
+        out = buffers[axis % 2].reshape(view.shape)
+        np.add(view[:, 0], view[:, 1], out=out[:, 0])
+        np.subtract(view[:, 0], view[:, 1], out=out[:, 1])
+        source = out
+    source /= 1 << n
+    return source.reshape(1 << n, rows).T
 
 
 def _popcounts(n: int) -> np.ndarray:
@@ -469,18 +478,17 @@ def audit_leaf_degrees(plan: Plan, *, coeff_tol: float = 1e-9) -> tuple[LeafDegr
     for sub in plans:
         entry_degree = 0 if sub.contract is None else 1
         keys, queries_of, tables = exit_amplitudes(sub)
-        sizes = _popcounts(sub.n)
+        # Subset sizes fit a byte (n <= EXTRACTION_LIMIT), which keeps the
+        # temporaries of a chunk at an eighth of its size.
+        sizes = _popcounts(sub.n).astype(np.uint8)
         degrees: list[int] = []
         for table in tables:
-            support = np.abs(_fourier(table, sub.n)) > coeff_tol
+            coeffs = _fourier(table, sub.n)
+            support = np.abs(coeffs, out=coeffs) > coeff_tol
             degrees += np.where(support, sizes, 0).max(axis=1).tolist()
-        for (path, label), degree in sorted(zip(keys, degrees)):
-            queries = queries_of[path]
-            records.append(LeafDegreeRecord(
-                family=sub.family, n=sub.n, path=path, label=label,
-                queries=queries, entry_degree=entry_degree,
-                degree=degree, bound=queries + entry_degree,
-            ))
+        records += [LeafDegreeRecord(sub.family, sub.n, path, label, queries_of[path], entry_degree,
+                                     degree, queries_of[path] + entry_degree)
+                    for (path, label), degree in sorted(zip(keys, degrees))]
     return tuple(records)
 
 

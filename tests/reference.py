@@ -16,7 +16,10 @@ over `verifier._step`, the per-input step semantics:
   of the run tree `run_on_input` would build (`follow`), walking the input
   along the path only;
 - `leaf_weight` reads the same weight off a full run tree, and
-  `output_leaf_paths` lists the paths of a run tree's output leaves.
+  `output_leaf_paths` lists the paths of a run tree's output leaves;
+- `exit_amplitudes` builds the degree audit's exit table one exit at a
+  time and one row at a time, on the batched steps, where the batched exit
+  walk puts a run of exit children as one block.
 """
 
 from __future__ import annotations
@@ -26,10 +29,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
+import numpy as np
+
+from exactq import batch
 from exactq.errors import PartitionGap
 from exactq.gadgets import OracleSpec
-from exactq.plans import Call, Output, Plan, PlanNode
-from exactq.state_core import LabeledState
+from exactq.plans import Call, MeasureStep, Output, Plan, PlanNode, QueryStep
+from exactq.state_core import LabeledState, ZERO_LABEL
 from exactq.verifier import DEFAULT_BRANCH_TOL, DEFAULT_TOL, _enter, _entry_state, _step
 
 
@@ -234,3 +240,50 @@ def output_leaf_paths(trees):
     for tree in trees:
         visit(tree, ())
     return sorted(paths, key=repr)
+
+
+def exit_amplitudes(plan: Plan) -> tuple[list[tuple], dict[tuple, int], list[np.ndarray]]:
+    """`batch.exit_amplitudes` one exit at a time: the batched steps walk a
+    block of inputs, and each Output or Call exit, in child order, writes its
+    nonzero rows into the table one row at a time, in chunks of
+    `batch.BLOCK_BYTES` each but the last."""
+    count = 1 << plan.n
+    chunk_rows = max(1, batch.BLOCK_BYTES // (8 * count))
+    chunks: list[np.ndarray] = []
+    slot: dict[tuple, int] = {}
+    queries_of: dict[tuple, int] = {}
+    width = batch._columns(plan.label_count)
+    for start in range(0, count, width):
+        inputs = np.arange(start, min(count, start + width))
+        if plan.contract is None:
+            rows, amps = (ZERO_LABEL,), np.ones((1, len(inputs)))
+        else:
+            rows, (amps, _) = plan.contract.labels, batch.contract_columns(plan.contract, inputs)
+        for path, queries, labels, block in exits(plan.root, rows, amps, inputs, plan.n, (), 0):
+            queries_of[path] = queries
+            for r in np.flatnonzero(block.any(axis=1)):
+                k = slot.setdefault((path, labels[r]), len(slot))
+                if k == len(chunks) * chunk_rows:
+                    chunks.append(np.zeros((chunk_rows, count)))
+                chunks[k // chunk_rows][k % chunk_rows, start:start + len(inputs)] = block[r]
+    if chunks:
+        chunks[-1] = chunks[-1][:len(slot) - (len(chunks) - 1) * chunk_rows]
+    return list(slot), queries_of, chunks
+
+
+def exits(node, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n: int, path: tuple, queries: int):
+    """Yield (outcome path, queries, row labels, amplitudes) at every Output
+    or Call exit below `node`, one measurement child after another."""
+    while not isinstance(node, (Output, Call)):
+        if isinstance(node, MeasureStep):
+            gap, branches, *_ = batch._split(node, rows, amps, n)
+            if gap.any():
+                raise PartitionGap("a branch state has a label that matches no measurement outcome")
+            for (oid, _, _), branch in zip(node.children, branches):
+                yield from exits(branch[0], branch[2], batch._branch(branch, amps), inputs, n,
+                                 path + (oid,), queries)
+            return
+        rows, amps = batch._advance(node, rows, amps, inputs, n, None)
+        queries += isinstance(node, QueryStep)
+        node = node.child
+    yield path, queries, rows, amps

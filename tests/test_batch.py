@@ -534,7 +534,7 @@ def test_builder_sibling_calls_are_adjacent(name):
             node = stack.pop()
             if isinstance(node, MeasureStep):
                 stack += [child for _, _, child in node.children]
-                for _, branches, groups in vars(node).get("_batch_cache", {}).values():
+                for _, branches, groups, _ in vars(node).get("_batch_cache", {}).values():
                     measured += 1
                     assert groups_by_callee(branches) == sorted(
                         list(range(k, k + group[2])) for k, group in groups.items())
@@ -646,7 +646,7 @@ def test_calls_hand_their_callee_no_label_it_writes_outside_its_contract():
             for node in plan_nodes(sub):
                 if not isinstance(node, MeasureStep):
                     continue
-                for _, branches, _ in vars(node).get("_batch_cache", {}).values():
+                for _, branches, _, _ in vars(node).get("_batch_cache", {}).values():
                     for child, _, labels, _ in branches:
                         if isinstance(child, Call) and child.plan.contract is not None:
                             calls += 1

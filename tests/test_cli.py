@@ -411,6 +411,14 @@ class TestConstantsCommand:
     def test_degenerate_point_exits_2(self, capsys):
         assert main(["constants", "--n", "3", "--d", "3"]) == 2
 
+    @pytest.mark.parametrize("n,d,allowed", [(4, 1, "odd values from 3 up"), (5, 3, "odd values from 7 up"),
+                                             (2, 1, "odd values from 3 up")])
+    def test_off_chain_n_names_the_flag(self, n, d, allowed, capsys):
+        assert main(["constants", "--n", str(n), "--d", str(d)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --n={n} is off the d={d} chain: --n takes {allowed}\n"
+
     def test_missing_n_names_the_command(self, capsys):
         assert main(["constants", "--d", "3"]) == 2
         assert capsys.readouterr().err == "error: --n is required for the constants command\n"

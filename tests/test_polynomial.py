@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +16,12 @@ from exactq import (
     Call,
     Contract,
     LabeledState,
+    MeasureStep,
     MultilinearPoly,
     Output,
     PartitionGap,
     PrepareState,
+    QueryStep,
     SymSpec,
     ZeroWitnessMissing,
     audit_leaf_degrees,
@@ -36,19 +39,22 @@ from exactq import (
     solve_step_constants,
     symmetrize_to_univariate,
 )
-from exactq.batch import leaf_values as batch_leaf_values
-from exactq.gadgets import OracleSpec
+from exactq import batch
+from exactq.batch import exit_amplitudes, leaf_values as batch_leaf_values
+from exactq.gadgets import OracleSpec, extract_trailing_index
 from exactq.plans import var
-from exactq.state_core import S_LABEL, idx
+from exactq.state_core import S_LABEL, ZERO_LABEL, anc, idx
 from exactq.verifier import (
     DEFAULT_BRANCH_TOL,
     DEFAULT_TOL,
     LeafDegreeRecord,
     _SCRATCH,
     _collect_plans,
+    _fourier,
     _power_coefficients,
     _step,
 )
+import reference
 from reference import leaf_values, leaf_weight, output_leaf_paths
 from test_batch import STEP_FIELDS, deltas, mutated_unbr
 from test_verifier import GAP_OUTCOMES, s_only_measure, small_plan
@@ -91,6 +97,42 @@ def reference_audit(plan, coeff_tol=1e-9):
                 degree=poly.degree(tol=coeff_tol), bound=queries + entry_degree,
             ))
     return tuple(records)
+
+
+def row_fourier(table, n):
+    """Reference: the Fourier inversion of each row of a (rows x 2^n) table,
+    in place, with the butterflies run along each row."""
+    rows = len(table)
+    for axis in range(n):
+        view = table.reshape(rows, 1 << axis, 2, 1 << (n - 1 - axis))
+        lo, hi = view[:, :, 0], view[:, :, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+    table /= 1 << n
+    return table
+
+
+def mixed_exit_plan():
+    """A three-variable plan whose one measurement has, in child order: an
+    Output; a child that queries before its Output; two Calls; an Output
+    whose rewrite merges two labels; and an Output that holds no row. Its
+    contract state varies with the input and vanishes, row by row, on some
+    inputs; the row of |0> vanishes on all of them."""
+    callee = small_plan(Output(1))
+    outcome = {S_LABEL: ("o",), idx(1): ("q",), ZERO_LABEL: ("a",), idx(2): ("a",), idx(3): ("b",),
+               anc(0): ("m",), anc(1): ("m",)}
+    measure = MeasureStep(outcome.get, (
+        (("o",), None, Output(1)),
+        (("q",), None, QueryStep(extract_trailing_index, Output(0))),
+        (("a",), None, Call(callee, (var(1),))),
+        (("b",), None, Call(callee, (var(2),))),
+        (("m",), {anc(1): anc(0)}, Output(1)),
+        (("z",), None, Output(0))))
+    contract = Contract(3, tuple(outcome), (0.5, 0.0, 0.0, 0.2, 0.0, 0.1, 0.1),
+                        ((0.5, 0.0, 0.0), (0.0, 0.3, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.1),
+                         (0.25, -0.25, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.1)))
+    return small_plan(measure, n=3, contract=contract)
 
 
 def mutated_unbr_5_1():
@@ -379,6 +421,72 @@ class TestBatchedDegreeAudit:
         assert audit_leaf_degrees(plan_with_norm(50.0)) == reference_audit(plan_with_norm(50.0))
         with pytest.raises(ValueError, match="contract norm"):
             audit_leaf_degrees(plan_with_norm(1000.0))
+
+
+class TestExitTable:
+    """The exit walk's table against the per-child reference walk."""
+
+    @pytest.mark.parametrize("block_bytes", [batch.BLOCK_BYTES, 1 << 7], ids=["one-block", "input-blocks"])
+    def test_mixed_measurement_matches_per_child_walk(self, block_bytes, monkeypatch):
+        # At 128 bytes each input is a block of its own and a chunk holds
+        # two rows, so keys are first reached in later blocks too, rows are
+        # put into rows found before, and the last chunk grows.
+        monkeypatch.setattr(batch, "BLOCK_BYTES", block_bytes)
+        plan = mixed_exit_plan()
+        keys, queries_of, chunks = exit_amplitudes(plan)
+        expected_keys, expected_queries, expected_chunks = reference.exit_amplitudes(plan)
+        assert keys == expected_keys
+        assert queries_of == expected_queries
+        assert [chunk.shape for chunk in chunks] == [chunk.shape for chunk in expected_chunks]
+        assert [chunk.tobytes() for chunk in chunks] == [chunk.tobytes() for chunk in expected_chunks]
+        assert audit_leaf_degrees(plan) == reference_audit(plan)
+
+    def test_mixed_measurement_keys_in_child_order(self):
+        keys, queries_of, _ = exit_amplitudes(mixed_exit_plan())
+        assert keys == [((("o",),), S_LABEL), ((("q",),), idx(1)), ((("a",),), idx(2)), ((("b",),), idx(3)),
+                        ((("m",),), anc(0))]
+        assert queries_of == {(("o",),): 0, (("q",),): 1, (("a",),): 0, (("b",),): 0, (("m",),): 0,
+                              (("z",),): 0}
+
+    def test_the_table_is_held_once(self):
+        # unbr(10, 2)'s table takes 10.2 MiB, which a second copy would
+        # double; the audit of unb(10, 2) holds its largest table (10.2 MiB)
+        # and one chunk's inversion at a time.
+        exits_plan, audit_plan = build_unbr(10, 2), build_unb(10, 2)
+        audit_leaf_degrees(build_unb(3, 1))  # numpy imports what it needs at its first calls
+        tracemalloc.start()
+        try:
+            keys, _, chunks = exit_amplitudes(exits_plan)
+            exits_peak = tracemalloc.get_traced_memory()[1]
+            assert sum(chunk.nbytes for chunk in chunks) > 10 << 20
+            del keys, chunks
+            tracemalloc.reset_peak()
+            audit_leaf_degrees(audit_plan)
+            audit_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exits_peak <= 12 << 20
+        assert audit_peak <= 13.5 * (1 << 20)
+
+
+@st.composite
+def value_tables(draw):
+    """A (rows x 2^n) float table, 1 <= rows <= 300 and 0 <= n <= 10, with
+    values over many magnitudes and exact zeros."""
+    rows, n = draw(st.integers(1, 300)), draw(st.integers(0, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (rows, 1 << n)
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    table[rng.random(shape) < draw(st.sampled_from((0.0, 0.3, 0.9)))] = 0.0
+    return table, n
+
+
+class TestFourier:
+    @settings(max_examples=40, deadline=None)
+    @given(value_tables())
+    def test_bit_identical_to_a_per_row_butterfly(self, drawn):
+        table, n = drawn
+        assert _fourier(table.copy(), n).tobytes() == row_fourier(table.copy(), n).tobytes()
 
 
 class TestRootCount:
