@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactq import (
@@ -469,21 +469,28 @@ class TestExitTable:
         assert audit_peak <= 13.5 * (1 << 20)
 
 
-@st.composite
-def value_tables(draw):
-    """A (rows x 2^n) float table, 1 <= rows <= 300 and 0 <= n <= 10, with
-    values over many magnitudes and exact zeros."""
-    rows, n = draw(st.integers(1, 300)), draw(st.integers(0, 10))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+def value_table(rows, n, seed, zeros):
+    """A (rows x 2^n) float table with values over many magnitudes, a share
+    `zeros` of them exact zeros, and `n`."""
+    rng = np.random.default_rng(seed)
     shape = (rows, 1 << n)
     table = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
-    table[rng.random(shape) < draw(st.sampled_from((0.0, 0.3, 0.9)))] = 0.0
+    table[rng.random(shape) < zeros] = 0.0
     return table, n
+
+
+@st.composite
+def value_tables(draw):
+    """`value_table` with 1 <= rows <= 300 and 0 <= n <= 10."""
+    return value_table(draw(st.integers(1, 300)), draw(st.integers(0, 10)), draw(st.integers(0, 2 ** 32 - 1)),
+                       draw(st.sampled_from((0.0, 0.3, 0.9))))
 
 
 class TestFourier:
     @settings(max_examples=40, deadline=None)
     @given(value_tables())
+    @example(value_table(300, 10, 0, 0.3))
+    @example(value_table(1, 0, 1, 0.0))
     def test_bit_identical_to_a_per_row_butterfly(self, drawn):
         table, n = drawn
         assert _fourier(table.copy(), n).tobytes() == row_fourier(table.copy(), n).tobytes()
