@@ -78,8 +78,8 @@ plan's exits: it starts from the raw contract states, prunes nothing and
 never enters a callee. At a measurement, each run of adjacent children that
 exit without merging labels is put as one block, with a constant number of
 numpy calls however many exits it holds: the rows that carry amplitude are
-taken straight into the table (`_Table`), in child order, keyed by their
-outcome path and label. Other children are walked one at a time.
+taken into the table (`_Table`) in one `np.take`, in child order, keyed by
+their outcome path and label. Other children are walked one at a time.
 
 `leaf_values` reads a leaf polynomial, the weight at the end of one outcome
 path of the run tree, as the output-1 mass of `summarize`, memos and
@@ -615,9 +615,10 @@ def _exits(node, rows: tuple, amps: np.ndarray, inputs: np.ndarray, n: int,
 class _Table:
     """The exit walk's value table: one row per key, in the order first
     put, and one column per input, in chunks of `step` rows of at most
-    BLOCK_BYTES each. Every chunk but the last is full; the last grows in
-    place (`ndarray.resize`) to the rows found, so the table is never copied
-    and holds no unused row. `cols` is the slice of the inputs being walked."""
+    BLOCK_BYTES each. Every chunk but the last is full; the last grows
+    (`ndarray.resize`) to the rows found, so the table holds no unused row
+    and is never held twice. `cols` is the slice of the inputs being
+    walked."""
 
     def __init__(self, count: int):
         self.count = count
@@ -642,9 +643,10 @@ class _Table:
             while len(chunks) * step < total:
                 chunks.append(np.zeros((min(step, total - len(chunks) * step), self.count)))
         if total - first == len(keys):
-            # Every key is new: rows first .. total - 1, taken straight into
-            # each chunk they span (np.take buffers `out` unless the mode is
-            # "clip"; every index is in range).
+            # Every key is new: rows first .. total - 1, taken into each
+            # chunk they span. In "clip" mode (every index is in range)
+            # np.take writes a contiguous `out`, a block of every input,
+            # in place; a narrower block goes through a copy of its rows.
             for c in range(first // step, (total - 1) // step + 1):
                 lo, hi = max(first, c * step), min(total, (c + 1) * step)
                 np.take(source, at[lo - first:hi - first], axis=0, mode="clip",
